@@ -39,14 +39,12 @@ from .estimators import (
     AdmomState,
     BatchConsensusResult,
     CentralizedRls,
-    DrlsSensorState,
     DrlsState,
     LocalRls,
     RlsKernelState,
     admom_step_flops,
     ama_step_flops,
     drls_batch_ama,
-    drls_step,
     ewlse_centralized,
     rls_kernel_init,
     rls_kernel_step,

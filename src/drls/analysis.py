@@ -23,12 +23,10 @@ broadcast; both carry the c/4 weighting. Their difference lies in the
 range of ``lap_scaled``, and ``lifted_mix`` is the least-squares lift
 satisfying lap_scaled @ lifted_mix = bcast_mix - recv_mix.
 
-Steady-state second moments solve the fixed point of the covariance
-recursion either in closed form (vectorize and invert I - inner (x) inner,
-exact but O((Jp)^6), gated to small networks) or by iterating the
-recursion to numerical convergence (the default for larger ones). Both
-routes feed the same metric extraction: per-sensor and network MSD, EMSE
-and MSE from the top-left block of the stationary covariance.
+Steady-state second moments are the fixed point R = A R A^T + F of the
+covariance recursion, a discrete Lyapunov equation, solved by doubling.
+Per-sensor and network MSD, EMSE and MSE come from the top-left block of
+that stationary covariance.
 """
 
 from dataclasses import dataclass
@@ -36,14 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, DivergenceError, ModelError, StabilityError
-from .linalg import bdiag, kron, pinv, spectral_radius, unvec, vec
+from .linalg import bdiag, kron, pinv, spectral_radius
 from .topology import laplacian, scaled_laplacian
 
 #: residual above which the multiplier-mix lift is considered unsolvable
 LIFT_RESIDUAL_LIMIT = 1e-8
 
-#: network sizes (J*p) up to which the closed-form route is the default
-VEC_SOLVE_LIMIT = 24
+#: squarings after which the doubling solve gives up; 2^64 recursion steps
+#: reach round-off for any spectral radius representable below 1
+DOUBLING_MAX_SQUARINGS = 64
 
 _DB_FLOOR = 1e-300
 
@@ -72,8 +71,6 @@ class AveragedSystem:
     rh_lam_inv : ndarray
         (Jp, Jp) steady-state mean of the inverse data matrices,
         (1 - lam) * bdiag(R_hj^{-1}).
-    raw_transition : ndarray
-        (2Jp, 2Jp) coupling skeleton [[-lap, -I], [lap, I]].
     mean_transition : ndarray
         (2Jp, 2Jp) transition of E[beta(t)].
     inner_transition : ndarray
@@ -96,7 +93,6 @@ class AveragedSystem:
     lap_scaled: np.ndarray
     rh: np.ndarray
     rh_lam_inv: np.ndarray
-    raw_transition: np.ndarray
     mean_transition: np.ndarray
     inner_transition: np.ndarray
     recv_mix: np.ndarray
@@ -130,7 +126,6 @@ def build_averaged_system(topology, model, lam, c):
     rh = bdiag(list(model.rh))
     rh_lam_inv = (1.0 - lam) * bdiag([np.linalg.inv(model.rh[k]) for k in range(j)])
 
-    raw = np.block([[-lap, -eye], [lap, eye]])
     mean = np.block([[-rh_lam_inv @ lap, -rh_lam_inv], [lap, eye]])
     lap_proj = lap @ pinv(lap)
     inner = np.block(
@@ -161,7 +156,7 @@ def build_averaged_system(topology, model, lam, c):
 
     return AveragedSystem(
         topology=topology, p=p, lam=lam, c=c, lap_scaled=lap, rh=rh,
-        rh_lam_inv=rh_lam_inv, raw_transition=raw, mean_transition=mean,
+        rh_lam_inv=rh_lam_inv, mean_transition=mean,
         inner_transition=inner, recv_mix=recv_mix, bcast_mix=bcast_mix,
         lifted_mix=lifted_mix, data_input=data_input, link_input=link_input,
     )
@@ -351,7 +346,6 @@ class SteadyStateReport:
     stacked estimation errors, ``r_z`` the full fluctuation-state one.
     """
 
-    method: str
     rho: float
     r_z: np.ndarray
     r_y1: np.ndarray
@@ -414,14 +408,16 @@ def _stationary_forcing(system, noise):
     )
 
 
-def steady_state_solve(system, noise, method="auto"):
+def steady_state_solve(system, noise):
     """Stationary covariance and mean-square metrics of the error system.
 
-    ``method`` picks the fixed-point route: "vec" solves the discrete
-    Lyapunov equation in closed form through vectorization (exact, memory
-    O((Jp)^4)), "iterate" runs the covariance recursion to convergence,
-    and "auto" takes "vec" for J*p <= VEC_SOLVE_LIMIT and "iterate" above.
-    Refuses systems whose fluctuation transition is not a contraction.
+    Solves R = A R A^T + F, with A the fluctuation transition and F the
+    stationary forcing, by doubling (squared Smith iteration): from Q = F,
+    repeat Q <- Q + A Q A^T and A <- A^2, so each pass doubles the number
+    of recursion terms Q sums. Stops once the added term is at round-off
+    relative to Q. Refuses systems whose fluctuation transition
+    is not a contraction, and raises DivergenceError rather than return a
+    covariance that did not converge within DOUBLING_MAX_SQUARINGS.
     """
     rho = spectral_radius(system.inner_transition)
     if rho >= 1.0:
@@ -429,27 +425,34 @@ def steady_state_solve(system, noise, method="auto"):
             f"error dynamics are not mean-square stable: spectral radius "
             f"{rho:.6f} of the fluctuation transition is >= 1"
         )
-    if method == "auto":
-        method = "vec" if system.topology.J * system.p <= VEC_SOLVE_LIMIT else "iterate"
-    if method == "vec":
-        psi_m = system.inner_transition
-        n = psi_m.shape[0]
-        forcing = _stationary_forcing(system, noise)
-        sol = np.linalg.solve(
-            np.eye(n * n) - kron(psi_m, psi_m), vec(forcing)
-        )
-        r_z = unvec(sol, n, n)
-        r_z = 0.5 * (r_z + r_z.T)
-    elif method == "iterate":
-        r_z = covariance_recursion_iterate(system, noise).r_z
-    else:
-        raise ValueError(f"unknown steady-state method {method!r}")
+    a = system.inner_transition
+    # the finiteness check below reports overflow, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_z = _stationary_forcing(system, noise)
+        for squarings in range(DOUBLING_MAX_SQUARINGS + 1):
+            added = a @ r_z @ a.T
+            r_z = r_z + added
+            total_norm = float(np.linalg.norm(r_z))
+            if not np.isfinite(total_norm):
+                raise DivergenceError(
+                    f"doubling solve lost finiteness after {squarings} squarings "
+                    f"(spectral radius {rho:.6f})"
+                )
+            if np.linalg.norm(added) <= np.finfo(np.float64).eps * total_norm:
+                break
+            a = a @ a
+        else:
+            raise DivergenceError(
+                f"doubling solve did not converge in {DOUBLING_MAX_SQUARINGS} "
+                f"squarings (spectral radius {rho:.6f})"
+            )
+    r_z = 0.5 * (r_z + r_z.T)
 
     jp = system.topology.J * system.p
     r_y1 = r_z[:jp, :jp] + noise.feedthrough
     msd, emse, mse = _metrics_from_error_covariance(system, noise, r_y1)
     return SteadyStateReport(
-        method=method, rho=rho, r_z=r_z, r_y1=r_y1, msd=msd, emse=emse, mse=mse,
+        rho=rho, r_z=r_z, r_y1=r_y1, msd=msd, emse=emse, mse=mse,
     )
 
 

@@ -44,6 +44,15 @@ def _matvec(mats, vecs):
     return np.einsum("jab,jb->ja", mats, vecs)
 
 
+def _absorb(pinv, psi, h, x, lam):
+    """Batched RLS kernel step: every sensor absorbs its datum through the
+    rank-one inverse update (see ``rls_kernel_step``); returns (pinv, psi)."""
+    ph = _matvec(pinv, h)
+    den = lam + np.einsum("ja,ja->j", h, ph)
+    pinv = (pinv - ph[:, :, None] * ph[:, None, :] / den[:, None, None]) / lam
+    return pinv, lam * psi + h * x[:, None]
+
+
 # ---------------------------------------------------------------------------
 # per-sensor RLS kernel
 # ---------------------------------------------------------------------------
@@ -142,18 +151,19 @@ def admom_step_flops(p, degree):
     return (2 * p ** 3) // 3 + 5 * p * p + 4 * p + 9 * p * degree
 
 
+def centralized_step_flops(p, j):
+    """Per-step arithmetic of the pooled estimator over j sensors.
+
+    Data-matrix update: j outer-product accumulations 2jp^2 plus the
+    forgetting scale 2p^2; correlation update 2jp + 2p; dense p x p solve
+    (2/3)p^3 + 2p^2. O(jp^2 + p^3), all at the fusion center.
+    """
+    return (2 * p ** 3) // 3 + 4 * p * p + 2 * p + 2 * j * p * (p + 1)
+
+
 # ---------------------------------------------------------------------------
 # network estimators
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DrlsSensorState:
-    """Read-only view of one sensor inside a network state."""
-
-    s: np.ndarray          # (p,) current estimate
-    v: dict                # neighbor id -> (p,) multiplier owned by this sensor
-    kernel: RlsKernelState
-
 
 class _NetworkBase:
     """Shared plumbing: batched per-sensor arrays plus the link tables."""
@@ -225,30 +235,13 @@ class DrlsState(_NetworkBase):
         exchanges (None = ideal links).
         """
         _, v_new, recv_v = self._exchange(eta, eta_bar)
-        # rank-one inverse update, batched over sensors
-        ph = _matvec(self.pinv, h)
-        den = self.lam + np.einsum("ja,ja->j", h, ph)
-        self.pinv = (self.pinv - ph[:, :, None] * ph[:, None, :] / den[:, None, None]) / self.lam
-        self.psi = self.lam * self.psi + h * x[:, None]
+        self.pinv, self.psi = _absorb(self.pinv, self.psi, h, x, self.lam)
         agg = self._persensor_sum(v_new - recv_v)
         self.s = _matvec(self.pinv, self.psi - 0.5 * agg)
         self.v = v_new
         self.t += 1
         self.flops += self._step_flops
         return self
-
-    def sensor(self, j):
-        """Per-sensor view (estimate, multiplier map, kernel)."""
-        top = self.topology
-        vmap = {
-            int(top.link_peer[k]): self.v[k].copy()
-            for k in range(top.link_start[j], top.link_start[j + 1])
-        }
-        kern = RlsKernelState(
-            pinv=self.pinv[j].copy(), psi=self.psi[j].copy(),
-            lam=self.lam, delta=self.delta,
-        )
-        return DrlsSensorState(s=self.s[j].copy(), v=vmap, kernel=kern)
 
 
 class AdmomState(_NetworkBase):
@@ -298,14 +291,14 @@ class LocalRls:
         self.s = np.zeros((topology.J, p))
         self.t = 0
         self.flops = 0
+        # the AMA step without neighbors: kernel update and estimate only
+        self._step_flops = topology.J * ama_step_flops(p, 0)
 
     def step(self, h, x, eta=None, eta_bar=None):
-        ph = _matvec(self.pinv, h)
-        den = self.lam + np.einsum("ja,ja->j", h, ph)
-        self.pinv = (self.pinv - ph[:, :, None] * ph[:, None, :] / den[:, None, None]) / self.lam
-        self.psi = self.lam * self.psi + h * x[:, None]
+        self.pinv, self.psi = _absorb(self.pinv, self.psi, h, x, self.lam)
         self.s = _matvec(self.pinv, self.psi)
         self.t += 1
+        self.flops += self._step_flops
         return self
 
 
@@ -322,6 +315,7 @@ class CentralizedRls:
         self.s_c = np.zeros(p)
         self.t = 0
         self.flops = 0
+        self._step_flops = centralized_step_flops(p, topology.J)
 
     @property
     def s(self):
@@ -332,12 +326,8 @@ class CentralizedRls:
         self.psi_c = self.lam * self.psi_c + h.T @ x
         self.s_c = np.linalg.solve(self.phi, self.psi_c)
         self.t += 1
+        self.flops += self._step_flops
         return self
-
-
-def drls_step(state, h, x, eta=None, eta_bar=None):
-    """Advance any network estimator by one step (functional spelling)."""
-    return state.step(h, x, eta=eta, eta_bar=eta_bar)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ threads            worker processes (1)
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -330,20 +331,9 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False,
 
     worker = partial(_single_run, topology, model, config, collect_deviation)
     run_ids = range(config.runs)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outputs = pool.map(worker, run_ids)
-            for r, (msd, emse, mse, s_final, dev, fl) in enumerate(outputs):
-                msd_sum += msd
-                emse_sum += emse
-                mse_sum += mse
-                final_sum += s_final
-                flops = fl
-                if collect_deviation:
-                    deviation[r] = dev
-    else:
-        for r in run_ids:
-            msd, emse, mse, s_final, dev, fl = worker(r)
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        outputs = map(worker, run_ids) if pool is None else pool.map(worker, run_ids)
+        for r, (msd, emse, mse, s_final, dev, fl) in enumerate(outputs):
             msd_sum += msd
             emse_sum += emse
             mse_sum += mse
@@ -430,7 +420,7 @@ class ComparisonReport:
 
 
 def compare_theory(config, tol_db=1.0, topology=None, model=None,
-                   ensemble=None, method="auto"):
+                   ensemble=None):
     """Predict steady-state metrics and measure them from an ensemble.
 
     Only the single-time-scale AMA recursion has a matching analytical
@@ -457,7 +447,7 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
             f"bound {bound:.6g}; the mean recursion may diverge"
         )
     noise = noise_covariances(system, model)
-    prediction = steady_state_solve(system, noise, method=method)
+    prediction = steady_state_solve(system, noise)
 
     if ensemble is None:
         ensemble = run_ensemble(config, topology=topology, model=model)

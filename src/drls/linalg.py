@@ -3,9 +3,7 @@ Small dense linear-algebra helpers.
 
 Everything in here operates on plain float64 ndarrays and is sized for the
 networks this package simulates (a few dozen sensors, regressor length below
-~20), so no sparse or large-scale paths are provided. The vec convention is
-column stacking throughout, which gives the usual identity
-vec(R S T) = (T^T kron R) vec(S).
+~20), so no sparse or large-scale paths are provided.
 """
 
 import numpy as np
@@ -49,19 +47,6 @@ def spectral_radius(a):
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"spectral radius needs a square matrix, got {a.shape}")
     return float(np.max(np.abs(np.linalg.eigvals(a))))
-
-
-def vec(a):
-    """Stack the columns of a matrix into a single vector."""
-    return as_matrix(a, "a").flatten(order="F")
-
-
-def unvec(v, rows, cols):
-    """Inverse of :func:`vec`: reshape a vector back into a (rows, cols) matrix."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size != rows * cols:
-        raise ValueError(f"cannot unvec length-{v.size} vector into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
 
 
 def bdiag(blocks):

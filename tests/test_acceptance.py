@@ -2,9 +2,10 @@
 
 Everything here runs the real pipelines at realistic sizes: the consensus
 oracle against the pooled solution, the kernel against direct inversion,
-the eigenstructure of the averaged error system, both fixed-point routes,
-and full Monte Carlo ensembles against the analytical predictions on the
-two benchmark scenarios. The Monte Carlo fixtures are the expensive part
+the eigenstructure of the averaged error system, the stationary solve
+against closed-form and iterated fixed points, and full Monte Carlo
+ensembles against the analytical predictions on the two benchmark
+scenarios. The Monte Carlo fixtures are the expensive part
 (a few minutes total on one core); they are module-scoped and shared
 across tests.
 """
@@ -218,10 +219,10 @@ def test_link_noise_lift_exists_on_the_sweep():
 
 
 # ---------------------------------------------------------------------------
-# 5. the two fixed-point routes agree
+# 5. the stationary solve agrees with both fixed-point references
 # ---------------------------------------------------------------------------
 
-def test_closed_form_and_iterated_fixed_points_agree():
+def test_closed_form_and_iterated_fixed_points_agree(kron_lyapunov):
     start = time.monotonic()
     rng = np.random.default_rng(77)
     for j, p in [(2, 1), (5, 2), (10, 2), (4, 3), (3, 4), (8, 3), (6, 4)]:
@@ -229,11 +230,13 @@ def test_closed_form_and_iterated_fixed_points_agree():
         model = iid_scenario(j, p, seed=j * 10 + p, sigma2_eta=0.1)
         system = build_averaged_system(top, model, 0.95, 0.1)
         noise = noise_covariances(system, model)
-        direct = steady_state_solve(system, noise, method="vec")
-        iterated = steady_state_solve(system, noise, method="iterate")
-        rel = (np.linalg.norm(direct.r_z - iterated.r_z)
-               / np.linalg.norm(direct.r_z))
-        assert rel < 1e-6, f"routes disagree at J={j}, p={p}: {rel:.2e}"
+        solved = steady_state_solve(system, noise).r_z
+        iterated = covariance_recursion_iterate(system, noise)
+        assert iterated.converged
+        for route, reference in (("closed form", kron_lyapunov(system, noise)),
+                                 ("iterated", iterated.r_z)):
+            rel = np.linalg.norm(solved - reference) / np.linalg.norm(reference)
+            assert rel < 1e-6, f"{route} disagrees at J={j}, p={p}: {rel:.2e}"
     assert time.monotonic() - start < 30.0
 
 

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from drls import analysis
 from drls.analysis import (
+    _stationary_forcing,
     build_averaged_system,
     check_mean_stability,
     check_mse_stability,
@@ -12,7 +16,7 @@ from drls.analysis import (
     steady_state_solve,
     to_db,
 )
-from drls.errors import AssemblyError, ModelError, StabilityError
+from drls.errors import AssemblyError, DivergenceError, ModelError, StabilityError
 from drls.signals import iid_scenario
 from drls.topology import from_edges, random_geometric
 
@@ -41,8 +45,6 @@ def test_pair_oracle_transitions():
     _, _, system = _pair_system()
     lap2 = system.lap_scaled
     eye = np.eye(2)
-    assert_allclose(system.raw_transition,
-                    np.block([[-lap2, -eye], [lap2, eye]]))
     assert_allclose(system.mean_transition,
                     np.block([[-0.05 * lap2, -0.05 * eye], [lap2, eye]]))
     # fluctuation transition contracts at exactly 1 - (1-lam)(c/2)*2 = 0.8
@@ -165,18 +167,26 @@ def test_noise_covariances_use_receiver_profiles():
                     [d / 4.0 * 0.1 * (j + 1) for j, d in enumerate(top.degrees)])
 
 
-def test_steady_state_routes_agree():
+def test_steady_state_routes_agree(kron_lyapunov):
     top = random_geometric(5, 0.7, seed=3)
-    model = iid_scenario(top.J, 2, seed=3, sigma2_eta=0.1)
+    p = 2
+    model = iid_scenario(top.J, p, seed=3, sigma2_eta=0.1)
     system = build_averaged_system(top, model, 0.95, 0.1)
     noise = noise_covariances(system, model)
-    direct = steady_state_solve(system, noise, method="vec")
-    iterated = steady_state_solve(system, noise, method="iterate")
-    rel = np.linalg.norm(direct.r_z - iterated.r_z) / np.linalg.norm(direct.r_z)
-    assert rel < 1e-6
-    assert direct.method == "vec"
-    assert iterated.method == "iterate"
-    assert_allclose(direct.msd, iterated.msd, rtol=1e-6)
+    report = steady_state_solve(system, noise)
+    traj = covariance_recursion_iterate(system, noise)
+    assert traj.converged
+    for reference in (kron_lyapunov(system, noise), traj.r_z):
+        rel = np.linalg.norm(report.r_z - reference) / np.linalg.norm(reference)
+        assert rel < 1e-6
+    # the doubling solve meets its own equation to round-off
+    a = system.inner_transition
+    residual = report.r_z - a @ report.r_z @ a.T - _stationary_forcing(system, noise)
+    assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(report.r_z)
+    jp = top.J * p
+    r_y1 = traj.r_z[:jp, :jp] + noise.feedthrough
+    iterated_msd = [np.trace(r_y1[k:k + p, k:k + p]) for k in range(0, jp, p)]
+    assert_allclose(report.msd, iterated_msd, rtol=1e-6)
 
 
 def test_steady_state_report_consistency():
@@ -199,11 +209,24 @@ def test_steady_state_refuses_unstable_dynamics():
         steady_state_solve(system, noise)
 
 
-def test_steady_state_unknown_method():
+def test_steady_state_raises_when_doubling_does_not_converge(monkeypatch):
+    """The pair system needs about seven squarings; capped at two, the
+    solve must refuse rather than return a truncated covariance."""
     top, model, system = _pair_system()
     noise = noise_covariances(system, model)
-    with pytest.raises(ValueError, match="unknown steady-state method"):
-        steady_state_solve(system, noise, method="magic")
+    monkeypatch.setattr(analysis, "DOUBLING_MAX_SQUARINGS", 2)
+    with pytest.raises(DivergenceError, match="did not converge in 2 squarings"):
+        steady_state_solve(system, noise)
+
+
+def test_steady_state_raises_on_non_finite_covariance():
+    """A nilpotent transition (rho = 0) with huge entries overflows the
+    forcing; the solve reports it instead of returning infinities."""
+    top, model, system = _pair_system()
+    noise = noise_covariances(system, model)
+    blowup = replace(system, inner_transition=np.triu(np.full((4, 4), 1e200), 1))
+    with pytest.raises(DivergenceError, match="lost finiteness"):
+        steady_state_solve(blowup, noise)
 
 
 def test_link_noise_raises_the_prediction():
@@ -233,7 +256,7 @@ def test_covariance_trajectory_converges_to_the_fixed_point():
     noise = noise_covariances(system, model)
     traj = covariance_recursion_iterate(system, noise)
     assert traj.converged
-    report = steady_state_solve(system, noise, method="vec")
+    report = steady_state_solve(system, noise)
     assert traj.network_msd[-1] == pytest.approx(float(np.trace(report.r_y1)),
                                                  rel=1e-6)
 

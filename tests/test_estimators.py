@@ -10,8 +10,8 @@ from drls.estimators import (
     LocalRls,
     admom_step_flops,
     ama_step_flops,
+    centralized_step_flops,
     drls_batch_ama,
-    drls_step,
     ewlse_centralized,
     rls_kernel_init,
     rls_kernel_step,
@@ -265,27 +265,6 @@ def test_single_sensor_network_equals_centralized():
         assert np.abs(net.s - central.s).max() < 1e-10
 
 
-def test_sensor_view():
-    top = from_edges(3, [(0, 1), (0, 2)])
-    state = DrlsState(top, 2, lam=0.9, c=0.1, delta=10.0)
-    for h, x, eta, eta_bar in _noisy_steps(top, 2, 3, seed=1):
-        state.step(h, x, eta=eta, eta_bar=eta_bar)
-    view = state.sensor(0)
-    assert_allclose(view.s, state.s[0])
-    assert sorted(view.v) == [1, 2]
-    assert_allclose(view.v[1], state.v[0])
-    assert_allclose(view.kernel.pinv, state.pinv[0])
-    assert view.kernel.lam == 0.9
-
-
-def test_drls_step_wrapper():
-    top = from_edges(2, [(0, 1)])
-    state = DrlsState(top, 1, lam=0.9, c=0.1, delta=10.0)
-    out = drls_step(state, np.ones((2, 1)), np.ones(2))
-    assert out is state
-    assert state.t == 1
-
-
 # ---------------------------------------------------------------------------
 # batch consensus mode
 # ---------------------------------------------------------------------------
@@ -359,6 +338,21 @@ def test_flop_model_step_totals():
     for _ in range(4):
         state.step(rng.standard_normal((3, 2)), rng.standard_normal(3))
     assert state.flops == 4 * per_step
+
+
+def test_baseline_flop_totals():
+    """Isolated RLS does the AMA work without neighbors; the pooled
+    estimator is charged its fusion-center count."""
+    top = from_edges(3, [(0, 1), (1, 2)])
+    local = LocalRls(top, 2, lam=0.9, c=0.1, delta=10.0)
+    central = CentralizedRls(top, 2, lam=0.9, c=0.1, delta=10.0)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        h, x = rng.standard_normal((3, 2)), rng.standard_normal(3)
+        local.step(h, x)
+        central.step(h, x)
+    assert local.flops == 4 * 3 * ama_step_flops(2, 0)
+    assert central.flops == 4 * centralized_step_flops(2, 3)
 
 
 def test_flop_ratio_grows_with_regressor_length():

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from drls.errors import ConfigError, RunFailure
 from drls.harness import (
+    ALGORITHMS,
     ExperimentConfig,
     build_model,
     build_topology,
@@ -218,7 +219,12 @@ def test_ensemble_metric_shapes_and_deviation():
     # matches the averaged learning curve
     assert_allclose(result.network_deviation.mean(axis=0),
                     result.series.msd.sum(axis=1), rtol=1e-12)
-    assert result.flops_per_run > 0
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_algorithm_counts_its_flops(algorithm):
+    config = _small_config(algorithm=algorithm, t_samples=5, runs=1)
+    assert run_ensemble(config).flops_per_run > 0
 
 
 def test_centralized_noiseless_estimates_are_exact():

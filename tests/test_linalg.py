@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from drls.linalg import as_matrix, bdiag, kron, pinv, spectral_radius, unvec, vec
+from drls.linalg import as_matrix, bdiag, kron, pinv, spectral_radius
 
 
 def _rng_matrices(seed, shapes):
@@ -47,26 +47,13 @@ def test_pinv_of_two_node_laplacian():
     assert_allclose(pinv(lap), lap / 4.0, atol=1e-12)
 
 
-def test_vec_unvec_roundtrip():
-    m = np.arange(12, dtype=float).reshape(3, 4)
-    assert_allclose(unvec(vec(m), 3, 4), m)
-
-
-def test_vec_is_column_stacking():
-    m = np.array([[1.0, 3.0], [2.0, 4.0]])
-    assert_allclose(vec(m), [1.0, 2.0, 3.0, 4.0])
-
-
 def test_vec_identity_for_triple_products():
-    """vec(R S T) = (T^T kron R) vec(S), the basis of the Lyapunov solve."""
+    """vec(R S T) = (T^T kron R) vec(S) with column-stacking vec, the basis
+    of the closed-form Lyapunov oracle in the tests."""
     rng = np.random.default_rng(7)
     r, s, t = rng.standard_normal((3, 4, 4))
-    assert_allclose(vec(r @ s @ t), kron(t.T, r) @ vec(s), atol=1e-12)
-
-
-def test_unvec_rejects_bad_length():
-    with pytest.raises(ValueError, match="unvec"):
-        unvec(np.zeros(5), 2, 3)
+    assert_allclose((r @ s @ t).flatten(order="F"),
+                    kron(t.T, r) @ s.flatten(order="F"), atol=1e-12)
 
 
 def test_spectral_radius_known_values():
