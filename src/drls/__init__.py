@@ -41,12 +41,10 @@ from .estimators import (
     CentralizedRls,
     DrlsState,
     LocalRls,
-    RlsKernelState,
     admom_step_flops,
     ama_step_flops,
     drls_batch_ama,
     ewlse_centralized,
-    rls_kernel_init,
     rls_kernel_step,
 )
 from .harness import (

@@ -127,7 +127,8 @@ def build_averaged_system(topology, model, lam, c):
     rh_lam_inv = (1.0 - lam) * bdiag([np.linalg.inv(model.rh[k]) for k in range(j)])
 
     mean = np.block([[-rh_lam_inv @ lap, -rh_lam_inv], [lap, eye]])
-    lap_proj = lap @ pinv(lap)
+    lap_pinv = pinv(lap)
+    lap_proj = lap @ lap_pinv
     inner = np.block(
         [[-rh_lam_inv @ lap, -rh_lam_inv @ lap], [lap_proj, lap_proj]]
     )
@@ -143,7 +144,7 @@ def build_averaged_system(topology, model, lam, c):
         bcast_mix[tx * p:(tx + 1) * p, k * p:(k + 1) * p] = gain
 
     diff = bcast_mix - recv_mix
-    lifted_mix = pinv(lap) @ diff
+    lifted_mix = lap_pinv @ diff
     residual = float(np.linalg.norm(lap @ lifted_mix - diff))
     if residual > LIFT_RESIDUAL_LIMIT:
         raise AssemblyError(

@@ -4,8 +4,7 @@ Command-line front end.
 Every subcommand reads local files, writes CSV/text outputs under --out,
 and sets the exit code: 0 on success, 1 for configuration or usage
 problems, 2 for stability or numerical refusals, 3 when a Monte Carlo run
-fails. Outputs are byte-deterministic for a given config (worker count
-included).
+fails. Outputs are byte-deterministic for a given config.
 
 Subcommands:
 
@@ -35,7 +34,6 @@ from .errors import (
     DivergenceError,
     ModelError,
     RunFailure,
-    SequencingError,
     StabilityError,
     TopologyError,
 )
@@ -51,7 +49,7 @@ from .harness import (
 )
 from .topology import algebraic_connectivity, random_geometric, write_edge_list
 
-_USAGE_ERRORS = (ConfigError, TopologyError, ModelError, SequencingError)
+_USAGE_ERRORS = (ConfigError, TopologyError, ModelError)
 _NUMERICAL_ERRORS = (StabilityError, AssemblyError, DivergenceError)
 
 
@@ -66,8 +64,6 @@ def _load(args):
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     return load_config(args.config, **overrides)
 
 
@@ -182,8 +178,6 @@ def build_parser():
     common.add_argument("--out", default="out", help="output directory (default: out)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config master seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="override the config worker count")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

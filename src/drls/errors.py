@@ -19,7 +19,9 @@ class ModelError(Exception):
 
 
 class SequencingError(Exception):
-    """A snapshot stream was asked for time indices out of order."""
+    """Time indices requested out of order. Nothing in the package raises it
+    since snapshot streams serve whole steps in order; it stays exported for
+    callers that catch it."""
 
 
 class AssemblyError(Exception):

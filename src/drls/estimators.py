@@ -26,6 +26,11 @@ Per-link quantities follow the topology's directed-link table: row k of a
 (D, p) array belongs to ``link_owner[k]`` and concerns its neighbor
 ``link_peer[k]``. Noise arrays passed to ``step`` use the same layout
 (row k = what owner k actually receives on that link).
+
+``step`` takes data with any leading shape, such as a runs axis: h
+(..., J, p), x (..., J) and noise (..., D, p). A fresh state holds one
+unbatched copy and takes on the leading shape of its first datum by
+broadcasting, so each run of a batch follows its own recursion.
 """
 
 from dataclasses import dataclass
@@ -40,54 +45,27 @@ WATCHDOG_WINDOW = 100
 
 
 def _matvec(mats, vecs):
-    """Batched matrix-vector product: (J, p, p) @ (J, p) -> (J, p)."""
-    return np.einsum("jab,jb->ja", mats, vecs)
-
-
-def _absorb(pinv, psi, h, x, lam):
-    """Batched RLS kernel step: every sensor absorbs its datum through the
-    rank-one inverse update (see ``rls_kernel_step``); returns (pinv, psi)."""
-    ph = _matvec(pinv, h)
-    den = lam + np.einsum("ja,ja->j", h, ph)
-    pinv = (pinv - ph[:, :, None] * ph[:, None, :] / den[:, None, None]) / lam
-    return pinv, lam * psi + h * x[:, None]
+    """Batched matrix-vector product: (..., p, p) @ (..., p) -> (..., p)."""
+    return np.einsum("...ab,...b->...a", mats, vecs)
 
 
 # ---------------------------------------------------------------------------
-# per-sensor RLS kernel
+# rank-one RLS kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RlsKernelState:
-    """Inverse data matrix and cross-correlation of one sensor's RLS kernel."""
-
-    pinv: np.ndarray   # (p, p) inverse of the weighted data matrix
-    psi: np.ndarray    # (p,) weighted input-output correlation
-    lam: float
-    delta: float
-
-
-def rls_kernel_init(p, lam, delta):
-    """Fresh kernel: pinv = delta * I (no data absorbed yet), psi = 0."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return RlsKernelState(pinv=delta * np.eye(p), psi=np.zeros(p), lam=lam, delta=delta)
-
-
-def rls_kernel_step(state, h, x):
-    """Absorb one datum through the rank-one inverse update.
+def rls_kernel_step(pinv, psi, h, x, lam):
+    """Absorb one datum per kernel through the rank-one inverse update.
 
     Matrix-inversion-lemma form of inverting lam*Phi + h h^T given
-    Phi^{-1}: new_pinv = (pinv - (pinv h)(pinv h)^T / (lam + h^T pinv h)) / lam.
+    pinv = Phi^{-1}: new_pinv = (pinv - (pinv h)(pinv h)^T / (lam + h^T pinv h)) / lam,
+    and psi <- lam*psi + h*x. `pinv` (..., p, p), `psi` and `h` (..., p)
+    and `x` (...) share any leading shape, e.g. (runs, J); returns the new
+    (pinv, psi).
     """
-    h = np.asarray(h, dtype=np.float64)
-    ph = state.pinv @ h
-    den = state.lam + h @ ph
-    pinv = (state.pinv - np.outer(ph, ph) / den) / state.lam
-    psi = state.lam * state.psi + h * float(x)
-    return RlsKernelState(pinv=pinv, psi=psi, lam=state.lam, delta=state.delta)
+    ph = _matvec(pinv, h)
+    den = lam + np.einsum("...a,...a->...", h, ph)
+    pinv = (pinv - ph[..., :, None] * ph[..., None, :] / den[..., None, None]) / lam
+    return pinv, lam * psi + h * x[..., None]
 
 
 def ewlse_centralized(regressors, observations, lam, phi0):
@@ -186,20 +164,20 @@ class _NetworkBase:
         """Multiplier recursion from broadcast estimates; returns what each
         owner aggregates from its own and its neighbors' multipliers."""
         top = self.topology
-        recv_s = self.s[top.link_peer]
+        recv_s = self.s[..., top.link_peer, :]
         if eta is not None:
             recv_s = recv_s + eta
-        v_new = self.v + 0.5 * self.c * (self.s[top.link_owner] - recv_s)
-        recv_v = v_new[top.link_flip]
+        v_new = self.v + 0.5 * self.c * (self.s[..., top.link_owner, :] - recv_s)
+        recv_v = v_new[..., top.link_flip, :]
         if eta_bar is not None:
             recv_v = recv_v + eta_bar
         return recv_s, v_new, recv_v
 
     def _persensor_sum(self, per_link):
-        """Sum a (D, p) per-link array into (J, p) per-owner totals."""
+        """Sum a (..., D, p) per-link array into (..., J, p) per-owner totals."""
         if self.topology.n_links == 0:
             return np.zeros((self.topology.J, self.p))
-        return np.add.reduceat(per_link, self.topology.link_start[:-1], axis=0)
+        return np.add.reduceat(per_link, self.topology.link_start[:-1], axis=-2)
 
     def multiplier_imbalance(self):
         """Largest violation of the pairwise antisymmetry v_ij = -v_ji.
@@ -210,7 +188,7 @@ class _NetworkBase:
         """
         if self.topology.n_links == 0:
             return 0.0
-        return float(np.abs(self.v + self.v[self.topology.link_flip]).max())
+        return float(np.abs(self.v + self.v[..., self.topology.link_flip, :]).max())
 
 
 class DrlsState(_NetworkBase):
@@ -230,12 +208,12 @@ class DrlsState(_NetworkBase):
     def step(self, h, x, eta=None, eta_bar=None):
         """One time step: exchange at time t, absorb datum t+1, re-estimate.
 
-        `h` (J, p) and `x` (J,) are the new snapshot; `eta` / `eta_bar`
-        are (D, p) receiver-noise arrays for the estimate and multiplier
-        exchanges (None = ideal links).
+        `h` (..., J, p) and `x` (..., J) are the new snapshot; `eta` /
+        `eta_bar` are (..., D, p) receiver-noise arrays for the estimate and
+        multiplier exchanges (None = ideal links).
         """
         _, v_new, recv_v = self._exchange(eta, eta_bar)
-        self.pinv, self.psi = _absorb(self.pinv, self.psi, h, x, self.lam)
+        self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, x, self.lam)
         agg = self._persensor_sum(v_new - recv_v)
         self.s = _matvec(self.pinv, self.psi - 0.5 * agg)
         self.v = v_new
@@ -266,36 +244,29 @@ class AdmomState(_NetworkBase):
     def step(self, h, x, eta=None, eta_bar=None):
         top = self.topology
         recv_s, v_new, recv_v = self._exchange(eta, eta_bar)
-        self.phi = self.lam * self.phi + h[:, :, None] * h[:, None, :]
-        self.psi = self.lam * self.psi + h * x[:, None]
+        self.phi = self.lam * self.phi + h[..., :, None] * h[..., None, :]
+        self.psi = self.lam * self.psi + h * x[..., None]
         # own estimate plus each received one, summed over neighbors
         nbr = top.degrees[:, None] * self.s + self._persensor_sum(recv_s)
         rhs = self.psi + 0.5 * self.c * nbr - 0.5 * self._persensor_sum(v_new - recv_v)
-        self.s = np.linalg.solve(self.phi + self._ridge, rhs[:, :, None])[:, :, 0]
+        self.s = np.linalg.solve(self.phi + self._ridge, rhs[..., None])[..., 0]
         self.v = v_new
         self.t += 1
         self.flops += self._step_flops
         return self
 
 
-class LocalRls:
-    """Isolated per-sensor RLS (the no-cooperation baseline)."""
+class LocalRls(DrlsState):
+    """Isolated per-sensor RLS (the no-cooperation baseline): the kernel of
+    ``DrlsState`` with no exchange, whatever the links carry."""
 
     def __init__(self, topology, p, lam, c, delta):
-        self.topology = topology
-        self.p = p
-        self.lam = lam
-        self.delta = delta
-        self.pinv = np.broadcast_to(delta * np.eye(p), (topology.J, p, p)).copy()
-        self.psi = np.zeros((topology.J, p))
-        self.s = np.zeros((topology.J, p))
-        self.t = 0
-        self.flops = 0
+        super().__init__(topology, p, lam, c, delta)
         # the AMA step without neighbors: kernel update and estimate only
         self._step_flops = topology.J * ama_step_flops(p, 0)
 
     def step(self, h, x, eta=None, eta_bar=None):
-        self.pinv, self.psi = _absorb(self.pinv, self.psi, h, x, self.lam)
+        self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, x, self.lam)
         self.s = _matvec(self.pinv, self.psi)
         self.t += 1
         self.flops += self._step_flops
@@ -319,12 +290,14 @@ class CentralizedRls:
 
     @property
     def s(self):
-        return np.broadcast_to(self.s_c, (self.topology.J, self.p))
+        j_p = (self.topology.J, self.p)
+        return np.broadcast_to(self.s_c[..., None, :], self.s_c.shape[:-1] + j_p)
 
     def step(self, h, x, eta=None, eta_bar=None):
-        self.phi = self.lam * self.phi + h.T @ h
-        self.psi_c = self.lam * self.psi_c + h.T @ x
-        self.s_c = np.linalg.solve(self.phi, self.psi_c)
+        h_t = np.swapaxes(h, -1, -2)
+        self.phi = self.lam * self.phi + h_t @ h
+        self.psi_c = self.lam * self.psi_c + (h_t @ x[..., None])[..., 0]
+        self.s_c = np.linalg.solve(self.phi, self.psi_c[..., None])[..., 0]
         self.t += 1
         self.flops += self._step_flops
         return self

@@ -5,9 +5,10 @@ An experiment is described by a flat ``key = value`` config file (dotted
 keys, ``#`` comments). One config pins the topology, the signal scenario,
 the algorithm and its parameters, and the ensemble size; everything a run
 consumes is derived deterministically from ``master_seed``, so the same
-config byte-reproduces the same CSV outputs, including across worker
-counts (per-run streams are seeded independently and reduced in run
-order).
+config byte-reproduces the same CSV outputs. All runs of an ensemble step
+through one time loop along a leading runs axis; each run keeps its own
+seeded streams and metrics are reduced in run order, so the results are
+those of running every run on its own.
 
 Recognized keys (defaults in parentheses):
 
@@ -31,14 +32,13 @@ runs               Monte Carlo runs (100)
 burn_in            steps discarded by tail statistics (T - max(1, T // 10))
 link_noise         on | off (on)
 master_seed        root seed (0)
-threads            worker processes (1)
+threads            must be 1; kept so that existing configs parse (1)
 """
 
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import re
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -98,12 +98,20 @@ class ExperimentConfig:
         return self.t_samples - max(1, self.t_samples // 10)
 
     def validate(self):
+        for key, (attr, _) in _KEY_TABLE.items():
+            value = getattr(self, attr)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.topology_kind not in ("geometric", "edgelist"):
             raise ConfigError(f"topology.kind must be geometric or edgelist, got {self.topology_kind!r}")
         if self.topology_kind == "edgelist" and not self.topology_path:
             raise ConfigError("topology.kind = edgelist requires topology.path")
         if self.scenario_kind not in ("iid", "ar"):
             raise ConfigError(f"scenario.kind must be iid or ar, got {self.scenario_kind!r}")
+        if self.scenario_sigma2_eta < 0:
+            raise ConfigError(
+                f"scenario.sigma2_eta must be >= 0, got {self.scenario_sigma2_eta}"
+            )
         if self.scenario_kind == "ar":
             if self.scenario_p is not None and self.scenario_p != 4:
                 raise ConfigError("the ar scenario has a fixed regressor length of 4")
@@ -121,8 +129,11 @@ class ExperimentConfig:
             raise ConfigError(f"T must be >= 1, got {self.t_samples}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.threads != 1:
+            raise ConfigError(
+                f"threads must be 1, got {self.threads}: every run of an ensemble "
+                f"steps through one vectorised loop, so there are no workers to add"
+            )
         if not 0 <= self.resolved_burn_in < self.t_samples:
             raise ConfigError(
                 f"burn_in must lie in [0, T), got {self.resolved_burn_in} with T = {self.t_samples}"
@@ -181,7 +192,9 @@ def parse_config_text(text, source="<config>"):
     """Parse ``key = value`` lines into a validated ExperimentConfig."""
     fields = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # '#' opens a comment at the start of a line or after whitespace only,
+        # so a value such as a file path may contain one
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -270,85 +283,66 @@ class EnsembleResult:
     flops_per_run: int
 
 
-def _single_run(topology, model, config, collect_deviation, run_idx):
-    """One Monte Carlo run; returns per-step metric samples."""
-    stream = SnapshotStream(model, topology, [config.master_seed, run_idx])
-    state = ALGORITHMS[config.algorithm](
-        topology, model.p, config.lam, config.c, config.delta
-    )
-    t_total = config.t_samples
-    j = topology.J
-    msd = np.empty((t_total, j))
-    emse = np.empty((t_total, j))
-    mse = np.empty((t_total, j))
-    deviation = np.empty(t_total) if collect_deviation else None
-    s0 = model.s0
-    # divergence is detected by the explicit finiteness check below, so the
-    # overflow warnings numpy would emit on the way there are just noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(t_total):
-            eta = stream.estimate_noise(i)
-            eta_bar = stream.multiplier_noise(i)
-            h, x = stream.snapshot(i + 1)
-            prior = state.s - s0
-            prior_proj = np.einsum("ja,ja->j", h, prior)
-            emse[i] = prior_proj ** 2
-            mse[i] = (x - np.einsum("ja,ja->j", h, state.s)) ** 2
-            state.step(h, x, eta=eta, eta_bar=eta_bar)
-            if not np.isfinite(state.s).all():
-                raise RunFailure(
-                    f"run {run_idx} produced non-finite estimates at step {i + 1}"
-                )
-            post = state.s - s0
-            msd[i] = np.einsum("ja,ja->j", post, post)
-            if collect_deviation:
-                deviation[i] = msd[i].sum()
-    return msd, emse, mse, np.array(state.s), deviation, state.flops
+def _run_sum(values):
+    """Sum over the leading runs axis in run order, as a serial loop adding
+    each run to a zero total would."""
+    return np.add.accumulate(values, axis=0)[-1] + 0.0
 
 
-def run_ensemble(config, topology=None, model=None, collect_deviation=False,
-                 threads=None):
+def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     """Average `config.runs` independent runs into learning curves.
 
-    Runs are seeded from (master_seed, run index) and reduced in run
-    order, so results do not depend on the worker count. Any run that
-    loses finiteness aborts the ensemble with RunFailure.
+    Every run steps through one time loop along a leading runs axis. Run r
+    draws from streams seeded with (master_seed, r) and metrics are summed
+    over runs in run order, so each run's result and the averages are those
+    of running it on its own. Any run that loses finiteness aborts the
+    ensemble with RunFailure naming the lowest such run, the step and its
+    first non-finite sensor.
     """
     config.validate()
     if topology is None:
         topology = build_topology(config)
     if model is None:
         model = build_model(config, topology)
-    threads = config.threads if threads is None else threads
 
-    t_total, j = config.t_samples, topology.J
-    msd_sum = np.zeros((t_total, j))
-    emse_sum = np.zeros((t_total, j))
-    mse_sum = np.zeros((t_total, j))
-    final_sum = np.zeros((j, model.p))
-    deviation = np.empty((config.runs, t_total)) if collect_deviation else None
-    flops = 0
-
-    worker = partial(_single_run, topology, model, config, collect_deviation)
-    run_ids = range(config.runs)
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        outputs = map(worker, run_ids) if pool is None else pool.map(worker, run_ids)
-        for r, (msd, emse, mse, s_final, dev, fl) in enumerate(outputs):
-            msd_sum += msd
-            emse_sum += emse
-            mse_sum += mse
-            final_sum += s_final
-            flops = fl
-            if collect_deviation:
-                deviation[r] = dev
-
-    n = float(config.runs)
-    series = MetricSeries(
-        msd=msd_sum / n, emse=emse_sum / n, mse=mse_sum / n, runs=config.runs
+    runs, t_total, j = config.runs, config.t_samples, topology.J
+    stream = SnapshotStream(
+        model, topology, [[config.master_seed, r] for r in range(runs)]
     )
+    state = ALGORITHMS[config.algorithm](
+        topology, model.p, config.lam, config.c, config.delta
+    )
+    msd = np.empty((t_total, j))
+    emse = np.empty((t_total, j))
+    mse = np.empty((t_total, j))
+    deviation = np.empty((runs, t_total)) if collect_deviation else None
+    s0 = model.s0
+    # divergence is detected by the explicit finiteness check below, so the
+    # overflow warnings numpy would emit on the way there are just noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (h, x, eta, eta_bar) in enumerate(stream.steps(t_total)):
+            prior = state.s - s0
+            emse_i = np.einsum("...ja,...ja->...j", h, prior) ** 2
+            mse_i = (x - np.einsum("...ja,...ja->...j", h, state.s)) ** 2
+            state.step(h, x, eta=eta, eta_bar=eta_bar)
+            finite = np.isfinite(state.s).all(axis=-1)
+            if not finite.all():
+                run, sensor = np.argwhere(~finite)[0]
+                raise RunFailure(
+                    f"run {run} produced a non-finite estimate at step {i + 1}, "
+                    f"first at sensor {sensor}: the recursion diverged"
+                )
+            post = state.s - s0
+            msd_i = np.einsum("...ja,...ja->...j", post, post)
+            msd[i], emse[i], mse[i] = _run_sum(msd_i), _run_sum(emse_i), _run_sum(mse_i)
+            if collect_deviation:
+                deviation[:, i] = msd_i.sum(axis=-1)
+
+    n = float(runs)
+    series = MetricSeries(msd=msd / n, emse=emse / n, mse=mse / n, runs=runs)
     return EnsembleResult(
-        series=series, final_estimate_mean=final_sum / n,
-        network_deviation=deviation, flops_per_run=flops,
+        series=series, final_estimate_mean=_run_sum(state.s) / n,
+        network_deviation=deviation, flops_per_run=state.flops,
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, SequencingError
+from .errors import ModelError
 
 REGRESSOR_KINDS = ("iid_gaussian", "ar1_shift")
 
@@ -57,10 +57,18 @@ def _check_spd(m, name):
         raise ModelError(f"{name} is not positive definite")
 
 
+def _apply_factors(factors, z):
+    """Per-row factors (K, p, p) applied to draws z (..., K, p). The factors
+    are copied out to z's leading shape first: einsum over a broadcast
+    operand takes several times longer, for the same bits."""
+    full = np.broadcast_to(factors, z.shape + z.shape[-1:]).copy()
+    return np.einsum("...ab,...b->...a", full, z)
+
+
 def _psd_factor(m, name):
     """Symmetric square root of a PSD matrix (handles exact zeros)."""
-    if not np.allclose(m, m.T, atol=1e-12):
-        raise ModelError(f"{name} must be symmetric")
+    if not (np.isfinite(m).all() and np.allclose(m, m.T, atol=1e-12)):
+        raise ModelError(f"{name} must be finite and symmetric")
     w, v = np.linalg.eigh(m)
     floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
     if (w < floor).any():
@@ -114,10 +122,11 @@ class SensorEnsembleModel:
             raise ModelError(f"rh must have shape ({j}, {self.p}, {self.p})")
         if self.r_eta.shape != (j, self.p, self.p):
             raise ModelError(f"r_eta must have shape ({j}, {self.p}, {self.p})")
-        if (self.sigma2_eps < 0).any():
-            raise ModelError("observation-noise variances must be >= 0")
+        if not (np.isfinite(self.sigma2_eps) & (self.sigma2_eps >= 0)).all():
+            raise ModelError("observation-noise variances must be finite and >= 0")
         for k in range(j):
             _check_spd(self.rh[k], f"rh[{k}]")
+            _psd_factor(self.r_eta[k], f"r_eta[{k}]")
         if self.regressor_kind == "ar1_shift":
             if self.ar_rho is None or self.ar_beta is None or self.ar_sigma2_omega is None:
                 raise ModelError("ar1_shift needs ar_rho, ar_beta and ar_sigma2_omega")
@@ -208,33 +217,37 @@ def ar_scenario(j, seed, sigma2_eta=0.1):
     )
 
 
-class SnapshotStream:
-    """Seeded source of regressors, observations, and link-noise draws.
+#: run-steps drawn per generator call (steps per call times runs in the
+#: block): bounds the draw buffers and changes no draw
+DRAW_CHUNK_RUN_STEPS = 256
 
-    One stream backs one Monte Carlo run. Each draw kind (regressors,
-    observation noise, estimate-exchange noise, multiplier-exchange noise)
-    owns an independent child generator, and each kind keeps its own
-    sequential clock: snapshots are served for t = 1, 2, ... and the two
-    link-noise kinds for t = 0, 1, ... Requesting any t out of order
-    raises SequencingError.
+# each run's child generators, in spawn order
+_REG, _EPS, _ETA, _ETA_BAR = range(4)
+
+
+class SnapshotStream:
+    """Seeded source of regressors, observations, and link-noise draws for
+    a block of Monte Carlo runs.
+
+    Run r of the block is seeded with ``seeds[r]``. Its seed sequence spawns
+    one child generator per draw kind (regressors, observation noise,
+    estimate-exchange noise, multiplier-exchange noise), and each kind is
+    drawn in time order, so a run's draws depend neither on the other runs
+    of the block nor on how many steps one call draws.
     """
 
-    def __init__(self, model, topology, seed, warmup=AR_WARMUP_STEPS):
+    def __init__(self, model, topology, seeds, warmup=AR_WARMUP_STEPS):
         if model.J != topology.J:
             raise ModelError(
                 f"model has {model.J} sensors but topology has {topology.J}"
             )
         self.model = model
         self.topology = topology
-        ss = np.random.SeedSequence(seed)
-        reg_ss, eps_ss, eta_ss, etabar_ss = ss.spawn(4)
-        self._rng_reg = np.random.default_rng(reg_ss)
-        self._rng_eps = np.random.default_rng(eps_ss)
-        self._rng_eta = np.random.default_rng(eta_ss)
-        self._rng_etabar = np.random.default_rng(etabar_ss)
-        self._t_snap = 0
-        self._t_eta = 0
-        self._t_etabar = 0
+        self._rngs = [
+            [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
+            for seed in seeds
+        ]
+        self.runs = len(self._rngs)
 
         self._sigma_eps = np.sqrt(model.sigma2_eps)
         if model.regressor_kind == "iid_gaussian":
@@ -243,9 +256,9 @@ class SnapshotStream:
             self._ar_a = (1.0 - model.ar_rho) * model.ar_beta
             self._ar_gain = np.sqrt(model.ar_rho)
             self._ar_sigma = np.sqrt(model.ar_sigma2_omega)
-            self._buf = np.zeros((model.J, model.p))
-            for _ in range(max(warmup, model.p)):
-                self._ar_step()
+            self._buf = np.zeros((self.runs, model.J, model.p))
+            for n in self._chunks(max(warmup, model.p)):
+                self._regressors(n)
 
         eta_norm = float(np.max(np.abs(model.r_eta))) if model.r_eta.size else 0.0
         self.link_noise_active = eta_norm > 0.0
@@ -256,56 +269,61 @@ class SnapshotStream:
             # receiver of directed link k is its owner in the rx-major table
             self._eta_factor = factors[topology.link_owner]
 
-    def _ar_step(self):
-        omega = self._ar_sigma * self._rng_reg.uniform(
-            -np.sqrt(3.0), np.sqrt(3.0), size=self.model.J
-        )
-        new = self._ar_a * self._buf[:, 0] + self._ar_gain * omega
-        self._buf[:, 1:] = self._buf[:, :-1]
-        self._buf[:, 0] = new
+    def _chunks(self, total):
+        """Step counts covering `total` steps, DRAW_CHUNK_RUN_STEPS run-steps each."""
+        size = max(1, DRAW_CHUNK_RUN_STEPS // self.runs)
+        for start in range(0, total, size):
+            yield min(size, total - start)
 
-    def snapshot(self, t):
-        """Regressors (J, p) and observations (J,) for time t (sequential)."""
-        if t != self._t_snap + 1:
-            raise SequencingError(
-                f"snapshot requested for t={t}, expected t={self._t_snap + 1}"
-            )
-        self._t_snap = t
+    def _per_run(self, kind, draw):
+        """Stack ``draw(generator)`` of every run's `kind` generator on axis 1."""
+        return np.stack([draw(rngs[kind]) for rngs in self._rngs], axis=1)
+
+    def _regressors(self, n):
+        """Regressors of the next `n` steps, (n, runs, J, p)."""
         m = self.model
         if m.regressor_kind == "iid_gaussian":
-            z = self._rng_reg.standard_normal((m.J, m.p))
-            h = np.einsum("jab,jb->ja", self._chol_rh, z)
-        else:
-            self._ar_step()
-            h = self._buf.copy()
-        x = h @ m.s0 + self._sigma_eps * self._rng_eps.standard_normal(m.J)
-        return h, x
+            z = self._per_run(_REG, lambda g: g.standard_normal((n, m.J, m.p)))
+            return _apply_factors(self._chol_rh, z)
+        omega = self._ar_sigma * self._per_run(
+            _REG, lambda g: g.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, m.J))
+        )
+        h = np.empty((n, self.runs, m.J, m.p))
+        buf = self._buf
+        for k in range(n):
+            h[k, ..., 0] = self._ar_a * buf[..., 0] + self._ar_gain * omega[k]
+            h[k, ..., 1:] = buf[..., :-1]
+            buf = h[k]
+        self._buf = buf
+        return h
 
-    def _link_draw(self, rng):
-        if not self.link_noise_active:
-            return None
-        d = self.topology.n_links
-        z = rng.standard_normal((d, self.model.p))
-        return np.einsum("kab,kb->ka", self._eta_factor, z)
+    def draws(self, n):
+        """Draws of the next `n` steps for every run of the block.
 
-    def estimate_noise(self, t):
-        """Receiver noise on the estimate exchange at time t, (D, p) or None.
-
-        Row k is the noise sensor ``link_owner[k]`` sees on the broadcast
-        from ``link_peer[k]``. None means ideal links.
+        Returns regressors h (n, runs, J, p), observations x (n, runs, J),
+        and the receiver noise on the estimate and on the multiplier
+        exchange, each (n, runs, D, p), or None on ideal links. Row k of a
+        noise array is what sensor ``link_owner[k]`` hears on the broadcast
+        from ``link_peer[k]``.
         """
-        if t != self._t_eta:
-            raise SequencingError(
-                f"estimate noise requested for t={t}, expected t={self._t_eta}"
-            )
-        self._t_eta = t + 1
-        return self._link_draw(self._rng_eta)
+        m = self.model
+        h = self._regressors(n)
+        x = h @ m.s0 + self._sigma_eps * self._per_run(_EPS, lambda g: g.standard_normal((n, m.J)))
+        if not self.link_noise_active:
+            return h, x, None, None
+        shape = (n, self.topology.n_links, m.p)
+        eta, eta_bar = (
+            _apply_factors(self._eta_factor,
+                           self._per_run(kind, lambda g: g.standard_normal(shape)))
+            for kind in (_ETA, _ETA_BAR)
+        )
+        return h, x, eta, eta_bar
 
-    def multiplier_noise(self, t):
-        """Receiver noise on the multiplier exchange at time t, (D, p) or None."""
-        if t != self._t_etabar:
-            raise SequencingError(
-                f"multiplier noise requested for t={t}, expected t={self._t_etabar}"
-            )
-        self._t_etabar = t + 1
-        return self._link_draw(self._rng_etabar)
+    def steps(self, total):
+        """Yield (h, x, eta, eta_bar) for each of the next `total` steps: the
+        arrays of `draws` one step at a time, drawn a chunk at a time."""
+        for n in self._chunks(total):
+            h, x, eta, eta_bar = self.draws(n)
+            for k in range(n):
+                yield (h[k], x[k], None if eta is None else eta[k],
+                       None if eta_bar is None else eta_bar[k])

@@ -32,7 +32,6 @@ from drls.estimators import (
     ama_step_flops,
     drls_batch_ama,
     ewlse_centralized,
-    rls_kernel_init,
     rls_kernel_step,
 )
 from drls.harness import (
@@ -129,16 +128,12 @@ def test_batch_consensus_tracks_the_pooled_estimator():
     lam, delta, p, horizon = 0.95, 100.0, 3, 50
     top = from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     model = iid_scenario(5, p, seed=50, sigma2_eta=0.0)
-    stream = SnapshotStream(model, top, seed=50)
+    hs, xs, _, _ = SnapshotStream(model, top, [50]).draws(horizon)
+    hs, xs = hs[:, 0], xs[:, 0]
     local = LocalRls(top, p, lam, 0.0, delta)
-    hs, xs = [], []
-    for t in range(1, horizon + 1):
-        h, x = stream.snapshot(t)
+    for h, x in zip(hs, xs):
         local.step(h, x)
-        hs.append(h)
-        xs.append(x)
-    pooled = ewlse_centralized(np.asarray(hs), np.asarray(xs), lam,
-                               phi0=lam * top.J / delta)
+    pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
 
     best = np.inf
     for c in (0.01, 0.05, 0.1):
@@ -162,13 +157,13 @@ def test_kernel_inverse_matches_weighted_data_matrix():
     lam, delta, p, sensors = 0.95, 100.0, 4, 20
     worst = 0.0
     for _ in range(sensors):
-        state = rls_kernel_init(p, lam, delta)
+        pinv, psi = delta * np.eye(p), np.zeros(p)
         phi = np.eye(p) / delta       # the lam^t/delta regularizer at t=0
         for _ in range(100):
             h = rng.standard_normal(p)
-            state = rls_kernel_step(state, h, rng.standard_normal())
+            pinv, psi = rls_kernel_step(pinv, psi, h, rng.standard_normal(()), lam)
             phi = lam * phi + np.outer(h, h)
-            worst = max(worst, float(np.linalg.norm(state.pinv @ phi - np.eye(p))))
+            worst = max(worst, float(np.linalg.norm(pinv @ phi - np.eye(p))))
     assert worst < 1e-8
     assert time.monotonic() - start < 1.0
 

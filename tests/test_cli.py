@@ -55,12 +55,21 @@ def test_simulate_writes_learning_curves(tmp_path, config_path, capsys):
     assert "steady-state MSD" in stdout
 
 
-def test_simulate_threads_override_keeps_bytes(tmp_path, config_path):
+def test_threads_key_accepts_only_one(tmp_path, config_path, capsys):
+    """`threads = 1` parses and changes no byte; any other count is refused
+    with its reason, and there is no --threads flag."""
     a, b = tmp_path / "a", tmp_path / "b"
+    one, two = tmp_path / "one.cfg", tmp_path / "two.cfg"
+    one.write_text(SMALL_CONFIG + "threads = 1\n")
+    two.write_text(SMALL_CONFIG + "threads = 2\n")
     assert main(["simulate", "--config", config_path, "--out", str(a)]) == 0
-    assert main(["simulate", "--config", config_path, "--out", str(b),
-                 "--threads", "2"]) == 0
+    assert main(["simulate", "--config", str(one), "--out", str(b)]) == 0
     assert (a / "global.csv").read_bytes() == (b / "global.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(two), "--out", str(b)]) == 1
+    assert "threads must be 1" in capsys.readouterr().err
+    assert main(["simulate", "--config", config_path, "--out", str(b),
+                 "--threads", "1"]) == 1
 
 
 def test_predict(tmp_path, config_path, capsys):

@@ -13,7 +13,6 @@ from drls.estimators import (
     centralized_step_flops,
     drls_batch_ama,
     ewlse_centralized,
-    rls_kernel_init,
     rls_kernel_step,
 )
 from drls.signals import SnapshotStream, iid_scenario
@@ -27,37 +26,41 @@ K5_EDGES = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 # ---------------------------------------------------------------------------
 
 def test_kernel_init_oracle():
-    state = rls_kernel_init(2, lam=0.95, delta=100.0)
-    assert_allclose(state.pinv, 100.0 * np.eye(2))
-    assert_allclose(state.psi, 0.0)
+    """A fresh kernel holds pinv = delta * I (no data absorbed yet), psi = 0."""
+    top = from_edges(2, [(0, 1)])
+    for state_cls in (DrlsState, LocalRls):
+        state = state_cls(top, 2, lam=0.95, c=0.1, delta=100.0)
+        assert_allclose(state.pinv, np.broadcast_to(100.0 * np.eye(2), (2, 2, 2)))
+        assert_allclose(state.psi, 0.0)
 
 
 def test_kernel_init_validation():
+    top = from_edges(2, [(0, 1)])
     with pytest.raises(ValueError, match="forgetting factor"):
-        rls_kernel_init(2, lam=0.0, delta=1.0)
+        LocalRls(top, 2, lam=0.0, c=0.0, delta=1.0)
     with pytest.raises(ValueError, match="delta"):
-        rls_kernel_init(2, lam=0.9, delta=0.0)
+        LocalRls(top, 2, lam=0.9, c=0.0, delta=0.0)
 
 
 def test_kernel_single_step_scalar_oracle():
     """p=1, lam=1, delta=100, h=1: the inverse must become 100/101."""
-    state = rls_kernel_init(1, lam=1.0, delta=100.0)
-    state = rls_kernel_step(state, np.array([1.0]), 2.0)
-    assert_allclose(state.pinv, [[100.0 / 101.0]], rtol=1e-14)
-    assert_allclose(state.psi, [2.0])
+    pinv, psi = rls_kernel_step(np.array([[100.0]]), np.zeros(1), np.array([1.0]),
+                                np.array(2.0), 1.0)
+    assert_allclose(pinv, [[100.0 / 101.0]], rtol=1e-14)
+    assert_allclose(psi, [2.0])
 
 
 def test_kernel_tracks_direct_inversion():
     """The rank-one update inverts lam*Phi + h h^T exactly."""
     rng = np.random.default_rng(0)
     lam, delta, p = 0.9, 50.0, 3
-    state = rls_kernel_init(p, lam, delta)
+    pinv, psi = delta * np.eye(p), np.zeros(p)
     phi = np.eye(p) / delta
     for _ in range(60):
         h = rng.standard_normal(p)
-        state = rls_kernel_step(state, h, rng.standard_normal())
+        pinv, psi = rls_kernel_step(pinv, psi, h, rng.standard_normal(()), lam)
         phi = lam * phi + np.outer(h, h)
-        assert np.linalg.norm(state.pinv @ phi - np.eye(p)) < 1e-10
+        assert np.linalg.norm(pinv @ phi - np.eye(p)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -85,35 +88,31 @@ def test_ewlse_matches_recursive_kernel():
     """J=1 recursive kernel and the batch solution agree at every horizon."""
     rng = np.random.default_rng(3)
     lam, delta, p = 0.95, 100.0, 3
-    state = rls_kernel_init(p, lam, delta)
+    pinv, psi = delta * np.eye(p), np.zeros(p)
     hs, xs = [], []
     for _ in range(8):
         h = rng.standard_normal(p)
-        x = rng.standard_normal()
+        x = rng.standard_normal(())
         hs.append(h)
         xs.append(x)
-        state = rls_kernel_step(state, h, x)
+        pinv, psi = rls_kernel_step(pinv, psi, h, x, lam)
         batch = ewlse_centralized(
             np.asarray(hs)[:, None, :], np.asarray(xs)[:, None],
             lam, phi0=lam / delta,
         )
-        assert_allclose(state.pinv @ state.psi, batch, atol=1e-10)
+        assert_allclose(pinv @ psi, batch, atol=1e-10)
 
 
 def test_centralized_state_matches_pooled_ewlse():
     top = from_edges(3, [(0, 1), (1, 2)])
     model = iid_scenario(3, 2, seed=1, sigma2_eta=0.0)
-    stream = SnapshotStream(model, top, seed=2)
+    hs, xs, _, _ = SnapshotStream(model, top, [2]).draws(5)
+    hs, xs = hs[:, 0], xs[:, 0]
     lam, delta = 0.9, 100.0
     state = CentralizedRls(top, 2, lam, 0.1, delta)
-    hs, xs = [], []
     for t in range(1, 6):
-        h, x = stream.snapshot(t)
-        hs.append(h)
-        xs.append(x)
-        state.step(h, x)
-        batch = ewlse_centralized(np.asarray(hs), np.asarray(xs), lam,
-                                  phi0=lam * top.J / delta)
+        state.step(hs[t - 1], xs[t - 1])
+        batch = ewlse_centralized(hs[:t], xs[:t], lam, phi0=lam * top.J / delta)
         assert_allclose(state.s_c, batch, atol=1e-10)
         assert state.s.shape == (3, 2)
         assert_allclose(state.s[0], state.s[2])
@@ -211,6 +210,21 @@ def test_network_recursion_matches_loop_reference(state_cls, reference):
     assert state.t == len(steps)
 
 
+@pytest.mark.parametrize("state_cls", [DrlsState, AdmomState, LocalRls, CentralizedRls])
+def test_a_batch_of_runs_steps_each_run_alone(state_cls):
+    """With a leading runs axis every run gets the bits of its own recursion."""
+    top = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    runs = [_noisy_steps(top, 2, 6, seed=s) for s in (1, 2, 3)]
+    batch = state_cls(top, 2, 0.9, 0.3, 50.0)
+    alone = [state_cls(top, 2, 0.9, 0.3, 50.0) for _ in runs]
+    for t in range(6):
+        batch.step(*(np.stack(parts) for parts in zip(*(run[t] for run in runs))))
+        for state, run in zip(alone, runs):
+            state.step(*run[t])
+    for r, state in enumerate(alone):
+        assert_array_equal(batch.s[r], state.s)
+
+
 def test_network_state_validation():
     top = from_edges(2, [(0, 1)])
     with pytest.raises(ValueError, match="forgetting factor"):
@@ -271,16 +285,12 @@ def test_single_sensor_network_equals_centralized():
 
 def _frozen_kernels(top, p, t, seed, lam=0.95, delta=100.0):
     model = iid_scenario(top.J, p, seed=seed, sigma2_eta=0.0)
-    stream = SnapshotStream(model, top, seed=seed)
+    hs, xs, _, _ = SnapshotStream(model, top, [seed]).draws(t)
+    hs, xs = hs[:, 0], xs[:, 0]
     local = LocalRls(top, p, lam, 0.0, delta)
-    hs, xs = [], []
-    for step in range(1, t + 1):
-        h, x = stream.snapshot(step)
+    for h, x in zip(hs, xs):
         local.step(h, x)
-        hs.append(h)
-        xs.append(x)
-    pooled = ewlse_centralized(np.asarray(hs), np.asarray(xs), lam,
-                               phi0=lam * top.J / delta)
+    pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
     return local, pooled
 
 

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from drls import signals
 from drls.errors import ConfigError, RunFailure
 from drls.harness import (
     ALGORITHMS,
@@ -100,6 +103,18 @@ def test_parse_errors_name_source_and_line():
         parse_config_text("T = 10\n\nbogus = 1\n", source="exp.cfg")
 
 
+def test_hash_opens_a_comment_only_after_whitespace(tmp_path):
+    top = from_edges(3, [(0, 1), (1, 2)])
+    path = tmp_path / "net#1.txt"
+    write_edge_list(top, path)
+    config = parse_config_text(
+        f"# a path holding '#'\ntopology.kind = edgelist  # from a file\n"
+        f"topology.path = {path}\t# the network\n"
+    )
+    assert config.topology_path == str(path)
+    assert_array_equal(build_topology(config).adjacency, top.adjacency)
+
+
 @pytest.mark.parametrize(
     "kw, fragment",
     [
@@ -116,6 +131,13 @@ def test_parse_errors_name_source_and_line():
         (dict(runs=0), "runs"),
         (dict(threads=0), "threads"),
         (dict(burn_in=50), "burn_in"),
+        (dict(c=float("nan")), "c must be finite"),
+        (dict(c=float("inf")), "c must be finite"),
+        (dict(delta=float("nan")), "delta must be finite"),
+        (dict(scenario_sigma2_eta=float("nan")), "sigma2_eta must be finite"),
+        (dict(scenario_eps_scale=float("nan")), "eps_scale must be finite"),
+        (dict(scenario_sigma2_eta=-0.5), "sigma2_eta must be >= 0"),
+        (dict(threads=2), "threads must be 1"),
     ],
 )
 def test_validate_errors(kw, fragment):
@@ -194,18 +216,29 @@ def test_ensemble_seed_changes_results():
     assert not np.array_equal(a.series.msd, b.series.msd)
 
 
-def test_worker_count_does_not_change_the_bytes(tmp_path):
-    config = _small_config()
-    serial = run_ensemble(config, threads=1)
-    pooled = run_ensemble(config, threads=2)
+@pytest.mark.parametrize("scenario_kind, p", [("iid", 2), ("ar", None)])
+def test_draw_chunk_does_not_change_the_bytes(tmp_path, monkeypatch, scenario_kind, p):
+    """One step per draw chunk writes the same CSVs as the default chunk."""
+    config = _small_config(scenario_kind=scenario_kind, scenario_p=p)
+    results = {"default": run_ensemble(config)}
+    monkeypatch.setattr(signals, "DRAW_CHUNK_RUN_STEPS", 1)
+    results["one_step"] = run_ensemble(config)
     paths = []
-    for tag, result in (("serial", serial), ("pooled", pooled)):
+    for tag, result in results.items():
         g = tmp_path / f"{tag}_global.csv"
         s = tmp_path / f"{tag}_sensor.csv"
         write_global_csv(result.series, g)
         write_per_sensor_csv(result.series, s)
         paths.append((g.read_bytes(), s.read_bytes()))
     assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_each_run_is_independent_of_its_block(algorithm):
+    """Run r of a larger ensemble follows exactly the run it is on its own."""
+    block = run_ensemble(_small_config(algorithm=algorithm, runs=3), collect_deviation=True)
+    alone = run_ensemble(_small_config(algorithm=algorithm, runs=1), collect_deviation=True)
+    assert_array_equal(block.network_deviation[:1], alone.network_deviation)
 
 
 def test_ensemble_metric_shapes_and_deviation():
@@ -259,8 +292,11 @@ def test_run_failure_on_divergent_configuration(tmp_path):
         topology_kind="edgelist", topology_path=str(path),
         scenario_p=1, c=5000.0, t_samples=400, runs=1,
     )
-    with pytest.raises(RunFailure, match="run 0"):
+    with pytest.raises(RunFailure, match="run 0 .* step 121, first at sensor 0"):
         run_ensemble(config)
+    # batched, the lowest run that fails at the first failing step is named
+    with pytest.raises(RunFailure, match="run 2 .* step 120, first at sensor 0"):
+        run_ensemble(replace(config, runs=5))
 
 
 def test_steady_state_empirical():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from drls.errors import ModelError, SequencingError
+from drls.errors import ModelError
 from drls.signals import (
     SensorEnsembleModel,
     SnapshotStream,
@@ -54,6 +54,12 @@ def test_model_validation():
         _tiny_model(rh=np.zeros((3, 2, 3)))
     with pytest.raises(ModelError, match=">= 0"):
         _tiny_model(sigma2_eps=np.array([1e-3, -1e-3, 1e-3]))
+    with pytest.raises(ModelError, match="finite"):
+        _tiny_model(sigma2_eps=np.array([1e-3, np.nan, 1e-3]))
+    with pytest.raises(ModelError, match="positive semidefinite"):
+        _tiny_model(r_eta=np.broadcast_to(-0.5 * np.eye(2), (3, 2, 2)).copy())
+    with pytest.raises(ModelError, match="finite and symmetric"):
+        _tiny_model(r_eta=np.full((3, 2, 2), np.nan))
     with pytest.raises(ModelError, match="positive definite"):
         _tiny_model(rh=np.zeros((3, 2, 2)))
     with pytest.raises(ModelError, match="ar1_shift needs"):
@@ -104,48 +110,45 @@ def test_ar_scenario_profile():
 
 
 def test_stream_determinism_and_seed_sensitivity():
+    """Each run's draws follow from its own seed, whatever block it is in."""
     top = random_geometric(4, 0.9, seed=0)
-    model = iid_scenario(4, 2, seed=1)
-    a = SnapshotStream(model, top, seed=5)
-    b = SnapshotStream(model, top, seed=5)
-    c = SnapshotStream(model, top, seed=6)
-    for t in range(1, 4):
-        ha, xa = a.snapshot(t)
-        hb, xb = b.snapshot(t)
-        hc, xc = c.snapshot(t)
-        assert_allclose(ha, hb)
-        assert_allclose(xa, xb)
-        assert not np.allclose(ha, hc)
+    for model in (iid_scenario(4, 2, seed=1), ar_scenario(4, seed=1)):
+        a = SnapshotStream(model, top, [5]).draws(3)
+        b = SnapshotStream(model, top, [5]).draws(3)
+        c = SnapshotStream(model, top, [6]).draws(3)
+        block = SnapshotStream(model, top, [5, 6]).draws(3)
+        for k in range(4):
+            assert_array_equal(a[k], b[k])
+            assert_array_equal(block[k][:, :1], a[k])
+            assert_array_equal(block[k][:, 1:], c[k])
+        assert not np.allclose(a[0], c[0])
+
+
+def test_draws_do_not_depend_on_the_chunking():
+    top = random_geometric(5, 0.8, seed=2)
+    for model in (iid_scenario(5, 3, seed=3), ar_scenario(5, seed=3)):
+        whole = SnapshotStream(model, top, [[1, r] for r in range(3)]).draws(8)
+        stream = SnapshotStream(model, top, [[1, r] for r in range(3)])
+        parts = zip(stream.draws(5), stream.draws(3))
+        stepped = zip(*SnapshotStream(model, top, [[1, r] for r in range(3)]).steps(8))
+        for full, (first, rest), one_by_one in zip(whole, parts, stepped):
+            assert_array_equal(np.concatenate([first, rest]), full)
+            assert_array_equal(np.stack(one_by_one), full)
 
 
 def test_stream_rejects_mismatched_sizes():
     with pytest.raises(ModelError, match="sensors"):
-        SnapshotStream(iid_scenario(3, 2, seed=0), random_geometric(4, 0.9, seed=0), seed=0)
-
-
-def test_stream_sequencing_is_enforced():
-    top = from_edges(2, [(0, 1)])
-    model = iid_scenario(2, 2, seed=0)
-    stream = SnapshotStream(model, top, seed=0)
-    with pytest.raises(SequencingError, match="expected t=1"):
-        stream.snapshot(2)
-    stream.snapshot(1)
-    with pytest.raises(SequencingError):
-        stream.snapshot(1)
-    stream.estimate_noise(0)
-    with pytest.raises(SequencingError, match="expected t=1"):
-        stream.estimate_noise(0)
-    # the three clocks are independent: multiplier noise still starts at 0
-    stream.multiplier_noise(0)
+        SnapshotStream(iid_scenario(3, 2, seed=0), random_geometric(4, 0.9, seed=0), [0])
 
 
 def test_ideal_links_return_none():
     top = from_edges(2, [(0, 1)])
     model = iid_scenario(2, 2, seed=0, sigma2_eta=0.0)
-    stream = SnapshotStream(model, top, seed=0)
+    stream = SnapshotStream(model, top, [0])
     assert not stream.link_noise_active
-    assert stream.estimate_noise(0) is None
-    assert stream.multiplier_noise(0) is None
+    _, _, eta, eta_bar = stream.draws(1)
+    assert eta is None
+    assert eta_bar is None
 
 
 def test_iid_moments():
@@ -153,14 +156,11 @@ def test_iid_moments():
     model = iid_scenario(2, 2, seed=0, rh=np.array([np.eye(2), [[2.0, 0.6], [0.6, 1.0]]]),
                          sigma2_eps=np.array([0.5, 0.1]))
     top = from_edges(2, [(0, 1)])
-    stream = SnapshotStream(model, top, seed=123)
+    stream = SnapshotStream(model, top, [123])
     n = 60_000
-    hs = np.empty((n, 2, 2))
-    resid = np.empty((n, 2))
-    for t in range(1, n + 1):
-        h, x = stream.snapshot(t)
-        hs[t - 1] = h
-        resid[t - 1] = x - h @ model.s0
+    hs, xs, _, _ = stream.draws(n)
+    hs, xs = hs[:, 0], xs[:, 0]
+    resid = xs - hs @ model.s0
     for j in range(2):
         cov = hs[:, j, :].T @ hs[:, j, :] / n
         assert_allclose(cov, model.rh[j], atol=0.02 * np.max(model.rh[j]) + 0.01)
@@ -172,12 +172,9 @@ def test_ar_sample_covariance_matches_stationary_model():
     """The advertised Toeplitz rh is what the stream actually produces."""
     model = ar_scenario(3, seed=7)
     top = from_edges(3, [(0, 1), (1, 2)])
-    stream = SnapshotStream(model, top, seed=11)
+    stream = SnapshotStream(model, top, [11])
     n = 120_000
-    hs = np.empty((n, 3, 4))
-    for t in range(1, n + 1):
-        h, _ = stream.snapshot(t)
-        hs[t - 1] = h
+    hs = stream.draws(n)[0][:, 0]
     for j in range(3):
         cov = hs[:, j, :].T @ hs[:, j, :] / n
         scale = float(np.max(np.abs(model.rh[j])))
@@ -197,11 +194,9 @@ def test_link_noise_layout_and_per_receiver_scale():
         r_eta=r_eta, regressor_kind="iid_gaussian",
     )
     top = from_edges(3, [(0, 1), (1, 2)])
-    stream = SnapshotStream(model, top, seed=4)
+    stream = SnapshotStream(model, top, [4])
     n = 40_000
-    draws = np.empty((n, top.n_links, 2))
-    for t in range(n):
-        draws[t] = stream.estimate_noise(t)
+    draws = stream.draws(n)[2][:, 0]
     for k in range(top.n_links):
         rx = int(top.link_owner[k])
         var = draws[:, k, :].var()
@@ -211,13 +206,10 @@ def test_link_noise_layout_and_per_receiver_scale():
 def test_estimate_and_multiplier_noise_are_independent():
     model = iid_scenario(2, 2, seed=0, sigma2_eta=1.0)
     top = from_edges(2, [(0, 1)])
-    stream = SnapshotStream(model, top, seed=9)
-    n = 50_000
-    a = np.empty(n)
-    b = np.empty(n)
-    for t in range(n):
-        a[t] = stream.estimate_noise(t)[0, 0]
-        b[t] = stream.multiplier_noise(t)[0, 0]
+    stream = SnapshotStream(model, top, [9])
+    _, _, eta, eta_bar = stream.draws(50_000)
+    a = eta[:, 0, 0, 0]
+    b = eta_bar[:, 0, 0, 0]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
 
@@ -225,10 +217,8 @@ def test_estimate_and_multiplier_noise_are_independent():
 def test_ar_warmup_starts_near_stationary():
     model = ar_scenario(2, seed=5)
     top = from_edges(2, [(0, 1)])
-    # pool the very first sample across many seeds; without warmup its
-    # variance would be far below stationary
-    first = np.array([
-        SnapshotStream(model, top, seed=s).snapshot(1)[0][:, 0] for s in range(3000)
-    ])
+    # pool the very first sample across many seeded runs; without warmup
+    # its variance would be far below stationary
+    first = SnapshotStream(model, top, range(3000)).draws(1)[0][0, :, :, 0]
     for j in range(2):
         assert first[:, j].var() == pytest.approx(model.rh[j][0, 0], rel=0.15)
