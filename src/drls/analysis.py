@@ -46,10 +46,31 @@ DOUBLING_MAX_SQUARINGS = 64
 
 _DB_FLOOR = 1e-300
 
+#: rows a metrics table formats at a time, which bounds the writer's memory
+_CSV_BLOCK_ROWS = 256
+
 
 def to_db(x):
     """Linear power to dB, floored away from log(0)."""
     return 10.0 * np.log10(np.maximum(x, _DB_FLOOR))
+
+
+def write_metrics_csv(path, labels, msd, emse, mse):
+    """Write a metrics table: one row per cell of the same-shaped metric
+    arrays, in row-major order, with a label column per axis (`labels` maps
+    its name to the axis labels), then MSD, EMSE and MSE, each linear
+    (``%.12e``) and in dB (``%.6f``, floored by `to_db`). Rows are
+    formatted a fixed block at a time, so memory does not grow with them.
+    """
+    row = ",".join(["%s"] * len(labels) + ["%.12e", "%.6f"] * 3) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([*labels, "msd_lin,msd_db,emse_lin,emse_db,mse_lin,mse_db"]) + "\n")
+        for lo in range(0, msd.size, _CSV_BLOCK_ROWS):
+            at = np.unravel_index(np.arange(lo, min(lo + _CSV_BLOCK_ROWS, msd.size)), msd.shape)
+            lin = np.stack([msd[at], emse[at], mse[at]])
+            cells = np.stack([lin, to_db(lin)], axis=1).reshape(6, -1).tolist()
+            names = [[axis[k] for k in i.tolist()] for axis, i in zip(labels.values(), at)]
+            fh.writelines(row % cell for cell in zip(*names, *cells))
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +389,12 @@ class SteadyStateReport:
 
     def to_csv(self, path):
         """Write per-sensor rows plus a trailing network-mean row."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sensor_id,msd_lin,msd_db,emse_lin,emse_db,mse_lin,mse_db\n")
-            rows = [(str(k), self.msd[k], self.emse[k], self.mse[k])
-                    for k in range(self.msd.shape[0])]
-            rows.append(("global", self.msd_global, self.emse_global, self.mse_global))
-            for name, msd, emse, mse in rows:
-                fh.write(
-                    f"{name},{msd:.12e},{to_db(msd):.6f},"
-                    f"{emse:.12e},{to_db(emse):.6f},"
-                    f"{mse:.12e},{to_db(mse):.6f}\n"
-                )
+        write_metrics_csv(
+            path, {"sensor_id": [*range(self.msd.shape[0]), "global"]},
+            np.append(self.msd, self.msd_global),
+            np.append(self.emse, self.emse_global),
+            np.append(self.mse, self.mse_global),
+        )
 
 
 def _metrics_from_error_covariance(system, noise, r_y1):

@@ -143,14 +143,21 @@ def centralized_step_flops(p, j):
 # network estimators
 # ---------------------------------------------------------------------------
 
+def _check_parameters(lam, c, delta):
+    """Refuse the parameters no estimator can run with (NaN included)."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
+    if not c >= 0:
+        raise ValueError(f"consensus step c must be >= 0, got {c}")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+
+
 class _NetworkBase:
     """Shared plumbing: batched per-sensor arrays plus the link tables."""
 
-    def __init__(self, topology, p, lam, c):
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
-        if c < 0:
-            raise ValueError(f"consensus step c must be >= 0, got {c}")
+    def __init__(self, topology, p, lam, c, delta):
+        _check_parameters(lam, c, delta)
         self.topology = topology
         self.p = p
         self.lam = lam
@@ -159,6 +166,7 @@ class _NetworkBase:
         self.v = np.zeros((topology.n_links, p))
         self.t = 0
         self.flops = 0
+        self.delta = delta
 
     def _exchange(self, eta, eta_bar):
         """Multiplier recursion from broadcast estimates; returns what each
@@ -195,10 +203,7 @@ class DrlsState(_NetworkBase):
     """Single-time-scale distributed RLS (one consensus round per datum)."""
 
     def __init__(self, topology, p, lam, c, delta):
-        super().__init__(topology, p, lam, c)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
+        super().__init__(topology, p, lam, c, delta)
         self.pinv = np.broadcast_to(delta * np.eye(p), (topology.J, p, p)).copy()
         self.psi = np.zeros((topology.J, p))
         self._step_flops = int(
@@ -230,10 +235,7 @@ class AdmomState(_NetworkBase):
     """
 
     def __init__(self, topology, p, lam, c, delta):
-        super().__init__(topology, p, lam, c)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
+        super().__init__(topology, p, lam, c, delta)
         self.phi = np.broadcast_to(np.eye(p) / delta, (topology.J, p, p)).copy()
         self.psi = np.zeros((topology.J, p))
         self._ridge = c * self.topology.degrees[:, None, None] * np.eye(p)
@@ -277,6 +279,7 @@ class CentralizedRls:
     """All data pooled each step; the consensus benchmark trajectory."""
 
     def __init__(self, topology, p, lam, c, delta):
+        _check_parameters(lam, c, delta)
         self.topology = topology
         self.p = p
         self.lam = lam

@@ -48,10 +48,11 @@ from .analysis import (
     noise_covariances,
     steady_state_solve,
     to_db,
+    write_metrics_csv,
 )
 from .errors import ConfigError, RunFailure
 from .estimators import AdmomState, CentralizedRls, DrlsState, LocalRls
-from .signals import SensorEnsembleModel, SnapshotStream, ar_scenario, iid_scenario
+from .signals import SnapshotStream, ar_scenario, iid_scenario
 from .topology import random_geometric, read_edge_list
 
 ALGORITHMS = {
@@ -239,13 +240,7 @@ def build_model(config, topology):
     else:
         model = ar_scenario(topology.J, seed, sigma2_eta=config.scenario_sigma2_eta)
     if config.scenario_eps_scale != 1.0:
-        model = SensorEnsembleModel(
-            p=model.p, s0=model.s0, rh=model.rh,
-            sigma2_eps=config.scenario_eps_scale * model.sigma2_eps,
-            r_eta=model.r_eta, regressor_kind=model.regressor_kind,
-            ar_rho=model.ar_rho, ar_beta=model.ar_beta,
-            ar_sigma2_omega=model.ar_sigma2_omega,
-        )
+        model = replace(model, sigma2_eps=config.scenario_eps_scale * model.sigma2_eps)
     return model.with_link_noise(config.link_noise)
 
 
@@ -474,33 +469,14 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
 # CSV output
 # ---------------------------------------------------------------------------
 
-_SERIES_HEADER = "msd_lin,msd_db,emse_lin,emse_db,mse_lin,mse_db"
-
-
-def _series_cells(msd, emse, mse):
-    return (
-        f"{msd:.12e},{to_db(msd):.6f},{emse:.12e},{to_db(emse):.6f},"
-        f"{mse:.12e},{to_db(mse):.6f}"
-    )
-
-
 def write_global_csv(series, path):
     """Network-mean learning curves, one row per time step."""
-    msd, emse, mse = series.msd_global, series.emse_global, series.mse_global
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"t,{_SERIES_HEADER}\n")
-        for i in range(msd.shape[0]):
-            fh.write(f"{i + 1},{_series_cells(msd[i], emse[i], mse[i])}\n")
+    write_metrics_csv(path, {"t": range(1, series.msd.shape[0] + 1)},
+                      series.msd_global, series.emse_global, series.mse_global)
 
 
 def write_per_sensor_csv(series, path):
     """Per-sensor learning curves, one row per (time step, sensor)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"t,sensor_id,{_SERIES_HEADER}\n")
-        t_total, j = series.msd.shape
-        for i in range(t_total):
-            for k in range(j):
-                fh.write(
-                    f"{i + 1},{k},"
-                    f"{_series_cells(series.msd[i, k], series.emse[i, k], series.mse[i, k])}\n"
-                )
+    t_total, j = series.msd.shape
+    write_metrics_csv(path, {"t": range(1, t_total + 1), "sensor_id": range(j)},
+                      series.msd, series.emse, series.mse)

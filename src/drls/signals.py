@@ -20,7 +20,7 @@ unit-variance draws, so changing one sensor's noise level or disabling a
 noise source never perturbs any other draw.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,6 +118,8 @@ class SensorEnsembleModel:
         j = self.sigma2_eps.shape[0]
         if self.s0.shape != (self.p,):
             raise ModelError(f"s0 must have shape ({self.p},), got {self.s0.shape}")
+        if not np.isfinite(self.s0).all():
+            raise ModelError("s0 must be finite")
         if self.rh.shape != (j, self.p, self.p):
             raise ModelError(f"rh must have shape ({j}, {self.p}, {self.p})")
         if self.r_eta.shape != (j, self.p, self.p):
@@ -132,10 +134,10 @@ class SensorEnsembleModel:
                 raise ModelError("ar1_shift needs ar_rho, ar_beta and ar_sigma2_omega")
             if not 0.0 < self.ar_rho < 1.0:
                 raise ModelError(f"ar_rho must lie in (0, 1), got {self.ar_rho}")
-            if ((self.ar_beta < 0) | (self.ar_beta > 1)).any():
+            if not ((0 <= self.ar_beta) & (self.ar_beta <= 1)).all():
                 raise ModelError("ar_beta entries must lie in [0, 1]")
-            if (self.ar_sigma2_omega <= 0).any():
-                raise ModelError("ar_sigma2_omega entries must be positive")
+            if not (np.isfinite(self.ar_sigma2_omega) & (self.ar_sigma2_omega > 0)).all():
+                raise ModelError("ar_sigma2_omega entries must be finite and positive")
 
     @property
     def J(self):
@@ -143,12 +145,7 @@ class SensorEnsembleModel:
 
     def with_link_noise(self, enabled):
         """Copy of the model with link noise kept or zeroed."""
-        r_eta = self.r_eta if enabled else np.zeros_like(self.r_eta)
-        return SensorEnsembleModel(
-            p=self.p, s0=self.s0, rh=self.rh, sigma2_eps=self.sigma2_eps,
-            r_eta=r_eta, regressor_kind=self.regressor_kind, ar_rho=self.ar_rho,
-            ar_beta=self.ar_beta, ar_sigma2_omega=self.ar_sigma2_omega,
-        )
+        return replace(self, r_eta=self.r_eta if enabled else np.zeros_like(self.r_eta))
 
 
 def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=None, sigma2_eps=None):

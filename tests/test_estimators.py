@@ -15,6 +15,7 @@ from drls.estimators import (
     ewlse_centralized,
     rls_kernel_step,
 )
+from drls.harness import ALGORITHMS
 from drls.signals import SnapshotStream, iid_scenario
 from drls.topology import from_edges, random_geometric
 
@@ -32,14 +33,6 @@ def test_kernel_init_oracle():
         state = state_cls(top, 2, lam=0.95, c=0.1, delta=100.0)
         assert_allclose(state.pinv, np.broadcast_to(100.0 * np.eye(2), (2, 2, 2)))
         assert_allclose(state.psi, 0.0)
-
-
-def test_kernel_init_validation():
-    top = from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError, match="forgetting factor"):
-        LocalRls(top, 2, lam=0.0, c=0.0, delta=1.0)
-    with pytest.raises(ValueError, match="delta"):
-        LocalRls(top, 2, lam=0.9, c=0.0, delta=0.0)
 
 
 def test_kernel_single_step_scalar_oracle():
@@ -225,14 +218,17 @@ def test_a_batch_of_runs_steps_each_run_alone(state_cls):
         assert_array_equal(batch.s[r], state.s)
 
 
-def test_network_state_validation():
-    top = from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError, match="forgetting factor"):
-        DrlsState(top, 2, lam=1.5, c=0.1, delta=100.0)
-    with pytest.raises(ValueError, match=">= 0"):
-        DrlsState(top, 2, lam=0.9, c=-0.1, delta=100.0)
-    with pytest.raises(ValueError, match="delta"):
-        AdmomState(top, 2, lam=0.9, c=0.1, delta=-1.0)
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name, value", [
+    ("lam", 0.0), ("lam", 1.5), ("lam", np.nan), ("delta", 0.0), ("delta", -1.0),
+    ("delta", np.nan), ("c", -1.0), ("c", np.nan),
+])
+def test_every_estimator_refuses_bad_parameters(algorithm, name, value):
+    reason = {"lam": "forgetting factor", "c": "consensus step c",
+              "delta": "delta must be positive"}
+    params = {"lam": 0.9, "c": 0.1, "delta": 100.0, name: value}
+    with pytest.raises(ValueError, match=reason[name]):
+        ALGORITHMS[algorithm](from_edges(2, [(0, 1)]), 2, **params)
 
 
 def test_multiplier_antisymmetry_conserved_on_ideal_links():

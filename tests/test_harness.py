@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drls import signals
+from drls import analysis, signals
+from drls.analysis import SteadyStateReport, to_db
 from drls.errors import ConfigError, RunFailure
 from drls.harness import (
     ALGORITHMS,
     ExperimentConfig,
+    MetricSeries,
     build_model,
     build_topology,
     compare_theory,
@@ -377,3 +379,63 @@ def test_per_sensor_csv_schema(tmp_path):
     assert first[0] == "1" and first[1] == "0"
     last = lines[-1].split(",")
     assert last[0] == "6" and last[1] == str(top.J - 1)
+
+
+def _row_by_row(header, rows):
+    """The metric-table bytes formatted one row and one to_db scalar at a
+    time, as f-strings: the oracle for the block-wise writer."""
+    lines = [header]
+    for labels, msd, emse, mse in rows:
+        lines.append(
+            f"{','.join(map(str, labels))},{msd:.12e},{to_db(msd):.6f},"
+            f"{emse:.12e},{to_db(emse):.6f},{mse:.12e},{to_db(mse):.6f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _assert_table(path, expected):
+    """Byte comparison that names the first differing line; a plain assert
+    would diff megabytes of text."""
+    got = path.read_bytes().decode()
+    if got != expected:
+        g, w = got.splitlines(), expected.splitlines()
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"{path.name} line {i + 1}: {g[i:i + 1]} != {w[i:i + 1]} "
+                    f"({len(g)} against {len(w)} lines)")
+
+
+def test_metric_tables_match_the_row_by_row_format(tmp_path):
+    """All three metric tables write exactly the row-by-row bytes, across
+    block edges and for the dB floor, a subnormal and a huge value."""
+    block = analysis._CSV_BLOCK_ROWS
+    t_total, j = 2 * block + 5, 3     # neither T nor T*J is a multiple of the block
+    rng = np.random.default_rng(5)
+    msd, emse, mse = rng.lognormal(-6.0, 4.0, size=(3, t_total, j))
+    msd[4], emse[5], mse[6] = 0.0, 1e-310, 1e300      # also in the network means
+    for edge in (block - 1, block, 2 * block, 3 * block - 1, 3 * block):
+        msd.flat[edge], emse.flat[edge], mse.flat[edge] = 1e-310, 1e300, 0.0
+    series = MetricSeries(msd=msd, emse=emse, mse=mse, runs=1)
+    header = "msd_lin,msd_db,emse_lin,emse_db,mse_lin,mse_db"
+
+    write_global_csv(series, tmp_path / "global.csv")
+    means = series.msd_global, series.emse_global, series.mse_global
+    expected = _row_by_row(f"t,{header}", (
+        ((i + 1,), *(mean[i] for mean in means)) for i in range(t_total)))
+    assert "-3000.000000" in expected
+    _assert_table(tmp_path / "global.csv", expected)
+
+    write_per_sensor_csv(series, tmp_path / "per_sensor.csv")
+    expected = _row_by_row(f"t,sensor_id,{header}", (
+        ((i + 1, k), msd[i, k], emse[i, k], mse[i, k])
+        for i in range(t_total) for k in range(j)))
+    _assert_table(tmp_path / "per_sensor.csv", expected)
+
+    sensors = block + 1               # the global row opens the second block
+    pm, pe, ps = rng.lognormal(-6.0, 4.0, size=(3, sensors))
+    pm[0], pe[1], ps[2] = 0.0, 1e-310, 1e300
+    report = SteadyStateReport(rho=0.5, r_z=np.zeros((1, 1)), r_y1=np.zeros((1, 1)),
+                               msd=pm, emse=pe, mse=ps)
+    report.to_csv(tmp_path / "prediction.csv")
+    rows = [((k,), pm[k], pe[k], ps[k]) for k in range(sensors)]
+    rows.append((("global",), report.msd_global, report.emse_global, report.mse_global))
+    _assert_table(tmp_path / "prediction.csv", _row_by_row(f"sensor_id,{header}", rows))

@@ -64,6 +64,14 @@ def test_model_validation():
         _tiny_model(rh=np.zeros((3, 2, 2)))
     with pytest.raises(ModelError, match="ar1_shift needs"):
         _tiny_model(regressor_kind="ar1_shift")
+    ar = dict(regressor_kind="ar1_shift", ar_rho=0.5, ar_beta=np.array([0.1, 0.2, 0.3]),
+              ar_sigma2_omega=np.ones(3))
+    with pytest.raises(ModelError, match="ar_beta"):
+        _tiny_model(**{**ar, "ar_beta": np.array([np.nan, 0.2, 0.3])})
+    with pytest.raises(ModelError, match="ar_sigma2_omega"):
+        _tiny_model(**{**ar, "ar_sigma2_omega": np.array([np.nan, 1.0, 1.0])})
+    with pytest.raises(ModelError, match="s0 must be finite"):
+        _tiny_model(s0=np.array([np.nan, 1.0]))
 
 
 def test_with_link_noise_toggling():
