@@ -27,6 +27,11 @@ Steady-state second moments are the fixed point R = A R A^T + F of the
 covariance recursion, a discrete Lyapunov equation, solved by doubling.
 Per-sensor and network MSD, EMSE and MSE come from the top-left block of
 that stationary covariance.
+
+The per-sensor blocks (R_hj, R_hj^{-1}, R_eta_j, and the per-sensor error
+covariances) are handled as (J, p, p) stacks, with no loop over sensors or
+links. The model checked them when it was built, so they are used here as
+given.
 """
 
 from dataclasses import dataclass
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, DivergenceError, ModelError, StabilityError
-from .linalg import bdiag, kron, pinv, spectral_radius
+from .linalg import bdiag, pinv, spectral_radius
 from .topology import laplacian, scaled_laplacian
 
 #: residual above which the multiplier-mix lift is considered unsolvable
@@ -43,6 +48,14 @@ LIFT_RESIDUAL_LIMIT = 1e-8
 #: squarings after which the doubling solve gives up; 2^64 recursion steps
 #: reach round-off for any spectral radius representable below 1
 DOUBLING_MAX_SQUARINGS = 64
+
+#: distance from 1 within which an eigenvalue of the mean transition counts
+#: as a unit eigenvalue (also the relative singular-value cutoff of its nullity)
+UNIT_EIGEN_TOL = 1e-8
+
+#: relative tail-error target, and step cap, of `covariance_recursion_iterate`
+ITERATE_TOL = 1e-11
+ITERATE_MAX_STEPS = 500_000
 
 _DB_FLOOR = 1e-300
 
@@ -144,8 +157,8 @@ def build_averaged_system(topology, model, lam, c):
     eye = np.eye(jp)
 
     lap = scaled_laplacian(topology, c, p)
-    rh = bdiag(list(model.rh))
-    rh_lam_inv = (1.0 - lam) * bdiag([np.linalg.inv(model.rh[k]) for k in range(j)])
+    rh = bdiag(model.rh)
+    rh_lam_inv = (1.0 - lam) * bdiag(np.linalg.inv(model.rh))
 
     mean = np.block([[-rh_lam_inv @ lap, -rh_lam_inv], [lap, eye]])
     lap_pinv = pinv(lap)
@@ -154,15 +167,10 @@ def build_averaged_system(topology, model, lam, c):
         [[-rh_lam_inv @ lap, -rh_lam_inv @ lap], [lap_proj, lap_proj]]
     )
 
-    d = topology.n_links
-    recv_mix = np.zeros((jp, d * p))
-    bcast_mix = np.zeros((jp, d * p))
+    # (J, D) one-hots of each link's receiver and transmitter, widened by c/4 I_p
     gain = c / 4.0 * np.eye(p)
-    for k in range(d):
-        rx = int(topology.link_peer[k])
-        tx = int(topology.link_owner[k])
-        recv_mix[rx * p:(rx + 1) * p, k * p:(k + 1) * p] = gain
-        bcast_mix[tx * p:(tx + 1) * p, k * p:(k + 1) * p] = gain
+    recv_mix = np.kron(np.eye(j)[topology.link_peer].T, gain)
+    bcast_mix = np.kron(np.eye(j)[topology.link_owner].T, gain)
 
     diff = bcast_mix - recv_mix
     lifted_mix = lap_pinv @ diff
@@ -193,15 +201,14 @@ def mean_stability_bound(topology, model, lam):
 
     The mean error converges (up to the consensus-invariant directions)
     for 0 < c < 4 / ((1 - lam) * specrad(bdiag(R_hj^{-1}) (L (x) I_p))),
-    with L the unscaled graph Laplacian. Returns inf when lam = 1.
+    with L the unscaled graph Laplacian. Returns inf when lam = 1, and when
+    the network has no links, as there is then no coupling to destabilise.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
-    if lam == 1.0:
+    if lam == 1.0 or topology.n_links == 0:
         return float("inf")
-    p = model.p
-    rh_inv = bdiag([np.linalg.inv(model.rh[k]) for k in range(model.J)])
-    coupling = rh_inv @ kron(laplacian(topology), np.eye(p))
+    coupling = bdiag(np.linalg.inv(model.rh)) @ np.kron(laplacian(topology), np.eye(model.p))
     return 4.0 / ((1.0 - lam) * spectral_radius(coupling))
 
 
@@ -233,7 +240,7 @@ class MeanStabilityReport:
         )
 
 
-def check_mean_stability(system, tol=1e-8):
+def check_mean_stability(system):
     """Verify the unit-eigenvalue structure of the mean transition.
 
     A healthy mean transition has exactly p semisimple unit eigenvalues
@@ -246,12 +253,12 @@ def check_mean_stability(system, tol=1e-8):
     n = omega.shape[0]
     jp = n // 2
     w = np.linalg.eigvals(omega)
-    unit = np.abs(w - 1.0) < tol
+    unit = np.abs(w - 1.0) < UNIT_EIGEN_TOL
     others = np.abs(w[~unit])
     max_other = float(others.max()) if others.size else 0.0
 
     u, sv, _ = np.linalg.svd(omega - np.eye(n))
-    sv_tol = tol * max(1.0, float(sv[0]))
+    sv_tol = UNIT_EIGEN_TOL * max(1.0, float(sv[0]))
     nullity = int(np.sum(sv < sv_tol))
     if nullity:
         # zero-singular-value U columns y satisfy (omega - I)^T y = 0, so
@@ -324,20 +331,12 @@ def noise_covariances(system, model):
     if model.J != system.topology.J or model.p != system.p:
         raise ModelError("model dimensions do not match the averaged system")
     top = system.topology
-    j, p = top.J, system.p
     lam = system.lam
 
-    r_eps_inf = bdiag([
-        model.rh[k] * float(model.sigma2_eps[k]) for k in range(j)
-    ]) / (1.0 - lam * lam)
+    r_eps_inf = bdiag(model.rh * model.sigma2_eps[:, None, None]) / (1.0 - lam * lam)
     # transmitter-major entry k is received by link_peer[k]
-    if top.n_links:
-        r_eta = bdiag([model.r_eta[int(top.link_peer[k])] for k in range(top.n_links)])
-    else:
-        r_eta = np.zeros((0, 0))
-    r_eta_bar = bdiag([
-        (float(top.degrees[k]) / 4.0) * model.r_eta[k] for k in range(j)
-    ])
+    r_eta = bdiag(model.r_eta[top.link_peer])
+    r_eta_bar = bdiag((top.degrees / 4.0)[:, None, None] * model.r_eta)
     b = system.data_input
     g = system.link_input
     r_eta_bar_lam = b @ r_eta_bar @ b.T
@@ -399,14 +398,13 @@ class SteadyStateReport:
 
 def _metrics_from_error_covariance(system, noise, r_y1):
     j, p = system.topology.J, system.p
-    msd = np.empty(j)
-    emse = np.empty(j)
-    for k in range(j):
-        block = r_y1[k * p:(k + 1) * p, k * p:(k + 1) * p]
-        msd[k] = np.trace(block)
-        emse[k] = np.trace(system.rh[k * p:(k + 1) * p, k * p:(k + 1) * p] @ block)
-    mse = emse + noise.sigma2_eps
-    return msd, emse, mse
+    at = np.arange(j)
+    # (J, p, p) stacks of the per-sensor diagonal blocks
+    blocks = r_y1.reshape(j, p, j, p)[at, :, at]
+    rh = system.rh.reshape(j, p, j, p)[at, :, at]
+    msd = np.trace(blocks, axis1=1, axis2=2)
+    emse = np.trace(rh @ blocks, axis1=1, axis2=2)
+    return msd, emse, emse + noise.sigma2_eps
 
 
 def _stationary_forcing(system, noise):
@@ -488,15 +486,15 @@ class CovarianceTrajectory:
     converged: bool
 
 
-def covariance_recursion_iterate(system, noise, steps=None, tol=1e-11,
-                                 max_steps=500_000):
+def covariance_recursion_iterate(system, noise, steps=None):
     """Run the covariance recursion forward in time.
 
     With ``steps`` given, runs exactly that many updates (transient use).
-    Otherwise iterates until the per-step change is small enough that the
-    geometric tail bound puts the remaining error below ``tol`` relative
-    to the current solution, and raises StabilityError for rho >= 1 or
-    DivergenceError if the traces stop being finite.
+    Otherwise iterates, for at most ITERATE_MAX_STEPS updates, until the
+    per-step change is small enough that the geometric tail bound puts the
+    remaining error below ITERATE_TOL relative to the current solution, and
+    raises StabilityError for rho >= 1 or DivergenceError if the traces
+    stop being finite.
     """
     psi_m = system.inner_transition
     b = system.data_input
@@ -518,7 +516,7 @@ def covariance_recursion_iterate(system, noise, steps=None, tol=1e-11,
     r_zeps = np.zeros((n, jp))
     traces = []
     converged = False
-    count = steps if steps is not None else max_steps
+    count = steps if steps is not None else ITERATE_MAX_STEPS
     t = 0
     for t in range(1, count + 1):
         r_zeps = lam * (psi_m @ r_zeps) + lam * (b @ noise.r_eps(t - 1))
@@ -536,7 +534,7 @@ def covariance_recursion_iterate(system, noise, steps=None, tol=1e-11,
             raise DivergenceError(
                 f"covariance recursion lost finiteness at step {t}"
             )
-        if steps is None and change * tail_gain <= tol * max(
+        if steps is None and change * tail_gain <= ITERATE_TOL * max(
             float(np.linalg.norm(r_z)), 1e-300
         ):
             converged = True

@@ -318,12 +318,12 @@ class BatchConsensusResult:
     history: np.ndarray        # per-iteration disagreement trace
 
 
-def drls_batch_ama(pinv, psi, topology, c, iters, s_init=None, tol=None):
+def drls_batch_ama(pinv, psi, topology, c, iters, tol=None):
     """Iterate the consensus rounds with the data frozen.
 
     `pinv` (J, p, p) and `psi` (J, p) are the per-sensor kernel states at
-    the frozen instant; multipliers start at zero and `s_init` defaults to
-    the local estimates pinv @ psi. Stops early once the maximum link
+    the frozen instant; multipliers start at zero and the estimates at the
+    local ones, pinv @ psi. Stops early once the maximum link
     disagreement drops to `tol` (when given). Raises DivergenceError if
     the disagreement grows 10x over any 100-iteration window.
 
@@ -338,7 +338,7 @@ def drls_batch_ama(pinv, psi, topology, c, iters, s_init=None, tol=None):
     psi = np.asarray(psi, dtype=np.float64)
     j, p = psi.shape
     base = _matvec(pinv, psi)
-    s = base.copy() if s_init is None else np.array(s_init, dtype=np.float64)
+    s = base
     v = np.zeros((topology.n_links, p))
     owner, peer, flip = topology.link_owner, topology.link_peer, topology.link_flip
 

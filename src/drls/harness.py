@@ -8,7 +8,8 @@ consumes is derived deterministically from ``master_seed``, so the same
 config byte-reproduces the same CSV outputs. All runs of an ensemble step
 through one time loop along a leading runs axis; each run keeps its own
 seeded streams and metrics are reduced in run order, so the results are
-those of running every run on its own.
+those of running every run on its own. A config is checked once, when it
+is built, so the functions that take one use it as given.
 
 Recognized keys (defaults in parentheses):
 
@@ -69,6 +70,9 @@ ALGORITHMS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when it is built: an invalid one raises
+    ConfigError. ``dataclasses.replace`` builds a new config, so it checks too."""
+
     topology_kind: str = "geometric"
     topology_j: int = 10
     topology_radius: float = 0.45
@@ -98,11 +102,13 @@ class ExperimentConfig:
             return self.burn_in
         return self.t_samples - max(1, self.t_samples // 10)
 
-    def validate(self):
+    def __post_init__(self):
         for key, (attr, _) in _KEY_TABLE.items():
             value = getattr(self, attr)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
+            if key.endswith("seed") and value is not None and value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
         if self.topology_kind not in ("geometric", "edgelist"):
             raise ConfigError(f"topology.kind must be geometric or edgelist, got {self.topology_kind!r}")
         if self.topology_kind == "edgelist" and not self.topology_path:
@@ -139,7 +145,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"burn_in must lie in [0, T), got {self.resolved_burn_in} with T = {self.t_samples}"
             )
-        return self
 
 
 def _as_int(key, value):
@@ -190,7 +195,7 @@ _KEY_TABLE = {
 
 
 def parse_config_text(text, source="<config>"):
-    """Parse ``key = value`` lines into a validated ExperimentConfig."""
+    """Parse ``key = value`` lines into an ExperimentConfig."""
     fields = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         # '#' opens a comment at the start of a line or after whitespace only,
@@ -208,7 +213,7 @@ def parse_config_text(text, source="<config>"):
         if attr in fields:
             raise ConfigError(f"{source}:{ln}: duplicate key {key!r}")
         fields[attr] = conv(key, value)
-    return ExperimentConfig(**fields).validate()
+    return ExperimentConfig(**fields)
 
 
 def load_config(path, **overrides):
@@ -218,7 +223,7 @@ def load_config(path, **overrides):
     with open(path, "r", encoding="utf-8") as fh:
         config = parse_config_text(fh.read(), source=path)
     if overrides:
-        config = replace(config, **overrides).validate()
+        config = replace(config, **overrides)
     return config
 
 
@@ -294,7 +299,6 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     ensemble with RunFailure naming the lowest such run, the step and its
     first non-finite sensor.
     """
-    config.validate()
     if topology is None:
         topology = build_topology(config)
     if model is None:
@@ -417,7 +421,6 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
     raise StabilityError before any simulation runs; a consensus step at
     or above the mean-stability bound is reported as a warning.
     """
-    config.validate()
     if config.algorithm != "drls_ama":
         raise ConfigError(
             f"theory comparison covers algorithm drls_ama only, got {config.algorithm!r}"

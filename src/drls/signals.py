@@ -122,6 +122,8 @@ class SensorEnsembleModel:
             raise ModelError("s0 must be finite")
         if self.rh.shape != (j, self.p, self.p):
             raise ModelError(f"rh must have shape ({j}, {self.p}, {self.p})")
+        if not np.isfinite(self.rh).all():
+            raise ModelError("rh must be finite")
         if self.r_eta.shape != (j, self.p, self.p):
             raise ModelError(f"r_eta must have shape ({j}, {self.p}, {self.p})")
         if not (np.isfinite(self.sigma2_eps) & (self.sigma2_eps >= 0)).all():
@@ -132,6 +134,10 @@ class SensorEnsembleModel:
         if self.regressor_kind == "ar1_shift":
             if self.ar_rho is None or self.ar_beta is None or self.ar_sigma2_omega is None:
                 raise ModelError("ar1_shift needs ar_rho, ar_beta and ar_sigma2_omega")
+            for name in ("ar_beta", "ar_sigma2_omega"):
+                shape = np.shape(getattr(self, name))
+                if shape != (j,):
+                    raise ModelError(f"{name} must have shape ({j},), got {shape}")
             if not 0.0 < self.ar_rho < 1.0:
                 raise ModelError(f"ar_rho must lie in (0, 1), got {self.ar_rho}")
             if not ((0 <= self.ar_beta) & (self.ar_beta <= 1)).all():
@@ -233,7 +239,7 @@ class SnapshotStream:
     of the block nor on how many steps one call draws.
     """
 
-    def __init__(self, model, topology, seeds, warmup=AR_WARMUP_STEPS):
+    def __init__(self, model, topology, seeds):
         if model.J != topology.J:
             raise ModelError(
                 f"model has {model.J} sensors but topology has {topology.J}"
@@ -254,7 +260,7 @@ class SnapshotStream:
             self._ar_gain = np.sqrt(model.ar_rho)
             self._ar_sigma = np.sqrt(model.ar_sigma2_omega)
             self._buf = np.zeros((self.runs, model.J, model.p))
-            for n in self._chunks(max(warmup, model.p)):
+            for n in self._chunks(max(AR_WARMUP_STEPS, model.p)):
                 self._regressors(n)
 
         eta_norm = float(np.max(np.abs(model.r_eta))) if model.r_eta.size else 0.0

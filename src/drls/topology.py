@@ -16,7 +16,6 @@ Edge-list file format: first line is the sensor count J, then one line
 import numpy as np
 
 from .errors import TopologyError
-from .linalg import kron
 
 
 class Topology:
@@ -168,7 +167,7 @@ def scaled_laplacian(top, c, p):
         raise TopologyError(f"consensus step c must be positive, got {c}")
     if p < 1:
         raise TopologyError(f"regressor length p must be >= 1, got {p}")
-    return 0.5 * c * kron(laplacian(top), np.eye(p))
+    return 0.5 * c * np.kron(laplacian(top), np.eye(p))
 
 
 def write_edge_list(top, path):

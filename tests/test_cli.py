@@ -121,6 +121,21 @@ def test_stability_unstable_config(tmp_path, capsys):
     assert "mean-square stable: false" in capsys.readouterr().out
 
 
+def test_one_sensor_network(tmp_path, capsys):
+    """One sensor has no links, so nothing bounds c: predict, stability and
+    compare all finish and report the bound as inf."""
+    path = tmp_path / "one.cfg"
+    path.write_text(SMALL_CONFIG.replace("topology.j = 5", "topology.j = 1"))
+    for command in ("predict", "stability", "compare"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0, command
+        stdout = capsys.readouterr().out
+        if command != "compare":
+            assert "mean-stability bound on c: inf" in stdout
+    assert len((out / "prediction.csv").read_text().splitlines()) == 1 + 1 + 1
+    assert len((out / "comparison.csv").read_text().splitlines()) == 1 + 3 * 2
+
+
 def test_predict_unstable_exits_two(tmp_path, capsys):
     path = tmp_path / "hot.cfg"
     path.write_text(SMALL_CONFIG + "c = 1000.0\n")

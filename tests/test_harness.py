@@ -140,11 +140,14 @@ def test_hash_opens_a_comment_only_after_whitespace(tmp_path):
         (dict(scenario_eps_scale=float("nan")), "eps_scale must be finite"),
         (dict(scenario_sigma2_eta=-0.5), "sigma2_eta must be >= 0"),
         (dict(threads=2), "threads must be 1"),
+        (dict(master_seed=-1), "master_seed must be >= 0"),
+        (dict(topology_seed=-1), "topology.seed must be >= 0"),
+        (dict(scenario_seed=-2), "scenario.seed must be >= 0"),
     ],
 )
 def test_validate_errors(kw, fragment):
     with pytest.raises(ConfigError, match=fragment):
-        _small_config(**kw).validate()
+        _small_config(**kw)
 
 
 def test_load_config_missing_file(tmp_path):

@@ -72,6 +72,15 @@ def test_model_validation():
         _tiny_model(**{**ar, "ar_sigma2_omega": np.array([np.nan, 1.0, 1.0])})
     with pytest.raises(ModelError, match="s0 must be finite"):
         _tiny_model(s0=np.array([np.nan, 1.0]))
+    for bad in (np.inf, np.nan):
+        rh = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
+        rh[0, 0, 0] = bad
+        with pytest.raises(ModelError, match="rh must be finite"):
+            _tiny_model(rh=rh)
+    with pytest.raises(ModelError, match=r"ar_beta must have shape \(3,\)"):
+        _tiny_model(**{**ar, "ar_beta": np.array([0.1, 0.2])})
+    with pytest.raises(ModelError, match=r"ar_sigma2_omega must have shape \(3,\)"):
+        _tiny_model(**{**ar, "ar_sigma2_omega": np.ones(5)})
 
 
 def test_with_link_noise_toggling():
