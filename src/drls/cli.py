@@ -73,12 +73,15 @@ def _outdir(args):
 
 
 def _cmd_gen_topology(args):
-    top = random_geometric(args.j, args.radius, args.seed if args.seed is not None else 0)
+    if (args.seed or 0) < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    top = random_geometric(args.j, args.radius, args.seed or 0)
     path = os.path.join(_outdir(args), "topology.txt")
     write_edge_list(top, path)
     print(f"sensors: {top.J}")
     print(f"undirected links: {len(top.edges())}")
-    print(f"algebraic connectivity: {algebraic_connectivity(top):.6f}")
+    if top.J > 1:  # one sensor has no second Laplacian eigenvalue
+        print(f"algebraic connectivity: {algebraic_connectivity(top):.6f}")
     print(f"edge list written to {path}")
     return 0
 
@@ -221,7 +224,3 @@ def main(argv=None):
     except RunFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

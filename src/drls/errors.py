@@ -20,7 +20,7 @@ class ModelError(Exception):
 
 class SequencingError(Exception):
     """Time indices requested out of order. Nothing in the package raises it
-    since snapshot streams serve whole steps in order; it stays exported for
+    since snapshot streams serve their draws in order; it stays exported for
     callers that catch it."""
 
 

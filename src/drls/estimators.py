@@ -172,11 +172,11 @@ class _NetworkBase:
         """Multiplier recursion from broadcast estimates; returns what each
         owner aggregates from its own and its neighbors' multipliers."""
         top = self.topology
-        recv_s = self.s[..., top.link_peer, :]
+        recv_s = self.s.take(top.link_peer, axis=-2)
         if eta is not None:
             recv_s = recv_s + eta
-        v_new = self.v + 0.5 * self.c * (self.s[..., top.link_owner, :] - recv_s)
-        recv_v = v_new[..., top.link_flip, :]
+        v_new = self.v + 0.5 * self.c * (self.s.take(top.link_owner, axis=-2) - recv_s)
+        recv_v = v_new.take(top.link_flip, axis=-2)
         if eta_bar is not None:
             recv_v = recv_v + eta_bar
         return recv_s, v_new, recv_v
@@ -196,7 +196,7 @@ class _NetworkBase:
         """
         if self.topology.n_links == 0:
             return 0.0
-        return float(np.abs(self.v + self.v[..., self.topology.link_flip, :]).max())
+        return float(np.abs(self.v + self.v.take(self.topology.link_flip, axis=-2)).max())
 
 
 class DrlsState(_NetworkBase):

@@ -6,10 +6,11 @@ keys, ``#`` comments). One config pins the topology, the signal scenario,
 the algorithm and its parameters, and the ensemble size; everything a run
 consumes is derived deterministically from ``master_seed``, so the same
 config byte-reproduces the same CSV outputs. All runs of an ensemble step
-through one time loop along a leading runs axis; each run keeps its own
-seeded streams and metrics are reduced in run order, so the results are
-those of running every run on its own. A config is checked once, when it
-is built, so the functions that take one use it as given.
+through one time loop along a leading runs axis, a draw chunk at a time;
+each run keeps its own seeded streams and metrics are reduced in run order,
+so the results are those of running every run on its own, and the draw
+budget in bytes changes no byte. A config is checked once, when it is
+built, so the functions that take one use it as given.
 
 Recognized keys (defaults in parentheses):
 
@@ -283,64 +284,64 @@ class EnsembleResult:
     flops_per_run: int
 
 
-def _run_sum(values):
-    """Sum over the leading runs axis in run order, as a serial loop adding
-    each run to a zero total would."""
-    return np.add.accumulate(values, axis=0)[-1] + 0.0
+def _run_sum(values, axis=0):
+    """Sum over the runs `axis` in run order, as a serial loop from a zero total would."""
+    return np.add.accumulate(values, axis=axis).take(-1, axis=axis) + 0.0
 
 
 def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     """Average `config.runs` independent runs into learning curves.
 
-    Every run steps through one time loop along a leading runs axis. Run r
-    draws from streams seeded with (master_seed, r) and metrics are summed
-    over runs in run order, so each run's result and the averages are those
-    of running it on its own. Any run that loses finiteness aborts the
-    ensemble with RunFailure naming the lowest such run, the step and its
-    first non-finite sensor.
+    Every run steps through one time loop along a leading runs axis, a draw
+    chunk at a time; a chunk's metrics are taken once its steps are done. Run
+    r draws from streams seeded with (master_seed, r) and metrics are summed
+    over runs in run order, so each run's results are those it gives on its
+    own. Any run that loses finiteness aborts the ensemble with RunFailure
+    naming the lowest such run, the step and its first non-finite sensor.
     """
     if topology is None:
         topology = build_topology(config)
     if model is None:
         model = build_model(config, topology)
 
-    runs, t_total, j = config.runs, config.t_samples, topology.J
-    stream = SnapshotStream(
-        model, topology, [[config.master_seed, r] for r in range(runs)]
-    )
-    state = ALGORITHMS[config.algorithm](
-        topology, model.p, config.lam, config.c, config.delta
-    )
-    msd = np.empty((t_total, j))
-    emse = np.empty((t_total, j))
-    mse = np.empty((t_total, j))
+    runs, t_total = config.runs, config.t_samples
+    stream = SnapshotStream(model, topology, [[config.master_seed, r] for r in range(runs)])
+    state = ALGORITHMS[config.algorithm](topology, model.p, config.lam, config.c, config.delta)
+    totals = np.empty((3, t_total, topology.J))  # msd, emse, mse summed over runs
     deviation = np.empty((runs, t_total)) if collect_deviation else None
-    s0 = model.s0
+    start = 0
     # divergence is detected by the explicit finiteness check below, so the
     # overflow warnings numpy would emit on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (h, x, eta, eta_bar) in enumerate(stream.steps(t_total)):
-            prior = state.s - s0
-            emse_i = np.einsum("...ja,...ja->...j", h, prior) ** 2
-            mse_i = (x - np.einsum("...ja,...ja->...j", h, state.s)) ** 2
-            state.step(h, x, eta=eta, eta_bar=eta_bar)
-            finite = np.isfinite(state.s).all(axis=-1)
+        for h, x, eta, eta_bar in stream.chunks(t_total):
+            n = len(h)
+            traj = np.empty((n + 1,) + h.shape[1:])  # estimates before each step and at the end
+            traj[0] = state.s
+            for k in range(n):
+                traj[k + 1] = state.step(h[k], x[k], None if eta is None else eta[k],
+                                         None if eta_bar is None else eta_bar[k]).s
+            finite = np.isfinite(traj[1:]).all(axis=-1)
             if not finite.all():
-                run, sensor = np.argwhere(~finite)[0]
+                step, run, sensor = np.argwhere(~finite)[0]
                 raise RunFailure(
-                    f"run {run} produced a non-finite estimate at step {i + 1}, "
+                    f"run {run} produced a non-finite estimate at step {start + step + 1}, "
                     f"first at sensor {sensor}: the recursion diverged"
                 )
-            post = state.s - s0
-            msd_i = np.einsum("...ja,...ja->...j", post, post)
-            msd[i], emse[i], mse[i] = _run_sum(msd_i), _run_sum(emse_i), _run_sum(mse_i)
+            post = traj[1:] - model.s0
+            per_run = np.stack([
+                np.einsum("...ja,...ja->...j", post, post),
+                np.einsum("...ja,...ja->...j", h, traj[:-1] - model.s0) ** 2,
+                (x - np.einsum("...ja,...ja->...j", h, traj[:-1])) ** 2,
+            ])
+            totals[:, start:start + n] = _run_sum(per_run, axis=2)
             if collect_deviation:
-                deviation[:, i] = msd_i.sum(axis=-1)
+                deviation[:, start:start + n] = per_run[0].sum(axis=-1).T
+            start += n
 
-    n = float(runs)
-    series = MetricSeries(msd=msd / n, emse=emse / n, mse=mse / n, runs=runs)
+    msd, emse, mse = totals / float(runs)
     return EnsembleResult(
-        series=series, final_estimate_mean=_run_sum(state.s) / n,
+        series=MetricSeries(msd=msd, emse=emse, mse=mse, runs=runs),
+        final_estimate_mean=_run_sum(state.s) / float(runs),
         network_deviation=deviation, flops_per_run=state.flops,
     )
 

@@ -15,9 +15,9 @@ kinds are supported:
 Inter-sensor links add receiver-side noise with per-receiver covariance
 R_eta_j, applied to both the estimate exchange and the multiplier exchange
 (independent draws). Streams are deterministic per seed and keep one child
-generator per noise kind, with per-sensor scaling applied after the
-unit-variance draws, so changing one sensor's noise level or disabling a
-noise source never perturbs any other draw.
+generator per noise kind, scaled per sensor after the unit-variance draws,
+so changing one sensor's noise level or disabling a noise source perturbs
+no other draw. Steps are drawn a chunk at a time; the byte budget changes no byte.
 """
 
 from dataclasses import dataclass, replace
@@ -220,9 +220,9 @@ def ar_scenario(j, seed, sigma2_eta=0.1):
     )
 
 
-#: run-steps drawn per generator call (steps per call times runs in the
-#: block): bounds the draw buffers and changes no draw
-DRAW_CHUNK_RUN_STEPS = 256
+#: bytes of one draw array (regressors or one link-noise kind) per chunk:
+#: bounds the draw buffers and changes no draw
+DRAW_CHUNK_BYTES = 128 * 1024
 
 # each run's child generators, in spawn order
 _REG, _EPS, _ETA, _ETA_BAR = range(4)
@@ -263,8 +263,7 @@ class SnapshotStream:
             for n in self._chunks(max(AR_WARMUP_STEPS, model.p)):
                 self._regressors(n)
 
-        eta_norm = float(np.max(np.abs(model.r_eta))) if model.r_eta.size else 0.0
-        self.link_noise_active = eta_norm > 0.0
+        self.link_noise_active = bool(np.any(model.r_eta))
         if self.link_noise_active:
             factors = np.stack([
                 _psd_factor(model.r_eta[k], f"r_eta[{k}]") for k in range(model.J)
@@ -273,24 +272,27 @@ class SnapshotStream:
             self._eta_factor = factors[topology.link_owner]
 
     def _chunks(self, total):
-        """Step counts covering `total` steps, DRAW_CHUNK_RUN_STEPS run-steps each."""
-        size = max(1, DRAW_CHUNK_RUN_STEPS // self.runs)
+        """Step counts covering `total` steps, DRAW_CHUNK_BYTES per draw array."""
+        row = 8 * self.runs * self.model.p * max(self.model.J, self.topology.n_links)
+        size = max(1, DRAW_CHUNK_BYTES // row)
         for start in range(0, total, size):
             yield min(size, total - start)
 
-    def _per_run(self, kind, draw):
-        """Stack ``draw(generator)`` of every run's `kind` generator on axis 1."""
-        return np.stack([draw(rngs[kind]) for rngs in self._rngs], axis=1)
+    def _per_run(self, kind, shape, fill=lambda g, out: g.standard_normal(out=out)):
+        """Draws of `shape` (n, ...) from every run's `kind` generator, as
+        (n, runs, ...): ``fill(generator, out)`` fills one run's slice of one buffer."""
+        buf = np.empty((self.runs,) + shape)
+        for rngs, out in zip(self._rngs, buf):
+            fill(rngs[kind], out)
+        return np.moveaxis(buf, 0, 1).copy()
 
     def _regressors(self, n):
         """Regressors of the next `n` steps, (n, runs, J, p)."""
         m = self.model
         if m.regressor_kind == "iid_gaussian":
-            z = self._per_run(_REG, lambda g: g.standard_normal((n, m.J, m.p)))
-            return _apply_factors(self._chol_rh, z)
-        omega = self._ar_sigma * self._per_run(
-            _REG, lambda g: g.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, m.J))
-        )
+            return _apply_factors(self._chol_rh, self._per_run(_REG, (n, m.J, m.p)))
+        omega = self._ar_sigma * self._per_run(_REG, (n, m.J), lambda g, out: np.copyto(
+            out, g.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=out.shape)))
         h = np.empty((n, self.runs, m.J, m.p))
         buf = self._buf
         for k in range(n):
@@ -311,22 +313,14 @@ class SnapshotStream:
         """
         m = self.model
         h = self._regressors(n)
-        x = h @ m.s0 + self._sigma_eps * self._per_run(_EPS, lambda g: g.standard_normal((n, m.J)))
+        x = h @ m.s0 + self._sigma_eps * self._per_run(_EPS, (n, m.J))
         if not self.link_noise_active:
             return h, x, None, None
         shape = (n, self.topology.n_links, m.p)
-        eta, eta_bar = (
-            _apply_factors(self._eta_factor,
-                           self._per_run(kind, lambda g: g.standard_normal(shape)))
-            for kind in (_ETA, _ETA_BAR)
-        )
-        return h, x, eta, eta_bar
+        return h, x, *(_apply_factors(self._eta_factor, self._per_run(kind, shape))
+                       for kind in (_ETA, _ETA_BAR))
 
-    def steps(self, total):
-        """Yield (h, x, eta, eta_bar) for each of the next `total` steps: the
-        arrays of `draws` one step at a time, drawn a chunk at a time."""
+    def chunks(self, total):
+        """Yield the `draws` of the next `total` steps, one chunk at a time."""
         for n in self._chunks(total):
-            h, x, eta, eta_bar = self.draws(n)
-            for k in range(n):
-                yield (h[k], x[k], None if eta is None else eta[k],
-                       None if eta_bar is None else eta_bar[k])
+            yield self.draws(n)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import drls
 from drls.cli import main
 from drls.topology import from_edges, read_edge_list, write_edge_list
 
@@ -40,6 +45,26 @@ def test_gen_topology_is_deterministic(tmp_path):
     assert main(["gen-topology", "--seed", "5", "--out", str(a)]) == 0
     assert main(["gen-topology", "--seed", "5", "--out", str(b)]) == 0
     assert (a / "topology.txt").read_bytes() == (b / "topology.txt").read_bytes()
+
+
+def test_gen_topology_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["gen-topology", "--seed", "-1", "--out", str(tmp_path / "net")]) == 1
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "net").exists()
+
+
+def test_gen_topology_one_sensor(tmp_path, capsys):
+    """One sensor is a valid network; it has no algebraic connectivity to print."""
+    assert main(["gen-topology", "--j", "1", "--out", str(tmp_path)]) == 0
+    assert "sensors: 1" in capsys.readouterr().out
+    assert read_edge_list(tmp_path / "topology.txt").J == 1
+
+
+def test_python_m_drls_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(drls.__file__))
+    proc = subprocess.run([sys.executable, "-m", "drls", "gen-topology", "--out", str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0 and "sensors: 10" in proc.stdout, proc.stderr
 
 
 def test_simulate_writes_learning_curves(tmp_path, config_path, capsys):
@@ -177,6 +202,16 @@ def test_divergent_run_exits_three(tmp_path, capsys):
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_config_seed_holds_without_the_flag(tmp_path):
+    """Without --seed, the config's master_seed stays in force."""
+    path = tmp_path / "seeded.cfg"
+    path.write_text(SMALL_CONFIG.replace("master_seed = 0", "master_seed = 5"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", str(path), "--out", str(a)]) == 0
+    assert main(["simulate", "--config", str(path), "--out", str(b), "--seed", "5"]) == 0
+    assert (a / "global.csv").read_bytes() == (b / "global.csv").read_bytes()
 
 
 def test_seed_override_changes_results(tmp_path, config_path):

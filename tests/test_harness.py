@@ -221,21 +221,24 @@ def test_ensemble_seed_changes_results():
     assert not np.array_equal(a.series.msd, b.series.msd)
 
 
-@pytest.mark.parametrize("scenario_kind, p", [("iid", 2), ("ar", None)])
+@pytest.mark.parametrize("scenario_kind, p", [("iid", 2), ("ar", None), ("iid", 3)])
 def test_draw_chunk_does_not_change_the_bytes(tmp_path, monkeypatch, scenario_kind, p):
-    """One step per draw chunk writes the same CSVs as the default chunk."""
-    config = _small_config(scenario_kind=scenario_kind, scenario_p=p)
-    results = {"default": run_ensemble(config)}
-    monkeypatch.setattr(signals, "DRAW_CHUNK_RUN_STEPS", 1)
-    results["one_step"] = run_ensemble(config)
-    paths = []
+    """One step per draw chunk writes the same CSVs, deviations and final
+    mean as the default chunk and as a small one; neither divides T."""
+    config = _small_config(scenario_kind=scenario_kind, scenario_p=p, t_samples=333)
+    results = {}
+    for budget in (signals.DRAW_CHUNK_BYTES, 1, 4000):
+        monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", budget)
+        results[budget] = run_ensemble(config, collect_deviation=True)
+    outputs = []
     for tag, result in results.items():
         g = tmp_path / f"{tag}_global.csv"
         s = tmp_path / f"{tag}_sensor.csv"
         write_global_csv(result.series, g)
         write_per_sensor_csv(result.series, s)
-        paths.append((g.read_bytes(), s.read_bytes()))
-    assert paths[0] == paths[1]
+        outputs.append((g.read_bytes(), s.read_bytes(), result.network_deviation.tobytes(),
+                        result.final_estimate_mean.tobytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -289,19 +292,54 @@ def test_mse_minus_emse_recovers_observation_noise():
         assert abs(gap[:, j].mean() - model.sigma2_eps[j]) < 3 * se + 1e-6
 
 
-def test_run_failure_on_divergent_configuration(tmp_path):
+def _poison_regressor(monkeypatch, step, run, sensor):
+    """Make one regressor entry infinite: run `run`, sensor `sensor`, at
+    0-based step `step` of the stream."""
+    draws = signals.SnapshotStream.draws
+
+    def poisoned(self, n):
+        h, *rest = draws(self, n)
+        start = getattr(self, "poison_start", 0)
+        self.poison_start = start + n
+        if start <= step < start + n:
+            h[step - start, run, sensor] = np.inf
+        return (h, *rest)
+
+    monkeypatch.setattr(signals.SnapshotStream, "draws", poisoned)
+
+
+def _pair_config(tmp_path, **kw):
     top = from_edges(2, [(0, 1)])
     path = tmp_path / "pair.txt"
     write_edge_list(top, path)
-    config = _small_config(
-        topology_kind="edgelist", topology_path=str(path),
-        scenario_p=1, c=5000.0, t_samples=400, runs=1,
-    )
-    with pytest.raises(RunFailure, match="run 0 .* step 121, first at sensor 0"):
-        run_ensemble(config)
-    # batched, the lowest run that fails at the first failing step is named
-    with pytest.raises(RunFailure, match="run 2 .* step 120, first at sensor 0"):
-        run_ensemble(replace(config, runs=5))
+    return _small_config(topology_kind="edgelist", topology_path=str(path),
+                         scenario_p=1, c=5000.0, t_samples=400, **kw)
+
+
+def test_run_failure_on_divergent_configuration(tmp_path, monkeypatch):
+    config = _pair_config(tmp_path, runs=1)   # c is far above the mean-stability bound
+    for budget in (signals.DRAW_CHUNK_BYTES, 4096, 1):
+        monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", budget)
+        with pytest.raises(RunFailure, match="run 0 .* step 121, first at sensor 0"):
+            run_ensemble(config)
+        # batched, the lowest run that fails at the first failing step is named
+        with pytest.raises(RunFailure, match="run 2 .* step 120, first at sensor 0"):
+            run_ensemble(replace(config, runs=5))
+
+
+@pytest.mark.parametrize("budget", [signals.DRAW_CHUNK_BYTES, 4096, 1])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_run_failure_names_the_first_failure_in_a_chunk(tmp_path, monkeypatch, algorithm,
+                                                        budget):
+    """Every algorithm loses finiteness at an infinite datum. The run, step
+    and sensor are named wherever the step falls in a draw chunk, and the
+    steps the chunk takes after it raise nothing else (no solver error)."""
+    monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", budget)
+    _poison_regressor(monkeypatch, step=99, run=3, sensor=1)
+    # the pooled estimate is every sensor's, so it fails first at sensor 0
+    sensor = 0 if algorithm == "centralized" else 1
+    with pytest.raises(RunFailure, match=f"run 3 .* step 100, first at sensor {sensor}"):
+        run_ensemble(_pair_config(tmp_path, algorithm=algorithm, runs=5))
 
 
 def test_steady_state_empirical():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from drls import signals
 from drls.errors import ModelError
 from drls.signals import (
     SensorEnsembleModel,
@@ -141,16 +142,18 @@ def test_stream_determinism_and_seed_sensitivity():
         assert not np.allclose(a[0], c[0])
 
 
-def test_draws_do_not_depend_on_the_chunking():
+def test_draws_do_not_depend_on_the_chunking(monkeypatch):
+    monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", 1)   # one step per chunk
     top = random_geometric(5, 0.8, seed=2)
     for model in (iid_scenario(5, 3, seed=3), ar_scenario(5, seed=3)):
         whole = SnapshotStream(model, top, [[1, r] for r in range(3)]).draws(8)
         stream = SnapshotStream(model, top, [[1, r] for r in range(3)])
         parts = zip(stream.draws(5), stream.draws(3))
-        stepped = zip(*SnapshotStream(model, top, [[1, r] for r in range(3)]).steps(8))
-        for full, (first, rest), one_by_one in zip(whole, parts, stepped):
+        chunked = zip(*SnapshotStream(model, top, [[1, r] for r in range(3)]).chunks(8))
+        for full, (first, rest), chunks in zip(whole, parts, chunked):
             assert_array_equal(np.concatenate([first, rest]), full)
-            assert_array_equal(np.stack(one_by_one), full)
+            assert len(chunks) == 8
+            assert_array_equal(np.concatenate(chunks), full)
 
 
 def test_stream_rejects_mismatched_sizes():
