@@ -32,6 +32,12 @@ The per-sensor blocks (R_hj, R_hj^{-1}, R_eta_j, and the per-sensor error
 covariances) are handled as (J, p, p) stacks, with no loop over sensors or
 links. The model checked them when it was built, so they are used here as
 given.
+
+`write_metrics_csv` writes the metric tables of both the prediction and the
+simulation. It formats cells a block of rows at a time with a vectorised
+kernel whose bytes are the same as ``%`` gives; a row holding a cell the
+kernel cannot prove equal, and every row of a table too small to pay for
+the kernel, is formatted by ``%`` instead.
 """
 
 from dataclasses import dataclass
@@ -60,7 +66,58 @@ ITERATE_MAX_STEPS = 500_000
 _DB_FLOOR = 1e-300
 
 #: rows a metrics table formats at a time, which bounds the writer's memory
-_CSV_BLOCK_ROWS = 256
+_CSV_BLOCK_ROWS = 1024
+
+#: rows below which a table is cheaper to format by `%` than by the kernel
+_KERNEL_MIN_ROWS = 64
+
+#: largest |k| for which 10^k is one or two exact powers of ten
+_K_MAX = 44
+
+
+def _formatting_tables():
+    """The metric-cell kernel's lookup tables, built by numpy arithmetic.
+
+    ``digits4[n]`` is the ASCII of n as four digits and ``digits2[n]`` as
+    two; ``whole4[n]`` is n as an integer part, NUL for each leading zero.
+    Column k + _K_MAX of ``scale`` holds the two powers of ten to multiply
+    by and the two to divide by (10^k for k < 0 is not a double), then the
+    tie margin per unit of the scaled value, nonzero where that makes two
+    roundings. ``exponents[e + _K_MAX - 12]`` is ``e+dd`` or ``e-dd``.
+    """
+    # built up from 00 to 99 in small dtypes: large temporaries would stay
+    # resident in the heap for the life of the process
+    digits2 = (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8)
+    digits = np.hstack([np.repeat(digits2, 100, axis=0), np.tile(digits2, (100, 1))])
+    n = np.arange(10_000, dtype=np.uint16)[:, None]
+    whole = np.where(n >= np.array([1000, 100, 10, 0], np.uint16), digits, np.uint8(0))
+    k = np.arange(-_K_MAX, _K_MAX + 1)
+    pow10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])        # exact up to 10^22
+    first = pow10[np.minimum(np.abs(k), 22)]
+    second = pow10[np.abs(k) - np.minimum(np.abs(k), 22)]
+    scale = np.stack([np.where(k >= 0, first, 1.0), np.where(k >= 0, second, 1.0),
+                      np.where(k < 0, first, 1.0), np.where(k < 0, second, 1.0),
+                      np.where(second > 1.0, 2.0**-52, 0.0)])
+    e = np.arange(12 - _K_MAX, 14 + _K_MAX)
+    exponents = np.column_stack([np.full(e.size, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                                 digits[np.abs(e), 2:]]).astype(np.uint8)
+    return (digits.view("V4").ravel(), digits2.view("V2").ravel(), whole.view("V4").ravel(),
+            scale, exponents.view("V4").ravel())
+
+
+_DIGITS4, _DIGITS2, _WHOLE4, _SCALE, _EXPONENTS = _formatting_tables()
+
+#: the MSD, EMSE and MSE cells of a row, ``%.12e,%.6f`` each at its widest;
+#: the kernel fills in digits and signs, and NUL marks a byte the writer
+#: drops (the sign of a positive value, a leading zero of an integer part)
+_CELLS = np.frombuffer(b"-0.000000000000e+00,-0000.000000," * 3, np.uint8).reshape(3, 33).copy()
+_CELLS[2, -1] = ord("\n")
+_CELL_FIELDS = np.dtype({
+    "names": ["sign", "lead", "d1", "d2", "d3", "exp", "db_sign", "db_whole", "db_d1", "db_d2"],
+    "formats": ["u1", "u1", "V4", "V4", "V4", "V4", "u1", "V4", "V4", "V2"],
+    "offsets": [0, 1, 3, 7, 11, 15, 20, 21, 26, 30],
+    "itemsize": 33,
+})
 
 
 def to_db(x):
@@ -68,22 +125,118 @@ def to_db(x):
     return 10.0 * np.log10(np.maximum(x, _DB_FLOOR))
 
 
+def _metric_cells(lin, db):
+    """The ``%.12e,%.6f`` cells of each row of `lin` and `db`, both (n, 3):
+    ASCII (n, 99) with NUL at the bytes to drop, and whether every cell of
+    the row is proven to be what ``%`` prints.
+
+    A ``%.12e`` cell scales |x| by 10^k, k = 12 - floor(log10 |x|) held to
+    [-44, 44], in one or two exact powers of ten, and rounds it to a
+    13-digit mantissa; a ``%.6f`` cell rounds |v|·10^6. A cell is proven
+    when the scaled value is clear of every rounding tie and the mantissa
+    lies in [10^12, 10^13], 10^13 carrying into the exponent; the lower end
+    is checked before rounding, since a k one too small could round up to
+    it. The range check also turns away what log10 cannot scale right:
+    zero, subnormals, non-finite values and values out of range.
+
+    Rounding is monotone and half-integers below 2^52 are doubles, so one
+    rounding cannot carry a value across a half-integer; it can only land
+    on one. Two roundings (|k| > 22) leave the scaled value within 1.5
+    spacings of the exact one, on a grid of spacings, so those must lie
+    more than one spacing (bounded by y·2^-52) from every half-integer.
+    """
+    n = lin.shape[0]
+    cells = np.empty((n, 3, 33), np.uint8)
+    cells[:] = _CELLS
+    out = cells.view(_CELL_FIELDS)[..., 0]
+    a = np.abs(lin)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.fmin(np.fmax(12.0 - np.floor(np.log10(a)), -_K_MAX), _K_MAX).astype(np.int64)
+        up1, up2, down1, down2, margin = _SCALE.take(k + _K_MAX, axis=1)
+        y = a * up1 * up2 / down1 / down2
+        m = np.rint(y)
+        proven = (np.abs(y - m) < 0.5 - margin * y) & (y >= 1e12) & (m <= 1e13)
+        carry = m == 1e13
+        mantissa = np.where(m < 1e13, m, 1e12).astype(np.int64)
+
+        fixed = np.abs(db) * 1e6
+        m = np.rint(fixed)
+        proven &= (np.abs(fixed - m) < 0.5) & (m < 1e10)
+        micro = np.where(m < 1e10, m, 0.0).astype(np.int64)
+    # 13 digits as 1 + 4 + 4 + 4, and 4 + 6 as 4 + 4 + 2 (remainders by
+    # subtraction: numpy divides by a constant fast, but not so for %)
+    head = mantissa // 10**8
+    lead = head // 10**4
+    tail = mantissa - head * 10**8
+    mid = tail // 10**4
+    whole = micro // 10**6
+    frac = micro - whole * 10**6
+    frac_hi = frac // 100
+    out["sign"] = np.signbit(lin) * np.uint8(ord("-"))
+    out["lead"] = lead + ord("0")
+    out["d1"] = _DIGITS4.take(head - lead * 10**4)
+    out["d2"] = _DIGITS4.take(mid)
+    out["d3"] = _DIGITS4.take(tail - mid * 10**4)
+    out["exp"] = _EXPONENTS.take(_K_MAX - k + carry)
+    out["db_sign"] = np.signbit(db) * np.uint8(ord("-"))
+    out["db_whole"] = _WHOLE4.take(whole)
+    out["db_d1"] = _DIGITS4.take(frac_hi)
+    out["db_d2"] = _DIGITS2.take(frac - frac_hi * 100)
+    return cells.reshape(n, 99), proven.all(axis=1)
+
+
+def _label_column(axis, at):
+    """The labels ``axis[at]`` as ``%s,`` in UTF-8, NUL-padded to one width.
+    Only the span of `at` is formatted, so a block's labels are the only
+    label strings alive at a time."""
+    first = int(at.min())
+    text = np.array([f"{label},".encode() for label in axis[first:int(at.max()) + 1]], dtype=bytes)
+    return text.view(np.uint8).reshape(text.size, text.itemsize).take(at - first, axis=0)
+
+
 def write_metrics_csv(path, labels, msd, emse, mse):
     """Write a metrics table: one row per cell of the same-shaped metric
     arrays, in row-major order, with a label column per axis (`labels` maps
     its name to the axis labels), then MSD, EMSE and MSE, each linear
-    (``%.12e``) and in dB (``%.6f``, floored by `to_db`). Rows are
-    formatted a fixed block at a time, so memory does not grow with them.
+    (``%.12e``) and in dB (``%.6f``, floored by `to_db`).
+
+    Rows are formatted a fixed block at a time, so memory does not grow
+    with them, by a vectorised kernel (`_metric_cells`) whose bytes are
+    what ``%`` prints. A row with a cell the kernel cannot prove, such as a
+    zero, a subnormal or a near-tie, is formatted by ``%`` instead and
+    spliced in at its place; so is every row of a table too small to pay
+    for the kernel's set-up.
     """
     row = ",".join(["%s"] * len(labels) + ["%.12e", "%.6f"] * 3) + "\n"
+    kernel = msd.size >= _KERNEL_MIN_ROWS
+    flat = [np.ravel(a) for a in (msd, emse, mse)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([*labels, "msd_lin,msd_db,emse_lin,emse_db,mse_lin,mse_db"]) + "\n")
         for lo in range(0, msd.size, _CSV_BLOCK_ROWS):
-            at = np.unravel_index(np.arange(lo, min(lo + _CSV_BLOCK_ROWS, msd.size)), msd.shape)
-            lin = np.stack([msd[at], emse[at], mse[at]])
-            cells = np.stack([lin, to_db(lin)], axis=1).reshape(6, -1).tolist()
-            names = [[axis[k] for k in i.tolist()] for axis, i in zip(labels.values(), at)]
-            fh.writelines(row % cell for cell in zip(*names, *cells))
+            n = min(_CSV_BLOCK_ROWS, msd.size - lo)
+            at = np.unravel_index(np.arange(lo, lo + n), msd.shape)
+            lin = np.stack([f[lo:lo + n] for f in flat], axis=1)
+            db = to_db(lin)
+            if kernel:
+                cells, proven = _metric_cells(lin, db)
+                bad = np.flatnonzero(~proven)
+            else:
+                bad = slice(None)
+            names = [[axis[k] for k in i[bad].tolist()] for axis, i in zip(labels.values(), at)]
+            values = np.stack([lin[bad], db[bad]], axis=2).reshape(-1, 6).T.tolist()
+            lines = [row % cell for cell in zip(*names, *values)]
+            if kernel:
+                # each row left to `%` goes between the kernel's rows before and after it
+                text = np.concatenate(
+                    [_label_column(axis, i) for axis, i in zip(labels.values(), at)] + [cells],
+                    axis=1)
+                pieces, start = [], 0
+                for r, line in zip([*bad.tolist(), n], [*lines, ""]):
+                    part = text[start:r]
+                    pieces += [part[part != 0].tobytes().decode(), line]
+                    start = r + 1
+                lines = pieces
+            fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,20 @@ def _load(args):
 
 
 def _outdir(args):
-    os.makedirs(args.out, exist_ok=True)
+    """Create the output directory; commands call this before any work."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {args.out}: {exc.strerror or exc}") from exc
     return args.out
 
 
 def _cmd_gen_topology(args):
-    if (args.seed or 0) < 0:
+    if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    top = random_geometric(args.j, args.radius, args.seed or 0)
     path = os.path.join(_outdir(args), "topology.txt")
+    top = random_geometric(args.j, args.radius, args.seed)
     write_edge_list(top, path)
     print(f"sensors: {top.J}")
     print(f"undirected links: {len(top.edges())}")
@@ -88,8 +93,8 @@ def _cmd_gen_topology(args):
 
 def _cmd_simulate(args):
     config = _load(args)
-    ensemble = run_ensemble(config)
     out = _outdir(args)
+    ensemble = run_ensemble(config)
     global_path = os.path.join(out, "global.csv")
     sensor_path = os.path.join(out, "per_sensor.csv")
     write_global_csv(ensemble.series, global_path)
@@ -118,10 +123,10 @@ def _prediction_pipeline(config):
 
 def _cmd_predict(args):
     config = _load(args)
+    path = os.path.join(_outdir(args), "prediction.csv")
     topology, model, system = _prediction_pipeline(config)
     noise = noise_covariances(system, model)
     report = steady_state_solve(system, noise)
-    path = os.path.join(_outdir(args), "prediction.csv")
     report.to_csv(path)
     print(f"fluctuation spectral radius: {report.rho:.6f}")
     print(f"mean-stability bound on c: {mean_stability_bound(topology, model, config.lam):.6g} "
@@ -135,8 +140,8 @@ def _cmd_predict(args):
 
 def _cmd_compare(args):
     config = _load(args)
-    report = compare_theory(config, tol_db=args.tol_db)
     out = _outdir(args)
+    report = compare_theory(config, tol_db=args.tol_db)
     comparison_path = os.path.join(out, "comparison.csv")
     report.to_csv(comparison_path)
     report.prediction.to_csv(os.path.join(out, "prediction.csv"))
@@ -179,13 +184,16 @@ def build_parser():
     )
     common = _Parser(add_help=False)
     common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config master seed")
+    configured = _Parser(add_help=False)
+    configured.add_argument("--seed", type=int, default=None,
+                            help="override the config master seed")
+    configured.add_argument("--config", required=True, help="experiment config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-topology", parents=[common],
                          help="draw a connected random geometric network")
+    gen.add_argument("--seed", type=int, default=0, help="placement seed (default: 0)")
     gen.add_argument("--j", type=int, default=10, help="sensor count (default: 10)")
     gen.add_argument("--radius", type=float, default=0.45,
                      help="connectivity radius in the unit square (default: 0.45)")
@@ -196,13 +204,11 @@ def build_parser():
         ("predict", _cmd_predict, "steady-state mean-square prediction"),
         ("stability", _cmd_stability, "mean and mean-square stability report"),
     ):
-        cmd = sub.add_parser(name, parents=[common], help=helptext)
-        cmd.add_argument("--config", required=True, help="experiment config file")
+        cmd = sub.add_parser(name, parents=[common, configured], help=helptext)
         cmd.set_defaults(func=func)
 
-    cmp_cmd = sub.add_parser("compare", parents=[common],
+    cmp_cmd = sub.add_parser("compare", parents=[common, configured],
                              help="prediction and simulation side by side")
-    cmp_cmd.add_argument("--config", required=True, help="experiment config file")
     cmp_cmd.add_argument("--tol-db", type=float, default=1.0,
                          help="pass/fail tolerance in dB (default: 1.0)")
     cmp_cmd.set_defaults(func=_cmd_compare)

@@ -418,14 +418,18 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
     """Predict steady-state metrics and measure them from an ensemble.
 
     Only the single-time-scale AMA recursion has a matching analytical
-    model, so other algorithms are refused. Prediction instabilities
-    raise StabilityError before any simulation runs; a consensus step at
-    or above the mean-stability bound is reported as a warning.
+    model, so other algorithms are refused. So is a `tol_db` that is
+    negative or not finite: no row can pass a negative or NaN tolerance,
+    and every row passes an infinite one. Prediction instabilities raise
+    StabilityError before any simulation runs; a consensus step at or
+    above the mean-stability bound is reported as a warning.
     """
     if config.algorithm != "drls_ama":
         raise ConfigError(
             f"theory comparison covers algorithm drls_ama only, got {config.algorithm!r}"
         )
+    if not (np.isfinite(tol_db) and tol_db >= 0.0):
+        raise ConfigError(f"comparison tolerance must be a finite number of dB >= 0, got {tol_db}")
     if topology is None:
         topology = build_topology(config)
     if model is None:

@@ -2,10 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from drls import analysis
 from drls.analysis import (
+    _metric_cells,
     _stationary_forcing,
     build_averaged_system,
     check_mean_stability,
@@ -320,3 +324,99 @@ def test_to_db_floor():
     assert to_db(0.0) == pytest.approx(-3000.0)
     assert to_db(1.0) == 0.0
     assert to_db(100.0) == pytest.approx(20.0)
+
+
+# ---------------------------------------------------------------------------
+# the metric-table cell kernel against ``%``
+# ---------------------------------------------------------------------------
+
+_CELLS_FORMAT = ",".join(["%.12e", "%.6f"] * 3) + "\n"
+
+
+def _assert_proven_cells_match_percent(lin, db):
+    """Every row the kernel proves is byte for byte what ``%`` prints;
+    returns the proven mask."""
+    lin, db = np.asarray(lin, np.float64), np.asarray(db, np.float64)
+    cells, proven = _metric_cells(lin, db)
+    for text, ok, x, v in zip(cells, proven, lin.tolist(), db.tolist()):
+        if ok:
+            want = _CELLS_FORMAT % (x[0], v[0], x[1], v[1], x[2], v[2])
+            assert text[text != 0].tobytes().decode() == want, (x, v)
+    return proven
+
+
+def _assert_cells_match_percent(lin_values, db_values):
+    """Each value in each column of a row of its own, beside cells the
+    kernel always proves, so that whether the row is proven is whether that
+    cell is; returns the proven masks of the linear and the dB cells."""
+    def rows(values, filler):
+        values = np.asarray(values, np.float64)
+        out = np.full((3, values.size, 3), filler)
+        out[[0, 1, 2], :, [0, 1, 2]] = values
+        return out.reshape(-1, 3)
+
+    lin = rows(lin_values, 1.0)
+    db = rows(db_values, -20.0)
+    return (_assert_proven_cells_match_percent(lin, np.full(lin.shape, -20.0)),
+            _assert_proven_cells_match_percent(np.full(db.shape, 1.0), db))
+
+
+def _ulp_neighbours(values, ulps=4):
+    """Each value and its neighbours up to `ulps` units in the last place
+    either side."""
+    values = np.asarray(values, np.float64)
+    out = [values]
+    for direction in (np.inf, -np.inf):
+        step = values
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+_CELL_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e57, 1e57),          # within the scaled range of ``%.12e``
+    st.floats(-1e4, 1e4),            # within the integer digits of ``%.6f``
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 12), elements=_CELL_VALUES))
+def test_metric_cells_match_percent_on_any_double(values):
+    _assert_cells_match_percent(values, values)
+
+
+def test_metric_cells_match_percent_on_adversarial_values():
+    """Ties, near-ties, powers of ten and carries, each 1 to 4 ulps either
+    side; the two-rounding cases at the end land one spacing past a
+    half-integer on the wrong side, which only the tie margin catches."""
+    half_points = [f"{d}.{m}5e{e}" for d, m in (("1", "234567890123"), ("4", "999999999999"),
+                                                 ("9", "876543210987"))
+                   for e in (-31, -20, -11, -7, -1, 0, 5, 12, 13, 22, 23, 34, 35, 56)]
+    lin = _ulp_neighbours(
+        [2.0**-20, 0.0078125, 1e300, -1e300, 1e-300, 5e-324, 1e-310, 0.0, -0.0, 1.0, -2.5]
+        + [float(h) for h in half_points] + [-float(h) for h in half_points]
+        + [float(f"1e{e}") for e in range(-33, 58)]
+        + [float(f"9.9999999999995e{e}") for e in range(-33, 58)]
+        + [float(f"9.9999999999994999e{e}") for e in (-20, 0, 7, 40)]
+        + [7.9811712122065e-30, 6.7170356550975e-15, 8.2484670889375e+50,
+           8.1408748639115e+50, 8.6858949059035e+56, -7.0880521943155e-15])
+    db = _ulp_neighbours(
+        [0.0078125, -0.0078125, 0.0000005, -0.0000005, 12.3456785, -57.0000005,
+         -2999.9999995, 1234.5678905, 9999.9999995, -9999.9999994, 0.0, -0.0, -1e-9,
+         1e-9, -3000.0, 3082.5, 1e-300, -1e300, 5e-324])
+    for proven in _assert_cells_match_percent(lin, db):
+        assert proven.mean() > 0.5 and not proven.all()
+    cells, _ = _metric_cells(np.full((1, 3), 1.0), np.array([[-1e-9, -0.0, -3000.0]]))
+    assert cells[0][cells[0] != 0].tobytes() == (
+        b"1.000000000000e+00,-0.000000,1.000000000000e+00,-0.000000,"
+        b"1.000000000000e+00,-3000.000000\n")
+
+
+def test_metric_cells_prove_nearly_every_row_of_typical_data():
+    """Rows the kernel cannot prove go to ``%``; on learning-curve-like
+    data they must stay rare, or the kernel saves nothing."""
+    lin = np.random.default_rng(3).lognormal(-6.0, 4.0, size=(20_000, 3))
+    assert _assert_proven_cells_match_percent(lin, to_db(lin)).mean() > 0.99

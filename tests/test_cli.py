@@ -60,6 +60,38 @@ def test_gen_topology_one_sensor(tmp_path, capsys):
     assert read_edge_list(tmp_path / "topology.txt").J == 1
 
 
+def test_out_naming_a_file_exits_one_before_any_work(tmp_path, config_path, capsys,
+                                                     monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["gen-topology", "--out", str(taken)]) == 1
+    assert f"error: cannot create output directory {taken}" in capsys.readouterr().err
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the output directory was made")
+
+    monkeypatch.setattr("drls.cli.run_ensemble", no_ensemble)
+    assert main(["simulate", "--config", config_path, "--out", str(taken)]) == 1
+    assert f"error: cannot create output directory {taken}" in capsys.readouterr().err
+    assert main(["predict", "--config", config_path, "--out", str(taken / "sub")]) == 1
+    assert str(taken / "sub") in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
+def test_help_names_each_seed(capsys):
+    """gen-topology's --seed places the sensors; elsewhere it overrides the
+    config's master seed."""
+    texts = {}
+    for command in ("gen-topology", "simulate"):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        texts[command] = " ".join(capsys.readouterr().out.split())
+    assert "--seed SEED placement seed (default: 0)" in texts["gen-topology"]
+    assert "master seed" not in texts["gen-topology"]
+    assert "--seed SEED override the config master seed" in texts["simulate"]
+
+
 def test_python_m_drls_runs_the_cli(tmp_path):
     src = os.path.dirname(os.path.dirname(drls.__file__))
     proc = subprocess.run([sys.executable, "-m", "drls", "gen-topology", "--out", str(tmp_path)],
@@ -119,6 +151,19 @@ def test_compare(tmp_path, config_path, capsys):
     assert (out / "global.csv").exists()
     stdout = capsys.readouterr().out
     assert "metric" in stdout and "delta_db" in stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_compare_refuses_a_tolerance_no_row_can_pass(tmp_path, config_path, capsys,
+                                                    monkeypatch, tol):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the tolerance was checked")
+
+    monkeypatch.setattr("drls.harness.run_ensemble", no_ensemble)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", config_path, "--out", str(out), "--tol-db", tol]) == 1
+    assert "comparison tolerance must be a finite number of dB >= 0" in capsys.readouterr().err
+    assert not (out / "comparison.csv").exists()
 
 
 def test_compare_tolerance_miss_still_exits_zero(tmp_path, config_path):

@@ -447,12 +447,17 @@ def _assert_table(path, expected):
 
 def test_metric_tables_match_the_row_by_row_format(tmp_path):
     """All three metric tables write exactly the row-by-row bytes, across
-    block edges and for the dB floor, a subnormal and a huge value."""
+    block edges and for the dB floor, a subnormal and a huge value, which
+    the kernel leaves to ``%``: single rows, rows that open or close a
+    block, and whole blocks; and a table too small for the kernel."""
     block = analysis._CSV_BLOCK_ROWS
     t_total, j = 2 * block + 5, 3     # neither T nor T*J is a multiple of the block
     rng = np.random.default_rng(5)
     msd, emse, mse = rng.lognormal(-6.0, 4.0, size=(3, t_total, j))
     msd[4], emse[5], mse[6] = 0.0, 1e-310, 1e300      # also in the network means
+    # zero network means from the last row of the first global block to the
+    # first of the third; per sensor, whole blocks 3 to 5 and their edges
+    msd[block - 1:2 * block + 1] = 0.0
     for edge in (block - 1, block, 2 * block, 3 * block - 1, 3 * block):
         msd.flat[edge], emse.flat[edge], mse.flat[edge] = 1e-310, 1e300, 0.0
     series = MetricSeries(msd=msd, emse=emse, mse=mse, runs=1)
@@ -471,12 +476,13 @@ def test_metric_tables_match_the_row_by_row_format(tmp_path):
         for i in range(t_total) for k in range(j)))
     _assert_table(tmp_path / "per_sensor.csv", expected)
 
-    sensors = block + 1               # the global row opens the second block
-    pm, pe, ps = rng.lognormal(-6.0, 4.0, size=(3, sensors))
-    pm[0], pe[1], ps[2] = 0.0, 1e-310, 1e300
-    report = SteadyStateReport(rho=0.5, r_z=np.zeros((1, 1)), r_y1=np.zeros((1, 1)),
-                               msd=pm, emse=pe, mse=ps)
-    report.to_csv(tmp_path / "prediction.csv")
-    rows = [((k,), pm[k], pe[k], ps[k]) for k in range(sensors)]
-    rows.append((("global",), report.msd_global, report.emse_global, report.mse_global))
-    _assert_table(tmp_path / "prediction.csv", _row_by_row(f"sensor_id,{header}", rows))
+    # the global row opens the second block; the smaller table takes `%` throughout
+    for sensors in (block + 1, analysis._KERNEL_MIN_ROWS - 2):
+        pm, pe, ps = rng.lognormal(-6.0, 4.0, size=(3, sensors))
+        pm[0], pe[1], ps[2] = 0.0, 1e-310, 1e300
+        report = SteadyStateReport(rho=0.5, r_z=np.zeros((1, 1)), r_y1=np.zeros((1, 1)),
+                                   msd=pm, emse=pe, mse=ps)
+        report.to_csv(tmp_path / "prediction.csv")
+        rows = [((k,), pm[k], pe[k], ps[k]) for k in range(sensors)]
+        rows.append((("global",), report.msd_global, report.emse_global, report.mse_global))
+        _assert_table(tmp_path / "prediction.csv", _row_by_row(f"sensor_id,{header}", rows))
