@@ -11,7 +11,6 @@ end over the same functions.
 
 from .analysis import (
     AveragedSystem,
-    CovarianceTrajectory,
     MeanStabilityReport,
     MseStabilityReport,
     NoiseCovariances,
@@ -19,7 +18,6 @@ from .analysis import (
     build_averaged_system,
     check_mean_stability,
     check_mse_stability,
-    covariance_recursion_iterate,
     mean_stability_bound,
     noise_covariances,
     steady_state_solve,

@@ -59,10 +59,6 @@ DOUBLING_MAX_SQUARINGS = 64
 #: as a unit eigenvalue (also the relative singular-value cutoff of its nullity)
 UNIT_EIGEN_TOL = 1e-8
 
-#: relative tail-error target, and step cap, of `covariance_recursion_iterate`
-ITERATE_TOL = 1e-11
-ITERATE_MAX_STEPS = 500_000
-
 _DB_FLOOR = 1e-300
 
 #: rows a metrics table formats at a time, which bounds the writer's memory
@@ -455,10 +451,10 @@ class NoiseCovariances:
     """Driving-noise second moments of the fluctuation recursion.
 
     ``r_eps_inf`` is the stationary covariance of the per-sensor data
-    noise h_j eps_j accumulated with forgetting; ``r_eps(t)`` gives its
-    finite-time ramp. ``r_eta`` is the transmitter-major block diagonal of
-    the per-receiver link-noise covariances, ``r_eta_bar`` the per-sensor
-    aggregate of the multiplier-exchange noise ((deg_j / 4) R_eta_j).
+    noise h_j eps_j accumulated with forgetting. ``r_eta`` is the
+    transmitter-major block diagonal of the per-receiver link-noise
+    covariances, ``r_eta_bar`` the per-sensor aggregate of the
+    multiplier-exchange noise ((deg_j / 4) R_eta_j).
     ``r_eta_lam`` / ``r_eta_bar_lam`` are both mapped into the fluctuation
     state, and ``feedthrough`` is the instantaneous link-noise covariance
     that adds to the top-left block of the state covariance when reading
@@ -473,10 +469,6 @@ class NoiseCovariances:
     r_eta_lam: np.ndarray
     r_eta_bar_lam: np.ndarray
     feedthrough: np.ndarray
-
-    def r_eps(self, t):
-        """Data-noise covariance after t+1 absorbed samples."""
-        return self.r_eps_inf * (1.0 - self.lam ** (2 * (t + 1)))
 
 
 def noise_covariances(system, model):
@@ -623,76 +615,3 @@ def steady_state_solve(system, noise):
         rho=rho, r_z=r_z, r_y1=r_y1, msd=msd, emse=emse, mse=mse,
     )
 
-
-@dataclass(frozen=True)
-class CovarianceTrajectory:
-    """Transient of the covariance recursion from a zero initial state.
-
-    ``network_msd[i]`` is the predicted sum over sensors of
-    E||s_j(t) - s0||^2 at t = i + 1 (instantaneous feedthrough included).
-    """
-
-    r_z: np.ndarray
-    r_zeps: np.ndarray
-    network_msd: np.ndarray
-    steps: int
-    converged: bool
-
-
-def covariance_recursion_iterate(system, noise, steps=None):
-    """Run the covariance recursion forward in time.
-
-    With ``steps`` given, runs exactly that many updates (transient use).
-    Otherwise iterates, for at most ITERATE_MAX_STEPS updates, until the
-    per-step change is small enough that the geometric tail bound puts the
-    remaining error below ITERATE_TOL relative to the current solution, and
-    raises StabilityError for rho >= 1 or DivergenceError if the traces
-    stop being finite.
-    """
-    psi_m = system.inner_transition
-    b = system.data_input
-    lam = noise.lam
-    n = psi_m.shape[0]
-    jp = n // 2
-    rho = spectral_radius(psi_m)
-    if steps is None and rho >= 1.0:
-        raise StabilityError(
-            f"covariance recursion cannot converge: spectral radius {rho:.6f} >= 1"
-        )
-    # both the recursion tail and the data-noise ramp decay geometrically
-    q2 = max(rho, lam) ** 2
-    tail_gain = q2 / max(1.0 - q2, 1e-300)
-
-    link_forcing = psi_m @ (noise.r_eta_bar_lam + noise.r_eta_lam) @ psi_m.T
-    feed_trace = float(np.trace(noise.feedthrough))
-    r_z = np.zeros((n, n))
-    r_zeps = np.zeros((n, jp))
-    traces = []
-    converged = False
-    count = steps if steps is not None else ITERATE_MAX_STEPS
-    t = 0
-    for t in range(1, count + 1):
-        r_zeps = lam * (psi_m @ r_zeps) + lam * (b @ noise.r_eps(t - 1))
-        cross = psi_m @ r_zeps @ b.T
-        r_new = (
-            psi_m @ r_z @ psi_m.T + link_forcing
-            + b @ noise.r_eps(t) @ b.T + cross + cross.T
-        )
-        r_new = 0.5 * (r_new + r_new.T)
-        change = float(np.linalg.norm(r_new - r_z))
-        r_z = r_new
-        trace_now = float(np.trace(r_z[:jp, :jp])) + feed_trace
-        traces.append(trace_now)
-        if not np.isfinite(trace_now):
-            raise DivergenceError(
-                f"covariance recursion lost finiteness at step {t}"
-            )
-        if steps is None and change * tail_gain <= ITERATE_TOL * max(
-            float(np.linalg.norm(r_z)), 1e-300
-        ):
-            converged = True
-            break
-    return CovarianceTrajectory(
-        r_z=r_z, r_zeps=r_zeps, network_msd=np.asarray(traces),
-        steps=t, converged=converged or steps is not None,
-    )

@@ -1,10 +1,11 @@
 """
 Command-line front end.
 
-Every subcommand reads local files, writes CSV/text outputs under --out,
-and sets the exit code: 0 on success, 1 for configuration or usage
-problems, 2 for stability or numerical refusals, 3 when a Monte Carlo run
-fails. Outputs are byte-deterministic for a given config.
+Every subcommand reads local files, writes its CSV/text outputs under
+--out (``stability`` only prints), and sets the exit code: 0 on success,
+1 for configuration or usage problems, 2 for stability or numerical
+refusals, 3 when a Monte Carlo run fails. Outputs are byte-deterministic
+for a given config.
 
 Subcommands:
 
@@ -199,12 +200,12 @@ def build_parser():
                      help="connectivity radius in the unit square (default: 0.45)")
     gen.set_defaults(func=_cmd_gen_topology)
 
-    for name, func, helptext in (
-        ("simulate", _cmd_simulate, "run a Monte Carlo ensemble"),
-        ("predict", _cmd_predict, "steady-state mean-square prediction"),
-        ("stability", _cmd_stability, "mean and mean-square stability report"),
+    for name, func, parents, helptext in (
+        ("simulate", _cmd_simulate, [common, configured], "run a Monte Carlo ensemble"),
+        ("predict", _cmd_predict, [common, configured], "steady-state mean-square prediction"),
+        ("stability", _cmd_stability, [configured], "mean and mean-square stability report"),
     ):
-        cmd = sub.add_parser(name, parents=[common, configured], help=helptext)
+        cmd = sub.add_parser(name, parents=parents, help=helptext)
         cmd.set_defaults(func=func)
 
     cmp_cmd = sub.add_parser("compare", parents=[common, configured],

@@ -38,7 +38,6 @@ threads            must be 1; kept so that existing configs parse (1)
 """
 
 import math
-import os
 import re
 from dataclasses import dataclass, replace
 
@@ -219,10 +218,14 @@ def parse_config_text(text, source="<config>"):
 
 def load_config(path, **overrides):
     """Read a config file; keyword overrides win over file values."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        config = parse_config_text(fh.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    config = parse_config_text(text, source=path)
     if overrides:
         config = replace(config, **overrides)
     return config

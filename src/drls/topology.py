@@ -66,11 +66,8 @@ class Topology:
         self.link_owner = owner
         self.link_peer = peer
         self.link_start = np.concatenate(([0], np.cumsum(self.degrees)))
-        # index of (peer, owner) for each (owner, peer)
-        lookup = {(int(o), int(q)): k for k, (o, q) in enumerate(zip(owner, peer))}
-        self.link_flip = np.array(
-            [lookup[(int(q), int(o))] for o, q in zip(owner, peer)], dtype=np.int64
-        )
+        # sorted by (peer, owner), entry k is the link (link_peer[k], link_owner[k])
+        self.link_flip = np.lexsort((owner, peer))
         self.n_links = owner.size
 
     def edges(self):
@@ -116,7 +113,7 @@ def random_geometric(j, radius, seed, max_attempts=1000):
     """
     if j < 1:
         raise TopologyError(f"need at least one sensor, got J={j}")
-    if radius <= 0:
+    if not radius > 0:
         raise TopologyError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
@@ -133,6 +130,8 @@ def random_geometric(j, radius, seed, max_attempts=1000):
 
 def from_edges(j, edges):
     """Topology from an explicit undirected edge list."""
+    if j < 1:
+        raise TopologyError(f"need at least one sensor, got J={j}")
     adj = np.zeros((j, j), dtype=np.int64)
     for i, (a, b) in enumerate(edges):
         if not (0 <= a < j and 0 <= b < j):
@@ -180,8 +179,13 @@ def write_edge_list(top, path):
 
 def read_edge_list(path):
     """Parse the edge-list text format back into a Topology."""
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = [ln.strip() for ln in fh]
+    except OSError as exc:
+        raise TopologyError(f"cannot read edge-list file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TopologyError(f"edge-list file {path} is not UTF-8 text: {exc}") from exc
     lines = [ln for ln in raw if ln and not ln.startswith("#")]
     if not lines:
         raise TopologyError(f"{path}: empty edge-list file")

@@ -18,7 +18,6 @@ import pytest
 from drls.analysis import (
     build_averaged_system,
     check_mean_stability,
-    covariance_recursion_iterate,
     mean_stability_bound,
     noise_covariances,
     steady_state_solve,
@@ -217,7 +216,7 @@ def test_link_noise_lift_exists_on_the_sweep():
 # 5. the stationary solve agrees with both fixed-point references
 # ---------------------------------------------------------------------------
 
-def test_closed_form_and_iterated_fixed_points_agree(kron_lyapunov):
+def test_closed_form_and_iterated_fixed_points_agree(kron_lyapunov, iterated_lyapunov):
     start = time.monotonic()
     rng = np.random.default_rng(77)
     for j, p in [(2, 1), (5, 2), (10, 2), (4, 3), (3, 4), (8, 3), (6, 4)]:
@@ -226,10 +225,8 @@ def test_closed_form_and_iterated_fixed_points_agree(kron_lyapunov):
         system = build_averaged_system(top, model, 0.95, 0.1)
         noise = noise_covariances(system, model)
         solved = steady_state_solve(system, noise).r_z
-        iterated = covariance_recursion_iterate(system, noise)
-        assert iterated.converged
         for route, reference in (("closed form", kron_lyapunov(system, noise)),
-                                 ("iterated", iterated.r_z)):
+                                 ("iterated", iterated_lyapunov(system, noise))):
             rel = np.linalg.norm(solved - reference) / np.linalg.norm(reference)
             assert rel < 1e-6, f"{route} disagrees at J={j}, p={p}: {rel:.2e}"
     assert time.monotonic() - start < 30.0
@@ -373,13 +370,8 @@ def test_error_norm_is_weakly_stochastically_bounded(ar_bench_ensemble,
     network error with empirical exceedance at most 1% (plus sampling
     slack), consistent with the Chebyshev reading of the prediction."""
     config = ExperimentConfig(**AR_BENCH)
-    top = build_topology(config)
-    model = build_model(config, top)
-    system = build_averaged_system(top, model, config.lam, config.c)
-    noise = noise_covariances(system, model)
-    trajectory = covariance_recursion_iterate(system, noise)
-    assert trajectory.converged
-    ball = 100.0 * float(trajectory.network_msd.max())   # (10 * rms)^2
+    # the doubling solve's stationary network MSD, as compare_theory predicted it
+    ball = 100.0 * float(ar_bench_compare.prediction.msd.sum())   # (10 * rms)^2
 
     deviations = ar_bench_ensemble.network_deviation[:, config.resolved_burn_in:]
     exceed = float((deviations >= ball).mean())

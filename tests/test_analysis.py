@@ -14,7 +14,6 @@ from drls.analysis import (
     build_averaged_system,
     check_mean_stability,
     check_mse_stability,
-    covariance_recursion_iterate,
     mean_stability_bound,
     noise_covariances,
     steady_state_solve,
@@ -79,8 +78,6 @@ def test_pair_oracle_noise_covariances():
     assert_allclose(noise.r_eta, 0.1 * np.eye(2))
     assert_allclose(noise.r_eta_bar, 0.025 * np.eye(2))
     assert_allclose(noise.r_eps_inf, 0.5 / (1 - 0.95 ** 2) * np.eye(2))
-    # after the first absorbed sample the data-noise power is exactly rh*sigma2
-    assert_allclose(noise.r_eps(0), 0.5 * np.eye(2), atol=1e-12)
     expected_feed = 0.05 ** 2 * np.array([[0.225, -0.2], [-0.2, 0.225]])
     assert_allclose(noise.feedthrough, expected_feed, atol=1e-14)
 
@@ -210,26 +207,26 @@ def test_per_sensor_blocks_follow_their_sensor():
     assert mean_stability_bound(top, model, lam) == pytest.approx(4.0 / ((1 - lam) * rho))
 
 
-def test_steady_state_routes_agree(kron_lyapunov):
+def test_steady_state_routes_agree(kron_lyapunov, iterated_lyapunov):
     top = random_geometric(5, 0.7, seed=3)
-    p = 2
-    model = iid_scenario(top.J, p, seed=3, sigma2_eta=0.1)
-    system = build_averaged_system(top, model, 0.95, 0.1)
-    noise = noise_covariances(system, model)
-    report = steady_state_solve(system, noise)
-    traj = covariance_recursion_iterate(system, noise)
-    assert traj.converged
-    for reference in (kron_lyapunov(system, noise), traj.r_z):
-        rel = np.linalg.norm(report.r_z - reference) / np.linalg.norm(reference)
-        assert rel < 1e-6
-    # the doubling solve meets its own equation to round-off
-    a = system.inner_transition
-    residual = report.r_z - a @ report.r_z @ a.T - _stationary_forcing(system, noise)
-    assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(report.r_z)
-    jp = top.J * p
-    r_y1 = traj.r_z[:jp, :jp] + noise.feedthrough
-    iterated_msd = [np.trace(r_y1[k:k + p, k:k + p]) for k in range(0, jp, p)]
-    assert_allclose(report.msd, iterated_msd, rtol=1e-6)
+    model = iid_scenario(top.J, 2, seed=3, sigma2_eta=0.1)
+    cases = [(top, model, build_averaged_system(top, model, 0.95, 0.1)), _pair_system()]
+    for top, model, system in cases:
+        noise = noise_covariances(system, model)
+        report = steady_state_solve(system, noise)
+        iterated = iterated_lyapunov(system, noise)
+        for reference in (kron_lyapunov(system, noise), iterated):
+            rel = np.linalg.norm(report.r_z - reference) / np.linalg.norm(reference)
+            assert rel < 1e-6
+        # the doubling solve meets its own equation to round-off
+        a = system.inner_transition
+        residual = report.r_z - a @ report.r_z @ a.T - _stationary_forcing(system, noise)
+        assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(report.r_z)
+        p = system.p
+        jp = top.J * p
+        r_y1 = iterated[:jp, :jp] + noise.feedthrough
+        iterated_msd = [np.trace(r_y1[k:k + p, k:k + p]) for k in range(0, jp, p)]
+        assert_allclose(report.msd, iterated_msd, rtol=1e-6)
 
 
 def test_steady_state_report_consistency():
@@ -283,25 +280,15 @@ def test_link_noise_raises_the_prediction():
     assert levels[0] < levels[1] < levels[2]
 
 
-def test_covariance_trajectory_fixed_step_mode():
+def test_covariance_trajectory_converges_to_the_fixed_point(iterated_lyapunov):
     top, model, system = _pair_system()
     noise = noise_covariances(system, model)
-    traj = covariance_recursion_iterate(system, noise, steps=50)
-    assert traj.steps == 50
-    assert traj.converged
-    assert traj.network_msd.shape == (50,)
-    # from a zero start the error power ramps up monotonically here
-    assert (np.diff(traj.network_msd) > 0).all()
-
-
-def test_covariance_trajectory_converges_to_the_fixed_point():
-    top, model, system = _pair_system()
-    noise = noise_covariances(system, model)
-    traj = covariance_recursion_iterate(system, noise)
-    assert traj.converged
+    # the forward recursion from R(0) = 0 fails the test unless it converges
+    r_z = iterated_lyapunov(system, noise)
+    jp = top.J * system.p
+    network_msd = float(np.trace(r_z[:jp, :jp] + noise.feedthrough))
     report = steady_state_solve(system, noise)
-    assert traj.network_msd[-1] == pytest.approx(float(np.trace(report.r_y1)),
-                                                 rel=1e-6)
+    assert network_msd == pytest.approx(float(np.trace(report.r_y1)), rel=1e-6)
 
 
 def test_report_csv_schema(tmp_path):

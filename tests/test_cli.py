@@ -176,7 +176,7 @@ def test_compare_tolerance_miss_still_exits_zero(tmp_path, config_path):
 
 
 def test_stability_stable_config(tmp_path, config_path, capsys):
-    code = main(["stability", "--config", config_path, "--out", str(tmp_path)])
+    code = main(["stability", "--config", config_path])
     assert code == 0
     stdout = capsys.readouterr().out
     assert "mean-stable: true" in stdout
@@ -186,7 +186,7 @@ def test_stability_stable_config(tmp_path, config_path, capsys):
 def test_stability_unstable_config(tmp_path, capsys):
     path = tmp_path / "hot.cfg"
     path.write_text(SMALL_CONFIG + "c = 1000.0\n")
-    code = main(["stability", "--config", str(path), "--out", str(tmp_path)])
+    code = main(["stability", "--config", str(path)])
     assert code == 2
     assert "mean-square stable: false" in capsys.readouterr().out
 
@@ -198,7 +198,8 @@ def test_one_sensor_network(tmp_path, capsys):
     path.write_text(SMALL_CONFIG.replace("topology.j = 5", "topology.j = 1"))
     for command in ("predict", "stability", "compare"):
         out = tmp_path / command
-        assert main([command, "--config", str(path), "--out", str(out)]) == 0, command
+        writes = [] if command == "stability" else ["--out", str(out)]
+        assert main([command, "--config", str(path), *writes]) == 0, command
         stdout = capsys.readouterr().out
         if command != "compare":
             assert "mean-stability bound on c: inf" in stdout
@@ -230,10 +231,42 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
     assert "unknown key" in err and "bad.cfg:1" in err
 
 
-def test_usage_error_exits_one(capsys):
+def test_unreadable_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# r\xe9seau\nT = 60\n".encode("latin-1"))
+    assert main(["predict", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert f"error: config file {path} is not UTF-8 text" in capsys.readouterr().err
+    assert main(["predict", "--config", str(tmp_path), "--out", str(tmp_path)]) == 1
+    assert f"error: cannot read config file {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "zero", "negative"])
+def test_unreadable_edge_list_exits_one(tmp_path, capsys, kind):
+    net = tmp_path / "net.txt"
+    if kind == "directory":
+        net.mkdir()
+    elif kind == "not-utf8":
+        net.write_bytes(b"\xff\xfe2\n0 1\n")
+    elif kind != "missing":
+        net.write_text({"zero": "0\n", "negative": "-1\n"}[kind])
+    path = tmp_path / "net.cfg"
+    path.write_text(f"topology.kind = edgelist\ntopology.path = {net}\n")
+    assert main(["predict", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if kind in ("zero", "negative"):
+        assert "need at least one sensor" in err
+    else:
+        assert str(net) in err
+
+
+def test_usage_error_exits_one(config_path, capsys):
     assert main([]) == 1
     assert main(["simulate"]) == 1   # --config is required
     capsys.readouterr()
+    # stability writes nothing, so it takes no output directory
+    assert main(["stability", "--config", config_path, "--out", "out"]) == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_divergent_run_exits_three(tmp_path, capsys):

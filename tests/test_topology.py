@@ -152,9 +152,14 @@ def test_random_geometric_parameter_validation():
         random_geometric(0, 0.5, seed=0)
     with pytest.raises(TopologyError):
         random_geometric(3, -1.0, seed=0)
+    with pytest.raises(TopologyError, match="radius must be positive"):
+        random_geometric(3, float("nan"), seed=0)
 
 
 def test_from_edges_validation():
+    for j in (0, -1):
+        with pytest.raises(TopologyError, match="need at least one sensor"):
+            from_edges(j, [])
     with pytest.raises(TopologyError, match="out of range"):
         from_edges(3, [(0, 3)])
     with pytest.raises(TopologyError, match="self-loop"):
