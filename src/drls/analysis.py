@@ -13,15 +13,14 @@ instantaneous link-noise feedthrough and beta2 = lap_scaled @ z2. The two
 transitions intertwine: bdiag(I, lap_scaled) @ inner = mean @ bdiag(I,
 lap_scaled).
 
-Link-noise bookkeeping uses transmitter-major directed-link supervectors:
-entry k concerns the broadcast from ``link_owner[k]`` as heard by
-``link_peer[k]`` (the reverse reading of the simulation's receiver-major
-rows; the permutation between the two is ``link_flip``). ``recv_mix``
-aggregates, per receiver, the noise on everything it hears; ``bcast_mix``
-aggregates, per transmitter, the noise on every reception of its own
-broadcast; both carry the c/4 weighting. Their difference lies in the
-range of ``lap_scaled``, and ``lifted_mix`` is the least-squares lift
-satisfying lap_scaled @ lifted_mix = bcast_mix - recv_mix.
+Link noise is stacked over the topology's directed-link table as the
+simulation draws it: entry k is the noise on what ``link_owner[k]`` hears
+from ``link_peer[k]``. ``recv_mix`` aggregates, per receiver, the noise on
+everything it hears; ``bcast_mix`` aggregates, per transmitter, the noise
+on every reception of its own broadcast; both carry the c/4 weighting.
+Their difference lies in the range of ``lap_scaled``, and ``lifted_mix`` is
+the least-squares lift satisfying lap_scaled @ lifted_mix = bcast_mix -
+recv_mix.
 
 Steady-state second moments are the fixed point R = A R A^T + F of the
 covariance recursion, a discrete Lyapunov equation, solved by doubling.
@@ -36,8 +35,7 @@ given.
 `write_metrics_csv` writes the metric tables of both the prediction and the
 simulation. It formats cells a block of rows at a time with a vectorised
 kernel whose bytes are the same as ``%`` gives; a row holding a cell the
-kernel cannot prove equal, and every row of a table too small to pay for
-the kernel, is formatted by ``%`` instead.
+kernel cannot prove equal is formatted by ``%`` instead.
 """
 
 from dataclasses import dataclass
@@ -63,9 +61,6 @@ _DB_FLOOR = 1e-300
 
 #: rows a metrics table formats at a time, which bounds the writer's memory
 _CSV_BLOCK_ROWS = 1024
-
-#: rows below which a table is cheaper to format by `%` than by the kernel
-_KERNEL_MIN_ROWS = 64
 
 #: largest |k| for which 10^k is one or two exact powers of ten
 _K_MAX = 44
@@ -200,11 +195,9 @@ def write_metrics_csv(path, labels, msd, emse, mse):
     with them, by a vectorised kernel (`_metric_cells`) whose bytes are
     what ``%`` prints. A row with a cell the kernel cannot prove, such as a
     zero, a subnormal or a near-tie, is formatted by ``%`` instead and
-    spliced in at its place; so is every row of a table too small to pay
-    for the kernel's set-up.
+    spliced in at its place.
     """
     row = ",".join(["%s"] * len(labels) + ["%.12e", "%.6f"] * 3) + "\n"
-    kernel = msd.size >= _KERNEL_MIN_ROWS
     flat = [np.ravel(a) for a in (msd, emse, mse)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([*labels, "msd_lin,msd_db,emse_lin,emse_db,mse_lin,mse_db"]) + "\n")
@@ -213,26 +206,20 @@ def write_metrics_csv(path, labels, msd, emse, mse):
             at = np.unravel_index(np.arange(lo, lo + n), msd.shape)
             lin = np.stack([f[lo:lo + n] for f in flat], axis=1)
             db = to_db(lin)
-            if kernel:
-                cells, proven = _metric_cells(lin, db)
-                bad = np.flatnonzero(~proven)
-            else:
-                bad = slice(None)
+            cells, proven = _metric_cells(lin, db)
+            bad = np.flatnonzero(~proven)
             names = [[axis[k] for k in i[bad].tolist()] for axis, i in zip(labels.values(), at)]
             values = np.stack([lin[bad], db[bad]], axis=2).reshape(-1, 6).T.tolist()
             lines = [row % cell for cell in zip(*names, *values)]
-            if kernel:
-                # each row left to `%` goes between the kernel's rows before and after it
-                text = np.concatenate(
-                    [_label_column(axis, i) for axis, i in zip(labels.values(), at)] + [cells],
-                    axis=1)
-                pieces, start = [], 0
-                for r, line in zip([*bad.tolist(), n], [*lines, ""]):
-                    part = text[start:r]
-                    pieces += [part[part != 0].tobytes().decode(), line]
-                    start = r + 1
-                lines = pieces
-            fh.writelines(lines)
+            # each row left to `%` goes between the kernel's rows before and after it
+            text = np.concatenate(
+                [_label_column(axis, i) for axis, i in zip(labels.values(), at)] + [cells],
+                axis=1)
+            start = 0
+            for r, line in zip([*bad.tolist(), n], [*lines, ""]):
+                part = text[start:r]
+                fh.write(part[part != 0].tobytes().decode() + line)
+                start = r + 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +247,7 @@ class AveragedSystem:
         (2Jp, 2Jp) transition of the fluctuation state z(t).
     recv_mix, bcast_mix : ndarray
         (Jp, Dp) per-receiver / per-transmitter link-noise aggregation
-        maps (transmitter-major columns, c/4 included).
+        maps (columns in link-table order, c/4 included).
     lifted_mix : ndarray
         (Jp, Dp) lift of bcast_mix - recv_mix through lap_scaled.
     data_input : ndarray
@@ -318,8 +305,8 @@ def build_averaged_system(topology, model, lam, c):
 
     # (J, D) one-hots of each link's receiver and transmitter, widened by c/4 I_p
     gain = c / 4.0 * np.eye(p)
-    recv_mix = np.kron(np.eye(j)[topology.link_peer].T, gain)
-    bcast_mix = np.kron(np.eye(j)[topology.link_owner].T, gain)
+    recv_mix = np.kron(np.eye(j)[topology.link_owner].T, gain)
+    bcast_mix = np.kron(np.eye(j)[topology.link_peer].T, gain)
 
     diff = bcast_mix - recv_mix
     lifted_mix = lap_pinv @ diff
@@ -451,9 +438,9 @@ class NoiseCovariances:
     """Driving-noise second moments of the fluctuation recursion.
 
     ``r_eps_inf`` is the stationary covariance of the per-sensor data
-    noise h_j eps_j accumulated with forgetting. ``r_eta`` is the
-    transmitter-major block diagonal of the per-receiver link-noise
-    covariances, ``r_eta_bar`` the per-sensor aggregate of the
+    noise h_j eps_j accumulated with forgetting. ``r_eta`` is the block
+    diagonal, in link-table order, of the covariance of the noise each link
+    owner hears, ``r_eta_bar`` the per-sensor aggregate of the
     multiplier-exchange noise ((deg_j / 4) R_eta_j).
     ``r_eta_lam`` / ``r_eta_bar_lam`` are both mapped into the fluctuation
     state, and ``feedthrough`` is the instantaneous link-noise covariance
@@ -479,8 +466,7 @@ def noise_covariances(system, model):
     lam = system.lam
 
     r_eps_inf = bdiag(model.rh * model.sigma2_eps[:, None, None]) / (1.0 - lam * lam)
-    # transmitter-major entry k is received by link_peer[k]
-    r_eta = bdiag(model.r_eta[top.link_peer])
+    r_eta = bdiag(model.r_eta[top.link_owner])
     r_eta_bar = bdiag((top.degrees / 4.0)[:, None, None] * model.r_eta)
     b = system.data_input
     g = system.link_input

@@ -10,17 +10,18 @@ realized by initializing the inverse at delta*I before any datum arrives.
   the distributed schemes try to match).
 * ``LocalRls`` runs an isolated RLS per sensor (no cooperation).
 * ``DrlsState`` is the single-time-scale distributed RLS: per step each
-  sensor broadcasts its estimate, updates one price/multiplier per
-  neighbor from the (possibly noise-corrupted) received estimates,
-  exchanges the multipliers, absorbs its new datum through a rank-one
-  inverse update, and re-solves for its estimate. One consensus iteration
-  per datum, O(p^2) per sensor per step.
+  sensor absorbs its new datum through a rank-one inverse update, then
+  runs one consensus round: it broadcasts its estimate, updates one
+  price/multiplier per neighbor from the (possibly noise-corrupted)
+  received estimates, exchanges the multipliers, and re-solves for its
+  estimate. O(p^2) per sensor per step.
 * ``AdmomState`` is the augmented-Lagrangian variant: same multiplier
   recursion, but the estimate update solves a dense p x p system whose
   matrix carries an extra c*deg_j*I term, O(p^3) per sensor per step.
-* ``drls_batch_ama`` freezes the data at one instant and iterates the
-  consensus rounds to convergence (the two-time-scale limit); with ideal
-  links it converges to the centralized solution for small enough c.
+* ``drls_batch_ama`` freezes the data at one instant and repeats the
+  ``DrlsState`` consensus round to convergence (the two-time-scale limit);
+  with ideal links it converges to the centralized solution for small
+  enough c.
 
 Per-link quantities follow the topology's directed-link table: row k of a
 (D, p) array belongs to ``link_owner[k]`` and concerns its neighbor
@@ -211,20 +212,25 @@ class DrlsState(_NetworkBase):
         )
 
     def step(self, h, x, eta=None, eta_bar=None):
-        """One time step: exchange at time t, absorb datum t+1, re-estimate.
+        """One time step: absorb datum t+1, then one consensus round.
 
         `h` (..., J, p) and `x` (..., J) are the new snapshot; `eta` /
         `eta_bar` are (..., D, p) receiver-noise arrays for the estimate and
         multiplier exchanges (None = ideal links).
         """
-        _, v_new, recv_v = self._exchange(eta, eta_bar)
         self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, x, self.lam)
-        agg = self._persensor_sum(v_new - recv_v)
-        self.s = _matvec(self.pinv, self.psi - 0.5 * agg)
-        self.v = v_new
+        self._consensus(eta, eta_bar)
         self.t += 1
         self.flops += self._step_flops
         return self
+
+    def _consensus(self, eta=None, eta_bar=None):
+        """Exchange the time-t estimates and multipliers, then re-solve the
+        estimates from the kernel state. The exchange reads neither `pinv`
+        nor `psi`, so it sees the same values before or after a datum."""
+        _, v_new, recv_v = self._exchange(eta, eta_bar)
+        self.s = _matvec(self.pinv, self.psi - 0.5 * self._persensor_sum(v_new - recv_v))
+        self.v = v_new
 
 
 class AdmomState(_NetworkBase):
@@ -319,7 +325,7 @@ class BatchConsensusResult:
 
 
 def drls_batch_ama(pinv, psi, topology, c, iters, tol=None):
-    """Iterate the consensus rounds with the data frozen.
+    """Repeat the ``DrlsState`` consensus round with the data frozen.
 
     `pinv` (J, p, p) and `psi` (J, p) are the per-sensor kernel states at
     the frozen instant; multipliers start at zero and the estimates at the
@@ -334,13 +340,12 @@ def drls_batch_ama(pinv, psi, topology, c, iters, tol=None):
         raise ValueError(f"iteration count must be >= 0, got {iters}")
     if c <= 0:
         raise ValueError(f"consensus step c must be positive, got {c}")
-    pinv = np.asarray(pinv, dtype=np.float64)
-    psi = np.asarray(psi, dtype=np.float64)
-    j, p = psi.shape
-    base = _matvec(pinv, psi)
-    s = base
-    v = np.zeros((topology.n_links, p))
-    owner, peer, flip = topology.link_owner, topology.link_peer, topology.link_flip
+    # lam and delta shape only kernel updates, which a frozen state never takes
+    state = DrlsState(topology, np.shape(psi)[-1], 1.0, c, 1.0)
+    state.pinv = np.asarray(pinv, dtype=np.float64)
+    state.psi = np.asarray(psi, dtype=np.float64)
+    state.s = _matvec(state.pinv, state.psi)
+    owner, peer = topology.link_owner, topology.link_peer
 
     def disagreement(est):
         if topology.n_links == 0:
@@ -348,16 +353,11 @@ def drls_batch_ama(pinv, psi, topology, c, iters, tol=None):
         return float(np.max(np.linalg.norm(est[owner] - est[peer], axis=1)))
 
     history = []
-    d = disagreement(s)
+    d = disagreement(state.s)
     k = 0
     for k in range(1, iters + 1):
-        v = v + 0.5 * c * (s[owner] - s[peer])
-        if topology.n_links:
-            agg = np.add.reduceat(v - v[flip], topology.link_start[:-1], axis=0)
-        else:
-            agg = np.zeros((j, p))
-        s = base - 0.5 * _matvec(pinv, agg)
-        d = disagreement(s)
+        state._consensus()
+        d = disagreement(state.s)
         history.append(d)
         if (
             k > WATCHDOG_WINDOW
@@ -371,5 +371,5 @@ def drls_batch_ama(pinv, psi, topology, c, iters, tol=None):
         if tol is not None and d <= tol:
             break
     return BatchConsensusResult(
-        s=s, iterations=k, disagreement=d, history=np.asarray(history)
+        s=state.s, iterations=k, disagreement=d, history=np.asarray(history)
     )

@@ -39,7 +39,7 @@ threads            must be 1; kept so that existing configs parse (1)
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,32 +68,38 @@ ALGORITHMS = {
 # configuration
 # ---------------------------------------------------------------------------
 
+def _key(key, default):
+    """A config field and the key that sets it in a config file."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, checked when it is built: an invalid one raises
-    ConfigError. ``dataclasses.replace`` builds a new config, so it checks too."""
+    ConfigError. ``dataclasses.replace`` builds a new config, so it checks too.
+    Each field's metadata names the config-file key that sets it."""
 
-    topology_kind: str = "geometric"
-    topology_j: int = 10
-    topology_radius: float = 0.45
-    topology_seed: int | None = None
-    topology_path: str | None = None
-    scenario_kind: str = "iid"
-    scenario_p: int | None = None
-    scenario_seed: int | None = None
-    scenario_sigma2_eta: float = 0.1
-    scenario_rh_scale: float = 1.0
-    scenario_eps_scale: float = 1.0
-    algorithm: str = "drls_ama"
-    lam: float = 0.95
-    c: float = 0.1
-    delta: float = 100.0
-    t_samples: int = 2000
-    runs: int = 100
-    burn_in: int | None = None
-    link_noise: bool = True
-    master_seed: int = 0
-    threads: int = 1
+    topology_kind: str = _key("topology.kind", "geometric")
+    topology_j: int = _key("topology.j", 10)
+    topology_radius: float = _key("topology.radius", 0.45)
+    topology_seed: int | None = _key("topology.seed", None)
+    topology_path: str | None = _key("topology.path", None)
+    scenario_kind: str = _key("scenario.kind", "iid")
+    scenario_p: int | None = _key("scenario.p", None)
+    scenario_seed: int | None = _key("scenario.seed", None)
+    scenario_sigma2_eta: float = _key("scenario.sigma2_eta", 0.1)
+    scenario_rh_scale: float = _key("scenario.rh_scale", 1.0)
+    scenario_eps_scale: float = _key("scenario.eps_scale", 1.0)
+    algorithm: str = _key("algorithm", "drls_ama")
+    lam: float = _key("lambda", 0.95)
+    c: float = _key("c", 0.1)
+    delta: float = _key("delta", 100.0)
+    t_samples: int = _key("T", 2000)
+    runs: int = _key("runs", 100)
+    burn_in: int | None = _key("burn_in", None)
+    link_noise: bool = _key("link_noise", True)
+    master_seed: int = _key("master_seed", 0)
+    threads: int = _key("threads", 1)
 
     @property
     def resolved_burn_in(self):
@@ -103,8 +109,8 @@ class ExperimentConfig:
         return self.t_samples - max(1, self.t_samples // 10)
 
     def __post_init__(self):
-        for key, (attr, _) in _KEY_TABLE.items():
-            value = getattr(self, attr)
+        for f in fields(self):
+            key, value = f.metadata["key"], getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
             if key.endswith("seed") and value is not None and value < 0:
@@ -147,56 +153,28 @@ class ExperimentConfig:
             )
 
 
-def _as_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {value!r}")
+def _convert(f, value):
+    """The text of a config value as its field's type: int, float, on/off or text."""
+    key = f.metadata["key"]
+    if f.type is bool:
+        if value not in ("on", "off"):
+            raise ConfigError(f"{key} expects on or off, got {value!r}")
+        return value == "on"
+    for number, noun in ((int, "an integer"), (float, "a number")):
+        if f.type in (number, number | None):
+            try:
+                return number(value)
+            except ValueError:
+                raise ConfigError(f"{key} expects {noun}, got {value!r}")
+    return value
 
 
-def _as_float(key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects a number, got {value!r}")
-
-
-def _as_switch(key, value):
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    raise ConfigError(f"{key} expects on or off, got {value!r}")
-
-
-_KEY_TABLE = {
-    "topology.kind": ("topology_kind", lambda k, v: v),
-    "topology.j": ("topology_j", _as_int),
-    "topology.radius": ("topology_radius", _as_float),
-    "topology.seed": ("topology_seed", _as_int),
-    "topology.path": ("topology_path", lambda k, v: v),
-    "scenario.kind": ("scenario_kind", lambda k, v: v),
-    "scenario.p": ("scenario_p", _as_int),
-    "scenario.seed": ("scenario_seed", _as_int),
-    "scenario.sigma2_eta": ("scenario_sigma2_eta", _as_float),
-    "scenario.rh_scale": ("scenario_rh_scale", _as_float),
-    "scenario.eps_scale": ("scenario_eps_scale", _as_float),
-    "algorithm": ("algorithm", lambda k, v: v),
-    "lambda": ("lam", _as_float),
-    "c": ("c", _as_float),
-    "delta": ("delta", _as_float),
-    "T": ("t_samples", _as_int),
-    "runs": ("runs", _as_int),
-    "burn_in": ("burn_in", _as_int),
-    "link_noise": ("link_noise", _as_switch),
-    "master_seed": ("master_seed", _as_int),
-    "threads": ("threads", _as_int),
-}
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text, source="<config>"):
     """Parse ``key = value`` lines into an ExperimentConfig."""
-    fields = {}
+    values = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         # '#' opens a comment at the start of a line or after whitespace only,
         # so a value such as a file path may contain one
@@ -207,13 +185,13 @@ def parse_config_text(text, source="<config>"):
             raise ConfigError(f"{source}:{ln}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_TABLE:
+        if key not in _FIELDS:
             raise ConfigError(f"{source}:{ln}: unknown key {key!r}")
-        attr, conv = _KEY_TABLE[key]
-        if attr in fields:
+        f = _FIELDS[key]
+        if f.name in values:
             raise ConfigError(f"{source}:{ln}: duplicate key {key!r}")
-        fields[attr] = conv(key, value)
-    return ExperimentConfig(**fields)
+        values[f.name] = _convert(f, value)
+    return ExperimentConfig(**values)
 
 
 def load_config(path, **overrides):
@@ -299,8 +277,9 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     chunk at a time; a chunk's metrics are taken once its steps are done. Run
     r draws from streams seeded with (master_seed, r) and metrics are summed
     over runs in run order, so each run's results are those it gives on its
-    own. Any run that loses finiteness aborts the ensemble with RunFailure
-    naming the lowest such run, the step and its first non-finite sensor.
+    own. Any run whose estimate or metrics lose finiteness aborts the
+    ensemble with RunFailure naming the step, the lowest such run, its first
+    non-finite sensor and what went non-finite there.
     """
     if topology is None:
         topology = build_topology(config)
@@ -323,19 +302,22 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
             for k in range(n):
                 traj[k + 1] = state.step(h[k], x[k], None if eta is None else eta[k],
                                          None if eta_bar is None else eta_bar[k]).s
-            finite = np.isfinite(traj[1:]).all(axis=-1)
-            if not finite.all():
-                step, run, sensor = np.argwhere(~finite)[0]
-                raise RunFailure(
-                    f"run {run} produced a non-finite estimate at step {start + step + 1}, "
-                    f"first at sensor {sensor}: the recursion diverged"
-                )
             post = traj[1:] - model.s0
             per_run = np.stack([
                 np.einsum("...ja,...ja->...j", post, post),
                 np.einsum("...ja,...ja->...j", h, traj[:-1] - model.s0) ** 2,
                 (x - np.einsum("...ja,...ja->...j", h, traj[:-1])) ** 2,
             ])
+            # (step, run, sensor, quantity), so the first is the earliest step
+            finite = np.stack([np.isfinite(traj[1:]).all(axis=-1), *np.isfinite(per_run)],
+                              axis=-1)
+            if not finite.all():
+                step, run, sensor, what = np.argwhere(~finite)[0]
+                raise RunFailure(
+                    f"run {run} produced a non-finite "
+                    f"{('estimate', 'MSD', 'EMSE', 'MSE')[what]} at step "
+                    f"{start + step + 1}, first at sensor {sensor}: the recursion diverged"
+                )
             totals[:, start:start + n] = _run_sum(per_run, axis=2)
             if collect_deviation:
                 deviation[:, start:start + n] = per_run[0].sum(axis=-1).T

@@ -268,7 +268,7 @@ class SnapshotStream:
             factors = np.stack([
                 _psd_factor(model.r_eta[k], f"r_eta[{k}]") for k in range(model.J)
             ])
-            # receiver of directed link k is its owner in the rx-major table
+            # what link k carries is heard by its owner
             self._eta_factor = factors[topology.link_owner]
 
     def _chunks(self, total):

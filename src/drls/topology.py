@@ -4,10 +4,12 @@ Ad hoc network topologies.
 A topology is an undirected, connected graph over sensors 0..J-1 with no
 self-loops. The communication pattern of the estimators is captured by a
 table of *directed links*: every undirected edge {i, j} contributes the two
-entries (i, j) and (j, i). The table is grouped by owner with peers in
-ascending order, which fixes the ordering of every stacked per-link
-quantity in the package (multipliers, receiver-noise vectors, the noise
-mixing matrices of the analysis module).
+entries (i, j) and (j, i). The table is the nonzero entries of the
+adjacency in row-major order, so it is grouped by owner with peers in
+ascending order. Row k of every stacked per-link quantity in the package
+(multipliers, receiver-noise vectors, the columns of the analysis
+module's noise mixing maps) is what ``link_owner[k]`` hears from
+``link_peer[k]``.
 
 Edge-list file format: first line is the sensor count J, then one line
 "i j" per undirected edge with 0 <= i < j < J.
@@ -27,14 +29,12 @@ class Topology:
         (J, J) symmetric 0/1 matrix with zero diagonal.
     positions : ndarray or None
         (J, 2) unit-square coordinates when geometric, else None.
-    neighbors : list of ndarray
-        Per-sensor neighbor ids, ascending.
     degrees : ndarray
         (J,) neighbor counts.
     link_owner, link_peer : ndarray
-        (D,) directed-link table, grouped by owner with peers ascending;
-        entry k is the link owned by `link_owner[k]` toward `link_peer[k]`.
-        D = sum of degrees = twice the edge count.
+        (D,) directed-link table, ``np.nonzero(adjacency)``: grouped by
+        owner with peers ascending, entry k is the link on which
+        `link_owner[k]` hears `link_peer[k]`. D = twice the edge count.
     link_start : ndarray
         (J+1,) segment offsets of each owner's group in the table.
     link_flip : ndarray
@@ -45,6 +45,8 @@ class Topology:
         a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise TopologyError(f"adjacency must be square, got shape {a.shape}")
+        if a.shape[0] < 1:
+            raise TopologyError("need at least one sensor, got J=0")
         if not np.isin(a, (0, 1)).all():
             raise TopologyError("adjacency entries must be 0 or 1")
         a = a.astype(np.int64)
@@ -56,15 +58,15 @@ class Topology:
         self.J = a.shape[0]
         self.positions = None if positions is None else np.asarray(positions, dtype=np.float64)
 
-        self.neighbors = [np.flatnonzero(a[j]) for j in range(self.J)]
-        self.degrees = a.sum(axis=1)
-        if not _is_connected(self.neighbors):
+        # sensors reachable from sensor 0, grown one hop at a time
+        reach, grown = None, np.arange(self.J) == 0
+        while not np.array_equal(reach, grown):
+            reach, grown = grown, grown | a[grown].any(axis=0)
+        if not reach.all():
             raise TopologyError("graph is not connected")
 
-        owner = np.repeat(np.arange(self.J), self.degrees)
-        peer = np.concatenate(self.neighbors)
-        self.link_owner = owner
-        self.link_peer = peer
+        self.degrees = a.sum(axis=1)
+        self.link_owner, self.link_peer = owner, peer = np.nonzero(a)
         self.link_start = np.concatenate(([0], np.cumsum(self.degrees)))
         # sorted by (peer, owner), entry k is the link (link_peer[k], link_owner[k])
         self.link_flip = np.lexsort((owner, peer))
@@ -73,22 +75,6 @@ class Topology:
     def edges(self):
         """Undirected edges as (i, j) pairs with i < j, sorted."""
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(self.adjacency)))]
-
-
-def _is_connected(neighbors):
-    j = len(neighbors)
-    if j == 1:
-        return True
-    seen = np.zeros(j, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for w in neighbors[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
 
 
 def from_positions(positions, radius):
@@ -205,4 +191,7 @@ def read_edge_list(path):
         if not a < b:
             raise TopologyError(f"{path}:{n}: edges must satisfy i < j, got ({a}, {b})")
         edges.append((a, b))
-    return from_edges(j, edges)
+    try:
+        return from_edges(j, edges)
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: {exc}") from exc

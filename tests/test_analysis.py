@@ -38,10 +38,11 @@ def test_pair_oracle_coupling_and_mixing():
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert_allclose(system.lap_scaled, 2.0 * lap)
     assert_allclose(system.rh_lam_inv, 0.05 * np.eye(2))
-    # c/4 = 1 here, so the mixing maps are bare selection matrices
-    assert_allclose(system.recv_mix, [[0.0, 1.0], [1.0, 0.0]])
-    assert_allclose(system.bcast_mix, np.eye(2))
-    assert_allclose(system.lifted_mix, lap / 4.0, atol=1e-12)
+    # c/4 = 1 here, so the mixing maps are bare selection matrices: link 0 is
+    # what sensor 0 hears from sensor 1, link 1 what sensor 1 hears from 0
+    assert_allclose(system.recv_mix, np.eye(2))
+    assert_allclose(system.bcast_mix, [[0.0, 1.0], [1.0, 0.0]])
+    assert_allclose(system.lifted_mix, -lap / 4.0, atol=1e-12)
 
 
 def test_pair_oracle_transitions():
@@ -99,32 +100,27 @@ def test_intertwining_identity():
 
 
 def test_mixing_maps_agree_with_per_receiver_sums():
-    """recv_mix/bcast_mix reproduce loop-computed noise aggregates.
-
-    The simulation hands receiver-major rows (row m = what link_owner[m]
-    hears); the analysis stacks transmitter-major supervectors. The flip
-    permutation converts between them.
-    """
+    """recv_mix/bcast_mix reproduce loop-computed noise aggregates of the
+    noise rows as the simulation draws them (row k = what link_owner[k]
+    hears from link_peer[k])."""
     top = random_geometric(7, 0.6, seed=4)
     p, c = 2, 0.4
     model = iid_scenario(top.J, p, seed=0)
     system = build_averaged_system(top, model, 0.95, c)
     rng = np.random.default_rng(0)
-    eta_rx = rng.standard_normal((top.n_links, p))
-    eta_tx = eta_rx[top.link_flip]
-    supervec = eta_tx.reshape(-1)
+    eta = rng.standard_normal((top.n_links, p))
 
-    heard = system.recv_mix @ supervec
-    echoed = system.bcast_mix @ supervec
+    heard = system.recv_mix @ eta.reshape(-1)
+    echoed = system.bcast_mix @ eta.reshape(-1)
     for j in range(top.J):
-        mine = slice(int(top.link_start[j]), int(top.link_start[j + 1]))
-        # everything sensor j hears, straight off the receiver-major rows
+        # everything sensor j hears
+        mine = [k for k in range(top.n_links) if top.link_owner[k] == j]
         assert_allclose(heard[j * p:(j + 1) * p],
-                        c / 4.0 * eta_rx[mine].sum(axis=0), atol=1e-12)
+                        c / 4.0 * eta[mine].sum(axis=0), atol=1e-12)
         # every corruption of sensor j's own broadcast
-        own = np.flatnonzero(top.link_peer == j)
+        own = [k for k in range(top.n_links) if top.link_peer[k] == j]
         assert_allclose(echoed[j * p:(j + 1) * p],
-                        c / 4.0 * eta_rx[own].sum(axis=0), atol=1e-12)
+                        c / 4.0 * eta[own].sum(axis=0), atol=1e-12)
 
 
 def test_lift_and_projector_residuals():
@@ -160,7 +156,7 @@ def test_noise_covariances_use_receiver_profiles():
     )
     system = build_averaged_system(top, model, 0.95, 0.1)
     noise = noise_covariances(system, model)
-    expected = np.diag([0.1 * (int(top.link_peer[k]) + 1)
+    expected = np.diag([0.1 * (int(top.link_owner[k]) + 1)
                         for k in range(top.n_links)])
     assert_allclose(noise.r_eta, expected)
     assert_allclose(np.diag(noise.r_eta_bar),
@@ -200,7 +196,7 @@ def test_per_sensor_blocks_follow_their_sensor():
         assert report.emse[k] == pytest.approx(np.trace(rh[k] @ r_y1_k), rel=1e-12)
         rh_inv[k * p:(k + 1) * p, k * p:(k + 1) * p] = np.linalg.inv(rh[k])
     for k in range(top.n_links):
-        assert_allclose(block(noise.r_eta, k), r_eta[top.link_peer[k]], rtol=0, atol=0)
+        assert_allclose(block(noise.r_eta, k), r_eta[top.link_owner[k]], rtol=0, atol=0)
     assert_allclose(report.mse, report.emse + model.sigma2_eps, rtol=1e-15)
     coupling = rh_inv @ np.kron(np.diag(top.degrees) - top.adjacency, np.eye(p))
     rho = np.max(np.abs(np.linalg.eigvals(coupling)))

@@ -240,7 +240,16 @@ def test_unreadable_config_exits_one(tmp_path, capsys):
     assert f"error: cannot read config file {tmp_path}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "zero", "negative"])
+_BAD_EDGE_LISTS = {
+    "zero": ("0\n", "need at least one sensor, got J=0"),
+    "negative": ("-1\n", "need at least one sensor, got J=-1"),
+    "out-of-range": ("3\n0 1\n0 5\n", "edge 1 = (0, 5) out of range for J=3"),
+    "duplicate": ("3\n0 1\n0 1\n1 2\n", "duplicate edge (0, 1)"),
+    "disconnected": ("4\n0 1\n2 3\n", "graph is not connected"),
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", *_BAD_EDGE_LISTS])
 def test_unreadable_edge_list_exits_one(tmp_path, capsys, kind):
     net = tmp_path / "net.txt"
     if kind == "directory":
@@ -248,16 +257,15 @@ def test_unreadable_edge_list_exits_one(tmp_path, capsys, kind):
     elif kind == "not-utf8":
         net.write_bytes(b"\xff\xfe2\n0 1\n")
     elif kind != "missing":
-        net.write_text({"zero": "0\n", "negative": "-1\n"}[kind])
+        net.write_text(_BAD_EDGE_LISTS[kind][0])
     path = tmp_path / "net.cfg"
     path.write_text(f"topology.kind = edgelist\ntopology.path = {net}\n")
     assert main(["predict", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if kind in ("zero", "negative"):
-        assert "need at least one sensor" in err
-    else:
-        assert str(net) in err
+    assert str(net) in err
+    if kind in _BAD_EDGE_LISTS:
+        assert err == f"error: {net}: {_BAD_EDGE_LISTS[kind][1]}\n"
 
 
 def test_usage_error_exits_one(config_path, capsys):
@@ -280,6 +288,19 @@ def test_divergent_run_exits_three(tmp_path, capsys):
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_overflowing_metric_exits_three_before_any_csv(tmp_path, capsys):
+    """Finite estimates whose squared error overflows fail the run: nothing
+    is written, rather than learning curves holding inf."""
+    path = tmp_path / "overflow.cfg"
+    path.write_text("c = 1e6\nT = 50\nruns = 2\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: run 1 produced a non-finite MSD at step 25, first at sensor 3: "
+        "the recursion diverged\n")
+    assert list(out.iterdir()) == []
 
 
 def test_config_seed_holds_without_the_flag(tmp_path):

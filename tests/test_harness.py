@@ -1,10 +1,12 @@
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drls import analysis, signals
+from drls import analysis, harness, signals
 from drls.analysis import SteadyStateReport, to_db
 from drls.errors import ConfigError, RunFailure
 from drls.harness import (
@@ -98,6 +100,17 @@ def test_parse_defaults():
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config_text(text, source="exp.cfg")
+
+
+def test_every_config_key_is_documented():
+    """The module docstring's key list and README's config table each name
+    every key of the config fields once, and nothing else."""
+    keys = sorted(f.metadata["key"] for f in fields(ExperimentConfig))
+    listed = harness.__doc__.split("Recognized keys (defaults in parentheses):")[1]
+    assert sorted(line.split()[0] for line in listed.strip().splitlines()) == keys
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Config keys\n")[1].split("\n## ")[0]
+    assert sorted(re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)) == keys
 
 
 def test_parse_errors_name_source_and_line():
@@ -317,14 +330,25 @@ def _pair_config(tmp_path, **kw):
 
 
 def test_run_failure_on_divergent_configuration(tmp_path, monkeypatch):
+    """The squared error overflows long before the estimate does, so the
+    MSD is what is named."""
     config = _pair_config(tmp_path, runs=1)   # c is far above the mean-stability bound
     for budget in (signals.DRAW_CHUNK_BYTES, 4096, 1):
         monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", budget)
-        with pytest.raises(RunFailure, match="run 0 .* step 121, first at sensor 0"):
+        with pytest.raises(RunFailure, match="run 0 .* MSD at step 58, first at sensor 0"):
             run_ensemble(config)
         # batched, the lowest run that fails at the first failing step is named
-        with pytest.raises(RunFailure, match="run 2 .* step 120, first at sensor 0"):
+        with pytest.raises(RunFailure, match="run 3 .* MSD at step 57, first at sensor 0"):
             run_ensemble(replace(config, runs=5))
+
+
+def test_run_failure_on_an_overflowing_metric():
+    """Estimates that stay finite can still square past the largest double:
+    the first non-finite metric fails the run, naming it."""
+    config = ExperimentConfig(c=1e6, t_samples=50, runs=2)
+    with pytest.raises(RunFailure, match="run 1 produced a non-finite MSD at step 25, "
+                                         "first at sensor 3"):
+        run_ensemble(config)
 
 
 @pytest.mark.parametrize("budget", [signals.DRAW_CHUNK_BYTES, 4096, 1])
@@ -333,13 +357,15 @@ def test_run_failure_names_the_first_failure_in_a_chunk(tmp_path, monkeypatch, a
                                                         budget):
     """Every algorithm loses finiteness at an infinite datum. The run, step
     and sensor are named wherever the step falls in a draw chunk, and the
-    steps the chunk takes after it raise nothing else (no solver error)."""
+    steps the chunk takes after it raise nothing else (no solver error).
+    The consensus step is a stable one, so the datum is the only failure."""
     monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", budget)
     _poison_regressor(monkeypatch, step=99, run=3, sensor=1)
     # the pooled estimate is every sensor's, so it fails first at sensor 0
     sensor = 0 if algorithm == "centralized" else 1
-    with pytest.raises(RunFailure, match=f"run 3 .* step 100, first at sensor {sensor}"):
-        run_ensemble(_pair_config(tmp_path, algorithm=algorithm, runs=5))
+    with pytest.raises(RunFailure, match=f"run 3 .* estimate at step 100, "
+                                         f"first at sensor {sensor}"):
+        run_ensemble(replace(_pair_config(tmp_path, algorithm=algorithm, runs=5), c=0.1))
 
 
 def test_steady_state_empirical():
@@ -449,7 +475,7 @@ def test_metric_tables_match_the_row_by_row_format(tmp_path):
     """All three metric tables write exactly the row-by-row bytes, across
     block edges and for the dB floor, a subnormal and a huge value, which
     the kernel leaves to ``%``: single rows, rows that open or close a
-    block, and whole blocks; and a table too small for the kernel."""
+    block, and whole blocks; and a prediction table of a few rows."""
     block = analysis._CSV_BLOCK_ROWS
     t_total, j = 2 * block + 5, 3     # neither T nor T*J is a multiple of the block
     rng = np.random.default_rng(5)
@@ -476,8 +502,8 @@ def test_metric_tables_match_the_row_by_row_format(tmp_path):
         for i in range(t_total) for k in range(j)))
     _assert_table(tmp_path / "per_sensor.csv", expected)
 
-    # the global row opens the second block; the smaller table takes `%` throughout
-    for sensors in (block + 1, analysis._KERNEL_MIN_ROWS - 2):
+    # the global row opens the second block; ten sensors make an 11-row table
+    for sensors in (block + 1, 10):
         pm, pe, ps = rng.lognormal(-6.0, 4.0, size=(3, sensors))
         pm[0], pe[1], ps[2] = 0.0, 1e-310, 1e300
         report = SteadyStateReport(rho=0.5, r_z=np.zeros((1, 1)), r_y1=np.zeros((1, 1)),

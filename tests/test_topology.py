@@ -21,6 +21,11 @@ def test_adjacency_must_be_square():
         Topology(np.zeros((2, 3)))
 
 
+def test_adjacency_must_have_a_sensor():
+    with pytest.raises(TopologyError, match="need at least one sensor, got J=0"):
+        Topology(np.zeros((0, 0), dtype=int))
+
+
 def test_adjacency_entries_must_be_binary():
     with pytest.raises(TopologyError, match="0 or 1"):
         Topology(np.array([[0, 2], [2, 0]]))
@@ -42,6 +47,17 @@ def test_disconnected_graph_rejected():
     adj[2, 3] = adj[3, 2] = 1
     with pytest.raises(TopologyError, match="not connected"):
         Topology(adj)
+
+
+def test_connectivity_follows_a_path_of_any_length():
+    """Reachability spreads one hop per sweep, so a path that visits the
+    sensors out of order is found connected end to end, and a ninth sensor
+    off the path is found unreached."""
+    order = [0, 7, 3, 6, 1, 5, 2, 4]
+    top = from_edges(8, [tuple(sorted(pair)) for pair in zip(order, order[1:])])
+    assert top.n_links == 14
+    with pytest.raises(TopologyError, match="not connected"):
+        from_edges(9, [tuple(sorted(pair)) for pair in zip(order, order[1:])])
 
 
 def test_single_sensor_is_a_valid_network():
@@ -70,13 +86,15 @@ def test_link_flip_is_an_involution():
 
 
 def test_neighbors_sorted_and_consistent_with_links():
+    """Each owner's segment of the link table lists its neighbors in the
+    adjacency, ascending, and the degrees count them."""
     top = random_geometric(7, 0.7, seed=5)
     for j in range(top.J):
-        nbrs = top.neighbors[j]
-        assert_array_equal(nbrs, np.sort(nbrs))
+        nbrs = [k for k in range(top.J) if top.adjacency[j, k]]
         lo, hi = top.link_start[j], top.link_start[j + 1]
         assert_array_equal(top.link_peer[lo:hi], nbrs)
         assert (top.link_owner[lo:hi] == j).all()
+        assert top.degrees[j] == len(nbrs)
 
 
 def test_path_laplacian_oracle():
@@ -193,6 +211,10 @@ def test_edge_list_accepts_comments_and_blanks(tmp_path):
         ("3\n0 1 2\n", "expected 'i j'"),
         ("3\n0 x\n", "integers"),
         ("3\n1 0\n", "i < j"),
+        ("0\n", "need at least one sensor"),
+        ("3\n0 1\n0 5\n", "out of range"),
+        ("3\n0 1\n0 1\n1 2\n", "duplicate edge"),
+        ("4\n0 1\n2 3\n", "not connected"),
     ],
 )
 def test_edge_list_parse_errors(tmp_path, content, fragment):
