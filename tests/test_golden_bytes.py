@@ -1,0 +1,82 @@
+"""
+The byte contract: the same config writes the same CSV bytes.
+
+Each case runs one small config through the CLI and compares the SHA-256 of
+every CSV it writes with a digest pinned here. The cases span both regressor
+kinds, links on and off, p = 1 and p = 5, and an algorithm with and without
+consensus. A digest that moves means an output byte moved: a change that
+means to move one says why in CHANGES.md before the digest is updated.
+"""
+
+import hashlib
+
+import pytest
+
+from drls.cli import main
+
+BASE = """
+topology.j = 6
+topology.radius = 0.7
+topology.seed = 2
+scenario.seed = 3
+T = 300
+runs = 4
+master_seed = 5
+"""
+
+# case name -> (command, config lines added to BASE, {csv name: sha256})
+CASES = {
+    "iid-p1-links-on-drls_ama": (
+        "simulate", "scenario.p = 1\nalgorithm = drls_ama\n", {
+            "global.csv": "86991e794d8608cc058cb29a9e65cf31fc40070b0942c9599138c51ce8e90041",
+            "per_sensor.csv": "255c60d7cdfe2f215acf52e69638d55842f628af8e488c876f1ee291b5fbbed2",
+        }),
+    "iid-p5-links-on-drls_ama": (
+        "simulate", "scenario.p = 5\nalgorithm = drls_ama\n", {
+            "global.csv": "d2fcaf17538bffd20d7a804e390c53b3435879dabeea2b86f5b21d3d131a23d7",
+            "per_sensor.csv": "80e111908e25be40cf3b0a6f10139aa8d9ccb504b08c5fb636b9f8e011eb104c",
+        }),
+    "iid-p5-links-off-local_rls": (
+        "simulate", "scenario.p = 5\nalgorithm = local_rls\nlink_noise = off\n", {
+            "global.csv": "389f75babbf49a415896302fa6743f8d2885d09b4840b860a31fbe6c1f19c222",
+            "per_sensor.csv": "2056c6c06137522b1f1cd494c8362abe3597a7408b82a387efb80ecdf4aefb10",
+        }),
+    "ar-links-on-drls_ama": (
+        "simulate", "scenario.kind = ar\nalgorithm = drls_ama\n", {
+            "global.csv": "767ae9c2130a95948a54cff53752ecb3af13ae2ab1dc4556069755717cc81c73",
+            "per_sensor.csv": "1238412a2b9691545a5c36e3cde5442cc52a9d535852f6beb1bdbb1369b75d4e",
+        }),
+    "ar-links-off-drls_ama": (
+        "simulate", "scenario.kind = ar\nalgorithm = drls_ama\nlink_noise = off\n", {
+            "global.csv": "5b77e8444677d988ef4257f4df9307f04238d95d6b5cc4f5c1d16e996f53c314",
+            "per_sensor.csv": "1c39af205e7550919ef5a7e84c9383f7b91f627ccca8ba7356ef0ed59d3e1cbe",
+        }),
+    "ar-links-on-local_rls": (
+        "simulate", "scenario.kind = ar\nalgorithm = local_rls\n", {
+            "global.csv": "ac5b85007cbffbcda5e4005ad25146599b8b59fe95e4b965c9e9384c1e6a5456",
+            "per_sensor.csv": "fddaeb1f8e0c304a4cb95f4511fa532a938f2a5f7fdb67987ca0cb54270f66fe",
+        }),
+    "iid-p2-predict": (
+        "predict", "scenario.p = 2\n", {
+            "prediction.csv": "883ffc9363abfc88cca3384878759f0c23daeb6b17cd11f46492dc445c20affc",
+        }),
+    "ar-predict": (
+        "predict", "scenario.kind = ar\n", {
+            "prediction.csv": "941ab43d182149751d13c1b016c70e7e7c9b3eb6d4ebdb7034226e327ed68883",
+        }),
+}
+
+
+def _digests(tmp_path, command, extra):
+    config = tmp_path / "case.cfg"
+    config.write_text(BASE + extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_csv_bytes_are_pinned(tmp_path, name):
+    command, extra, expected = CASES[name]
+    assert _digests(tmp_path, command, extra) == expected
