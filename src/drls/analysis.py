@@ -27,10 +27,11 @@ covariance recursion, a discrete Lyapunov equation, solved by doubling.
 Per-sensor and network MSD, EMSE and MSE come from the top-left block of
 that stationary covariance.
 
-The per-sensor blocks (R_hj, R_hj^{-1}, R_eta_j, and the per-sensor error
-covariances) are handled as (J, p, p) stacks, with no loop over sensors or
-links. The model checked them when it was built, so they are used here as
-given.
+The per-sensor blocks (R_hj, R_hj^{-1}, and the per-sensor error
+covariances) are handled as (J, p, p) stacks and the isotropic link noise
+(sigma2_eta_j I_p at receiver j) as diagonals, with no loop over sensors or
+links. The model checked its inputs when it was built, so they are used
+here as given.
 
 `write_metrics_csv` writes the metric tables of both the prediction and the
 simulation. It formats cells a block of rows at a time with a vectorised
@@ -438,10 +439,10 @@ class NoiseCovariances:
     """Driving-noise second moments of the fluctuation recursion.
 
     ``r_eps_inf`` is the stationary covariance of the per-sensor data
-    noise h_j eps_j accumulated with forgetting. ``r_eta`` is the block
-    diagonal, in link-table order, of the covariance of the noise each link
-    owner hears, ``r_eta_bar`` the per-sensor aggregate of the
-    multiplier-exchange noise ((deg_j / 4) R_eta_j).
+    noise h_j eps_j accumulated with forgetting. ``r_eta`` is the diagonal,
+    in link-table order, of the covariance sigma2_eta_j I_p of the noise each
+    link owner j hears, ``r_eta_bar`` the per-sensor aggregate of the
+    multiplier-exchange noise ((deg_j / 4) sigma2_eta_j I_p).
     ``r_eta_lam`` / ``r_eta_bar_lam`` are both mapped into the fluctuation
     state, and ``feedthrough`` is the instantaneous link-noise covariance
     that adds to the top-left block of the state covariance when reading
@@ -466,8 +467,8 @@ def noise_covariances(system, model):
     lam = system.lam
 
     r_eps_inf = bdiag(model.rh * model.sigma2_eps[:, None, None]) / (1.0 - lam * lam)
-    r_eta = bdiag(model.r_eta[top.link_owner])
-    r_eta_bar = bdiag((top.degrees / 4.0)[:, None, None] * model.r_eta)
+    r_eta = np.diag(np.repeat(model.sigma2_eta[top.link_owner], model.p))
+    r_eta_bar = np.diag(np.repeat((top.degrees / 4.0) * model.sigma2_eta, model.p))
     b = system.data_input
     g = system.link_input
     r_eta_bar_lam = b @ r_eta_bar @ b.T

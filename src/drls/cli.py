@@ -45,6 +45,7 @@ from .harness import (
     load_config,
     run_ensemble,
     steady_state_empirical,
+    step_size_warnings,
     write_global_csv,
     write_per_sensor_csv,
 )
@@ -95,7 +96,11 @@ def _cmd_gen_topology(args):
 def _cmd_simulate(args):
     config = _load(args)
     out = _outdir(args)
-    ensemble = run_ensemble(config)
+    topology = build_topology(config)
+    model = build_model(config, topology)
+    for warning in step_size_warnings(config, topology, model):
+        print(f"warning: {warning}", file=sys.stderr)
+    ensemble = run_ensemble(config, topology=topology, model=model)
     global_path = os.path.join(out, "global.csv")
     sensor_path = os.path.join(out, "per_sensor.csv")
     write_global_csv(ensemble.series, global_path)

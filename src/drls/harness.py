@@ -334,12 +334,11 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
 @dataclass(frozen=True)
 class TailStats:
     mean: float
-    std: float     # flatness diagnostic over the tail window
     window: int
 
 
 def steady_state_empirical(values, window):
-    """Mean and spread of the last `window` entries of a learning curve."""
+    """Mean of the last `window` entries of a learning curve."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError(f"expected a 1-D series, got shape {values.shape}")
@@ -348,7 +347,7 @@ def steady_state_empirical(values, window):
             f"tail window must lie in [1, {values.shape[0]}], got {window}"
         )
     tail = values[-window:]
-    return TailStats(mean=float(tail.mean()), std=float(tail.std()), window=window)
+    return TailStats(mean=float(tail.mean()), window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +397,18 @@ class ComparisonReport:
                 )
 
 
+def step_size_warnings(config, topology, model):
+    """Warnings on the consensus step: one if a drls_ama step is at or above
+    its mean-stability bound. Other algorithms have no such bound."""
+    if config.algorithm != "drls_ama":
+        return ()
+    bound = mean_stability_bound(topology, model, config.lam)
+    if config.c < bound:
+        return ()
+    return (f"consensus step c = {config.c} is at or above the mean-stability "
+            f"bound {bound:.6g}; the mean recursion may diverge",)
+
+
 def compare_theory(config, tol_db=1.0, topology=None, model=None,
                    ensemble=None):
     """Predict steady-state metrics and measure them from an ensemble.
@@ -421,13 +432,6 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
         model = build_model(config, topology)
 
     system = build_averaged_system(topology, model, config.lam, config.c)
-    warnings = []
-    bound = mean_stability_bound(topology, model, config.lam)
-    if config.c >= bound:
-        warnings.append(
-            f"consensus step c = {config.c} is at or above the mean-stability "
-            f"bound {bound:.6g}; the mean recursion may diverge"
-        )
     noise = noise_covariances(system, model)
     prediction = steady_state_solve(system, noise)
 
@@ -453,7 +457,7 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
                 empirical_db=float(to_db(emp_tail[k])),
             ))
     return ComparisonReport(
-        rows=tuple(rows), tol_db=tol_db, warnings=tuple(warnings),
+        rows=tuple(rows), tol_db=tol_db, warnings=step_size_warnings(config, topology, model),
         prediction=prediction, ensemble=ensemble,
     )
 

@@ -13,7 +13,7 @@ kinds are supported:
   stationary autocovariance (Toeplitz) so the analysis module can use it.
 
 Inter-sensor links add receiver-side noise with per-receiver covariance
-R_eta_j, applied to both the estimate exchange and the multiplier exchange
+sigma2_eta_j I_p, applied to both the estimate and the multiplier exchange
 (independent draws). Streams are deterministic per seed and keep one child
 generator per noise kind, scaled per sensor after the unit-variance draws,
 so changing one sensor's noise level or disabling a noise source perturbs
@@ -57,23 +57,14 @@ def _check_spd(m, name):
         raise ModelError(f"{name} is not positive definite")
 
 
-def _apply_factors(factors, z):
-    """Per-row factors (K, p, p) applied to draws z (..., K, p). The factors
-    are copied out to z's leading shape first: einsum over a broadcast
-    operand takes several times longer, for the same bits."""
-    full = np.broadcast_to(factors, z.shape + z.shape[-1:]).copy()
-    return np.einsum("...ab,...b->...a", full, z)
-
-
-def _psd_factor(m, name):
-    """Symmetric square root of a PSD matrix (handles exact zeros)."""
-    if not (np.isfinite(m).all() and np.allclose(m, m.T, atol=1e-12)):
-        raise ModelError(f"{name} must be finite and symmetric")
-    w, v = np.linalg.eigh(m)
-    floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
-    if (w < floor).any():
-        raise ModelError(f"{name} is not positive semidefinite")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+def _check_variances(v, j, name):
+    """Refuse anything but one finite variance >= 0 per sensor, naming the sensor."""
+    if np.shape(v) != (j,):
+        raise ModelError(f"{name} must have shape ({j},), one variance per sensor, "
+                         f"got {np.shape(v)}")
+    bad = np.flatnonzero(~(np.isfinite(v) & (v >= 0)))
+    if bad.size:
+        raise ModelError(f"{name} of sensor {bad[0]} must be finite and >= 0, got {v[bad[0]]}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +82,9 @@ class SensorEnsembleModel:
         stationary covariance for the AR kind).
     sigma2_eps : ndarray
         (J,) observation-noise variances.
-    r_eta : ndarray
-        (J, p, p) per-receiver link-noise covariances, used for both the
-        estimate and the multiplier exchange.
+    sigma2_eta : ndarray
+        (J,) link-noise variances: receiver j hears noise of covariance
+        sigma2_eta[j] * I_p on both the estimate and the multiplier exchange.
     regressor_kind : str
         One of ``iid_gaussian`` / ``ar1_shift``.
     ar_rho, ar_beta, ar_sigma2_omega
@@ -104,7 +95,7 @@ class SensorEnsembleModel:
     s0: np.ndarray
     rh: np.ndarray
     sigma2_eps: np.ndarray
-    r_eta: np.ndarray
+    sigma2_eta: np.ndarray
     regressor_kind: str
     ar_rho: float | None = None
     ar_beta: np.ndarray | None = None
@@ -124,13 +115,10 @@ class SensorEnsembleModel:
             raise ModelError(f"rh must have shape ({j}, {self.p}, {self.p})")
         if not np.isfinite(self.rh).all():
             raise ModelError("rh must be finite")
-        if self.r_eta.shape != (j, self.p, self.p):
-            raise ModelError(f"r_eta must have shape ({j}, {self.p}, {self.p})")
-        if not (np.isfinite(self.sigma2_eps) & (self.sigma2_eps >= 0)).all():
-            raise ModelError("observation-noise variances must be finite and >= 0")
+        _check_variances(self.sigma2_eps, j, "sigma2_eps")
+        _check_variances(self.sigma2_eta, j, "sigma2_eta")
         for k in range(j):
             _check_spd(self.rh[k], f"rh[{k}]")
-            _psd_factor(self.r_eta[k], f"r_eta[{k}]")
         if self.regressor_kind == "ar1_shift":
             if self.ar_rho is None or self.ar_beta is None or self.ar_sigma2_omega is None:
                 raise ModelError("ar1_shift needs ar_rho, ar_beta and ar_sigma2_omega")
@@ -150,8 +138,8 @@ class SensorEnsembleModel:
         return self.sigma2_eps.shape[0]
 
     def with_link_noise(self, enabled):
-        """Copy of the model with link noise kept or zeroed."""
-        return replace(self, r_eta=self.r_eta if enabled else np.zeros_like(self.r_eta))
+        """The model with link noise kept (itself) or zeroed (a copy)."""
+        return self if enabled else replace(self, sigma2_eta=np.zeros(self.J))
 
 
 def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=None, sigma2_eps=None):
@@ -164,7 +152,7 @@ def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=None, sigma2_eps=None):
     seed : int
         Spatial-profile seed (draws the default observation-noise profile).
     sigma2_eta : float
-        Link-noise variance; R_eta_j = sigma2_eta * I_p at every receiver.
+        Link-noise variance at every receiver.
     rh : None, float or ndarray
         None = identity covariance at every sensor; a float scales the
         identity; a (J, p, p) array is used as given.
@@ -184,10 +172,9 @@ def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=None, sigma2_eps=None):
         rh = np.broadcast_to(float(rh) * np.eye(p), (j, p, p)).copy()
     else:
         rh = np.asarray(rh, dtype=np.float64)
-    r_eta = np.broadcast_to(sigma2_eta * np.eye(p), (j, p, p)).copy()
     return SensorEnsembleModel(
-        p=p, s0=np.ones(p), rh=rh, sigma2_eps=eps, r_eta=r_eta,
-        regressor_kind="iid_gaussian",
+        p=p, s0=np.ones(p), rh=rh, sigma2_eps=eps,
+        sigma2_eta=np.full(j, float(sigma2_eta)), regressor_kind="iid_gaussian",
     )
 
 
@@ -198,7 +185,7 @@ def ar_scenario(j, seed, sigma2_eta=0.1):
     gamma, each U[0,1). Observation noise is 1e-3*alpha_j, the AR memory
     coefficient is beta_j with pole rho = 0.5, and the uniform driving
     noise has variance 2*gamma_j. Every receiver gets link-noise
-    covariance sigma2_eta * I_4.
+    variance sigma2_eta.
     """
     p = 4
     rho = 0.5
@@ -212,11 +199,10 @@ def ar_scenario(j, seed, sigma2_eta=0.1):
     rh = np.stack([
         ar_stationary_covariance(rho, beta[k], sigma2_omega[k], p) for k in range(j)
     ])
-    r_eta = np.broadcast_to(sigma2_eta * np.eye(p), (j, p, p)).copy()
     return SensorEnsembleModel(
-        p=p, s0=np.ones(p), rh=rh, sigma2_eps=1e-3 * alpha, r_eta=r_eta,
-        regressor_kind="ar1_shift", ar_rho=rho, ar_beta=beta,
-        ar_sigma2_omega=sigma2_omega,
+        p=p, s0=np.ones(p), rh=rh, sigma2_eps=1e-3 * alpha,
+        sigma2_eta=np.full(j, float(sigma2_eta)), regressor_kind="ar1_shift",
+        ar_rho=rho, ar_beta=beta, ar_sigma2_omega=sigma2_omega,
     )
 
 
@@ -259,17 +245,14 @@ class SnapshotStream:
             self._ar_a = (1.0 - model.ar_rho) * model.ar_beta
             self._ar_gain = np.sqrt(model.ar_rho)
             self._ar_sigma = np.sqrt(model.ar_sigma2_omega)
-            self._buf = np.zeros((self.runs, model.J, model.p))
+            # the scalar series' last p values, oldest first: (p, runs, J)
+            self._tail = np.zeros((model.p, self.runs, model.J))
             for n in self._chunks(max(AR_WARMUP_STEPS, model.p)):
                 self._regressors(n)
 
-        self.link_noise_active = bool(np.any(model.r_eta))
-        if self.link_noise_active:
-            factors = np.stack([
-                _psd_factor(model.r_eta[k], f"r_eta[{k}]") for k in range(model.J)
-            ])
-            # what link k carries is heard by its owner
-            self._eta_factor = factors[topology.link_owner]
+        self.link_noise_active = bool(np.any(model.sigma2_eta))
+        # what link k carries is heard by its owner
+        self._eta_sigma = np.sqrt(model.sigma2_eta)[topology.link_owner][:, None]
 
     def _chunks(self, total):
         """Step counts covering `total` steps, DRAW_CHUNK_BYTES per draw array."""
@@ -290,16 +273,20 @@ class SnapshotStream:
         """Regressors of the next `n` steps, (n, runs, J, p)."""
         m = self.model
         if m.regressor_kind == "iid_gaussian":
-            return _apply_factors(self._chol_rh, self._per_run(_REG, (n, m.J, m.p)))
+            z = self._per_run(_REG, (n, m.J, m.p))
+            # copied out: einsum over broadcast factors takes several times longer, same bits
+            full = np.broadcast_to(self._chol_rh, z.shape + (m.p,)).copy()
+            return np.einsum("...ab,...b->...a", full, z)
         omega = self._ar_sigma * self._per_run(_REG, (n, m.J), lambda g, out: np.copyto(
             out, g.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=out.shape)))
+        s = np.concatenate([self._tail, np.empty((n, self.runs, m.J))])
+        for k in range(m.p, m.p + n):
+            s[k] = self._ar_a * s[k - 1] + self._ar_gain * omega[k - m.p]
+        self._tail = s[n:]
+        # entry i of step k's regressor is the series i steps before step k
         h = np.empty((n, self.runs, m.J, m.p))
-        buf = self._buf
-        for k in range(n):
-            h[k, ..., 0] = self._ar_a * buf[..., 0] + self._ar_gain * omega[k]
-            h[k, ..., 1:] = buf[..., :-1]
-            buf = h[k]
-        self._buf = buf
+        for i in range(m.p):
+            h[..., i] = s[m.p - i:m.p - i + n]
         return h
 
     def draws(self, n):
@@ -317,8 +304,7 @@ class SnapshotStream:
         if not self.link_noise_active:
             return h, x, None, None
         shape = (n, self.topology.n_links, m.p)
-        return h, x, *(_apply_factors(self._eta_factor, self._per_run(kind, shape))
-                       for kind in (_ETA, _ETA_BAR))
+        return h, x, *(self._eta_sigma * self._per_run(kind, shape) for kind in (_ETA, _ETA_BAR))
 
     def chunks(self, total):
         """Yield the `draws` of the next `total` steps, one chunk at a time."""

@@ -149,11 +149,7 @@ def test_noise_covariances_use_receiver_profiles():
     receiving end of directed link k."""
     top = from_edges(3, [(0, 1), (1, 2)])
     model = iid_scenario(3, 1, seed=0)
-    r_eta = np.stack([(0.1 * (j + 1)) * np.eye(1) for j in range(3)])
-    model = SensorEnsembleModel(
-        p=1, s0=model.s0, rh=model.rh, sigma2_eps=model.sigma2_eps,
-        r_eta=r_eta, regressor_kind="iid_gaussian",
-    )
+    model = replace(model, sigma2_eta=0.1 * np.arange(1, 4))
     system = build_averaged_system(top, model, 0.95, 0.1)
     noise = noise_covariances(system, model)
     expected = np.diag([0.1 * (int(top.link_owner[k]) + 1)
@@ -165,17 +161,17 @@ def test_noise_covariances_use_receiver_profiles():
 
 def test_per_sensor_blocks_follow_their_sensor():
     """Every stacked block belongs to its own sensor or link: checked block
-    by block against a loop, with R_hj, noise levels, R_eta_j and degrees
-    that all differ between sensors."""
+    by block against a loop, with R_hj, noise levels, link-noise variances
+    and degrees that all differ between sensors."""
     top = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
     j, p, lam = top.J, 2, 0.9
     rng = np.random.default_rng(5)
     a = rng.standard_normal((j, p, p))
     rh = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(p)
-    r_eta = np.stack([(0.05 * (k + 1)) * np.eye(p) for k in range(j)])
+    sigma2_eta = 0.05 * np.arange(1, j + 1)
     model = SensorEnsembleModel(
         p=p, s0=np.ones(p), rh=rh, sigma2_eps=np.array([1e-3, 4e-3, 2e-3, 8e-3]),
-        r_eta=r_eta, regressor_kind="iid_gaussian",
+        sigma2_eta=sigma2_eta, regressor_kind="iid_gaussian",
     )
     system = build_averaged_system(top, model, lam, 0.1)
     noise = noise_covariances(system, model)
@@ -190,13 +186,15 @@ def test_per_sensor_blocks_follow_their_sensor():
         assert_allclose(block(system.rh_lam_inv, k), (1 - lam) * np.linalg.inv(rh[k]))
         assert_allclose(block(noise.r_eps_inf, k),
                         rh[k] * model.sigma2_eps[k] / (1 - lam * lam))
-        assert_allclose(block(noise.r_eta_bar, k), top.degrees[k] / 4.0 * r_eta[k])
+        assert_allclose(block(noise.r_eta_bar, k),
+                        top.degrees[k] / 4.0 * sigma2_eta[k] * np.eye(p))
         r_y1_k = block(report.r_y1, k)
         assert report.msd[k] == pytest.approx(np.trace(r_y1_k), rel=1e-12)
         assert report.emse[k] == pytest.approx(np.trace(rh[k] @ r_y1_k), rel=1e-12)
         rh_inv[k * p:(k + 1) * p, k * p:(k + 1) * p] = np.linalg.inv(rh[k])
     for k in range(top.n_links):
-        assert_allclose(block(noise.r_eta, k), r_eta[top.link_owner[k]], rtol=0, atol=0)
+        assert_allclose(block(noise.r_eta, k), sigma2_eta[top.link_owner[k]] * np.eye(p),
+                        rtol=0, atol=0)
     assert_allclose(report.mse, report.emse + model.sigma2_eps, rtol=1e-15)
     coupling = rh_inv @ np.kron(np.diag(top.degrees) - top.adjacency, np.eye(p))
     rho = np.max(np.abs(np.linalg.eigvals(coupling)))

@@ -290,6 +290,25 @@ def test_divergent_run_exits_three(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_simulate_warns_on_a_step_above_the_mean_stability_bound(tmp_path):
+    """A drls_ama run whose c is past the bound diverges yet stays finite:
+    simulate says so on stderr, exits 0, and leaks no numpy warning. Run
+    as a child process, so stderr is what a user sees."""
+    path = tmp_path / "fast.cfg"
+    path.write_text("topology.j = 6\ntopology.radius = 0.7\ntopology.seed = 3\n"
+                    "T = 80\nruns = 3\nc = 50\n")
+    src = os.path.dirname(os.path.dirname(drls.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "drls", "simulate", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("warning: consensus step c = 50.0 is at or above the "
+                                  "mean-stability bound "), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_overflowing_metric_exits_three_before_any_csv(tmp_path, capsys):
     """Finite estimates whose squared error overflows fail the run: nothing
     is written, rather than learning curves holding inf."""
@@ -298,6 +317,8 @@ def test_overflowing_metric_exits_three_before_any_csv(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
+        "warning: consensus step c = 1000000.0 is at or above the mean-stability bound "
+        "9.7377; the mean recursion may diverge\n"
         "error: run 1 produced a non-finite MSD at step 25, first at sensor 3: "
         "the recursion diverged\n")
     assert list(out.iterdir()) == []

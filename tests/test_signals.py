@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -39,7 +41,7 @@ def _tiny_model(**kw):
         s0=np.ones(2),
         rh=np.broadcast_to(np.eye(2), (3, 2, 2)).copy(),
         sigma2_eps=np.full(3, 1e-3),
-        r_eta=np.zeros((3, 2, 2)),
+        sigma2_eta=np.zeros(3),
         regressor_kind="iid_gaussian",
     )
     base.update(kw)
@@ -53,14 +55,18 @@ def test_model_validation():
         _tiny_model(s0=np.ones(3))
     with pytest.raises(ModelError, match="rh"):
         _tiny_model(rh=np.zeros((3, 2, 3)))
-    with pytest.raises(ModelError, match=">= 0"):
+    with pytest.raises(ModelError, match="sigma2_eps of sensor 1 .* >= 0"):
         _tiny_model(sigma2_eps=np.array([1e-3, -1e-3, 1e-3]))
-    with pytest.raises(ModelError, match="finite"):
+    with pytest.raises(ModelError, match="sigma2_eps of sensor 1 .*finite"):
         _tiny_model(sigma2_eps=np.array([1e-3, np.nan, 1e-3]))
-    with pytest.raises(ModelError, match="positive semidefinite"):
-        _tiny_model(r_eta=np.broadcast_to(-0.5 * np.eye(2), (3, 2, 2)).copy())
-    with pytest.raises(ModelError, match="finite and symmetric"):
-        _tiny_model(r_eta=np.full((3, 2, 2), np.nan))
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ModelError, match=f"sigma2_eta of sensor 2 must be "
+                                             f"finite and >= 0, got {bad}"):
+            _tiny_model(sigma2_eta=np.array([0.1, 0.0, bad]))
+    for shape in ((2,), (3, 2, 2)):
+        with pytest.raises(ModelError, match=r"sigma2_eta must have shape \(3,\), one "
+                                             r"variance per sensor"):
+            _tiny_model(sigma2_eta=np.zeros(shape))
     with pytest.raises(ModelError, match="positive definite"):
         _tiny_model(rh=np.zeros((3, 2, 2)))
     with pytest.raises(ModelError, match="ar1_shift needs"):
@@ -87,10 +93,11 @@ def test_model_validation():
 def test_with_link_noise_toggling():
     model = iid_scenario(4, 2, seed=0, sigma2_eta=0.25)
     ideal = model.with_link_noise(False)
-    assert_allclose(ideal.r_eta, 0.0)
+    assert_array_equal(model.sigma2_eta, np.full(4, 0.25))
+    assert_array_equal(ideal.sigma2_eta, np.zeros(4))
     assert_allclose(ideal.rh, model.rh)
     back = ideal.with_link_noise(True)   # stays zero; the profile is gone
-    assert_allclose(back.r_eta, 0.0)
+    assert_array_equal(back.sigma2_eta, np.zeros(4))
 
 
 def test_iid_scenario_defaults():
@@ -99,7 +106,7 @@ def test_iid_scenario_defaults():
     assert model.regressor_kind == "iid_gaussian"
     assert_allclose(model.s0, 1.0)
     assert_allclose(model.rh, np.broadcast_to(np.eye(3), (5, 3, 3)))
-    assert_allclose(model.r_eta, np.broadcast_to(0.1 * np.eye(3), (5, 3, 3)))
+    assert_array_equal(model.sigma2_eta, np.full(5, 0.1))
     assert (model.sigma2_eps < 1e-3).all() and (model.sigma2_eps >= 0).all()
     # the noise profile is the seed's uniform draw, deterministic
     again = iid_scenario(5, 3, seed=9)
@@ -110,7 +117,7 @@ def test_iid_scenario_scalar_overrides():
     model = iid_scenario(3, 2, seed=0, sigma2_eta=0.0, rh=4.0, sigma2_eps=0.5)
     assert_allclose(model.rh, np.broadcast_to(4.0 * np.eye(2), (3, 2, 2)))
     assert_allclose(model.sigma2_eps, 0.5)
-    assert_allclose(model.r_eta, 0.0)
+    assert_array_equal(model.sigma2_eta, np.zeros(3))
 
 
 def test_ar_scenario_profile():
@@ -207,12 +214,7 @@ def test_ar_sample_covariance_matches_stationary_model():
 def test_link_noise_layout_and_per_receiver_scale():
     """Row k of the noise is what link_owner[k] hears; its variance is the
     receiver's, not the transmitter's."""
-    r_eta = np.stack([(0.05 + 0.2 * j) * np.eye(2) for j in range(3)])
-    model = iid_scenario(3, 2, seed=0, rh=None)
-    model = SensorEnsembleModel(
-        p=2, s0=model.s0, rh=model.rh, sigma2_eps=model.sigma2_eps,
-        r_eta=r_eta, regressor_kind="iid_gaussian",
-    )
+    model = replace(iid_scenario(3, 2, seed=0), sigma2_eta=0.05 + 0.2 * np.arange(3))
     top = from_edges(3, [(0, 1), (1, 2)])
     stream = SnapshotStream(model, top, [4])
     n = 40_000
@@ -221,6 +223,22 @@ def test_link_noise_layout_and_per_receiver_scale():
         rx = int(top.link_owner[k])
         var = draws[:, k, :].var()
         assert var == pytest.approx(0.05 + 0.2 * rx, rel=0.05)
+
+
+def test_link_noise_is_the_unit_draw_scaled_by_the_receiver():
+    """On one seed, the draws at per-receiver variances are sqrt(var) of each
+    row's owner times the draws at variance 1, bit for bit; nothing else moves."""
+    top = random_geometric(5, 0.8, seed=2)
+    var = np.array([0.3, 0.0, 1e-300, 2.5, 0.07])
+    for unit in (iid_scenario(5, 3, seed=3, sigma2_eta=1.0),
+                 ar_scenario(5, seed=3, sigma2_eta=1.0)):
+        h1, x1, *noise1 = SnapshotStream(unit, top, [[7, r] for r in range(2)]).draws(6)
+        h, x, *noise = SnapshotStream(replace(unit, sigma2_eta=var), top,
+                                      [[7, r] for r in range(2)]).draws(6)
+        assert_array_equal(h, h1)
+        assert_array_equal(x, x1)
+        for drawn, at_one in zip(noise, noise1):
+            assert_array_equal(drawn, np.sqrt(var)[top.link_owner][:, None] * at_one)
 
 
 def test_estimate_and_multiplier_noise_are_independent():
