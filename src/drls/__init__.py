@@ -51,7 +51,6 @@ from .harness import (
     EnsembleResult,
     ExperimentConfig,
     MetricSeries,
-    TailStats,
     build_model,
     build_topology,
     compare_theory,

@@ -15,12 +15,11 @@ lap_scaled).
 
 Link noise is stacked over the topology's directed-link table as the
 simulation draws it: entry k is the noise on what ``link_owner[k]`` hears
-from ``link_peer[k]``. ``recv_mix`` aggregates, per receiver, the noise on
-everything it hears; ``bcast_mix`` aggregates, per transmitter, the noise
-on every reception of its own broadcast; both carry the c/4 weighting.
-Their difference lies in the range of ``lap_scaled``, and ``lifted_mix`` is
-the least-squares lift satisfying lap_scaled @ lifted_mix = bcast_mix -
-recv_mix.
+from ``link_peer[k]``. ``link_mix`` gives each sensor, with the c/4
+weighting, the noise on every reception of its own broadcast less the noise
+on everything it hears. It lies in the range of ``lap_scaled``, and
+``lifted_mix`` is the least-squares lift satisfying lap_scaled @ lifted_mix
+= link_mix.
 
 Steady-state second moments are the fixed point R = A R A^T + F of the
 covariance recursion, a discrete Lyapunov equation, solved by doubling.
@@ -28,10 +27,11 @@ Per-sensor and network MSD, EMSE and MSE come from the top-left block of
 that stationary covariance.
 
 The per-sensor blocks (R_hj, R_hj^{-1}, and the per-sensor error
-covariances) are handled as (J, p, p) stacks and the isotropic link noise
-(sigma2_eta_j I_p at receiver j) as diagonals, with no loop over sensors or
-links. The model checked its inputs when it was built, so they are used
-here as given.
+covariances) are handled as (J, p, p) stacks, with no loop over sensors or
+links. The link noise is isotropic (sigma2_eta_j I_p at receiver j), so its
+covariances are kept as vectors of variances, and a product with one is a
+scaling of columns. The model checked its inputs when it was built, so they
+are used here as given.
 
 `write_metrics_csv` writes the metric tables of both the prediction and the
 simulation. It formats cells a block of rows at a time with a vectorised
@@ -238,7 +238,7 @@ class AveragedSystem:
     lap_scaled : ndarray
         (Jp, Jp) consensus coupling (c/2) L (x) I_p.
     rh : ndarray
-        (Jp, Jp) block diagonal of the regressor covariances.
+        (J, p, p) stack of the regressor covariances R_hj.
     rh_lam_inv : ndarray
         (Jp, Jp) steady-state mean of the inverse data matrices,
         (1 - lam) * bdiag(R_hj^{-1}).
@@ -246,11 +246,12 @@ class AveragedSystem:
         (2Jp, 2Jp) transition of E[beta(t)].
     inner_transition : ndarray
         (2Jp, 2Jp) transition of the fluctuation state z(t).
-    recv_mix, bcast_mix : ndarray
-        (Jp, Dp) per-receiver / per-transmitter link-noise aggregation
-        maps (columns in link-table order, c/4 included).
+    link_mix : ndarray
+        (Jp, Dp) link-noise aggregation map, columns in link-table order and
+        c/4 included: row block j sums the noise on every reception of
+        sensor j's broadcast, less the noise on everything j hears.
     lifted_mix : ndarray
-        (Jp, Dp) lift of bcast_mix - recv_mix through lap_scaled.
+        (Jp, Dp) lift of link_mix through lap_scaled.
     data_input : ndarray
         (2Jp, Jp) injection of per-sensor data-noise vectors into z.
     link_input : ndarray
@@ -266,8 +267,7 @@ class AveragedSystem:
     rh_lam_inv: np.ndarray
     mean_transition: np.ndarray
     inner_transition: np.ndarray
-    recv_mix: np.ndarray
-    bcast_mix: np.ndarray
+    link_mix: np.ndarray
     lifted_mix: np.ndarray
     data_input: np.ndarray
     link_input: np.ndarray
@@ -279,7 +279,7 @@ def build_averaged_system(topology, model, lam, c):
     Requires lam < 1 (the averaged inverse data matrix must have a finite
     limit) and c > 0. Raises AssemblyError if the multiplier-mix lift
     leaves a residual above LIFT_RESIDUAL_LIMIT, which would mean the
-    link-noise aggregation maps fell outside the consensus range space.
+    link-noise aggregation map fell outside the consensus range space.
     """
     if model.J != topology.J:
         raise ModelError(f"model has {model.J} sensors but topology has {topology.J}")
@@ -294,7 +294,6 @@ def build_averaged_system(topology, model, lam, c):
     eye = np.eye(jp)
 
     lap = scaled_laplacian(topology, c, p)
-    rh = bdiag(model.rh)
     rh_lam_inv = (1.0 - lam) * bdiag(np.linalg.inv(model.rh))
 
     mean = np.block([[-rh_lam_inv @ lap, -rh_lam_inv], [lap, eye]])
@@ -304,14 +303,12 @@ def build_averaged_system(topology, model, lam, c):
         [[-rh_lam_inv @ lap, -rh_lam_inv @ lap], [lap_proj, lap_proj]]
     )
 
-    # (J, D) one-hots of each link's receiver and transmitter, widened by c/4 I_p
-    gain = c / 4.0 * np.eye(p)
-    recv_mix = np.kron(np.eye(j)[topology.link_owner].T, gain)
-    bcast_mix = np.kron(np.eye(j)[topology.link_peer].T, gain)
-
-    diff = bcast_mix - recv_mix
-    lifted_mix = lap_pinv @ diff
-    residual = float(np.linalg.norm(lap @ lifted_mix - diff))
+    # (J, D) one-hots of each link's transmitter less its receiver, widened by c/4 I_p
+    one_hot = np.eye(j)
+    link_mix = np.kron((one_hot[topology.link_peer] - one_hot[topology.link_owner]).T,
+                       c / 4.0 * np.eye(p))
+    lifted_mix = lap_pinv @ link_mix
+    residual = float(np.linalg.norm(lap @ lifted_mix - link_mix))
     if residual > LIFT_RESIDUAL_LIMIT:
         raise AssemblyError(
             f"link-noise aggregation is not liftable through the consensus "
@@ -319,12 +316,12 @@ def build_averaged_system(topology, model, lam, c):
         )
 
     data_input = np.vstack([rh_lam_inv, np.zeros((jp, jp))])
-    link_input = np.vstack([rh_lam_inv @ (recv_mix - bcast_mix), lifted_mix])
+    link_input = np.vstack([-rh_lam_inv @ link_mix, lifted_mix])
 
     return AveragedSystem(
-        topology=topology, p=p, lam=lam, c=c, lap_scaled=lap, rh=rh,
+        topology=topology, p=p, lam=lam, c=c, lap_scaled=lap, rh=model.rh,
         rh_lam_inv=rh_lam_inv, mean_transition=mean,
-        inner_transition=inner, recv_mix=recv_mix, bcast_mix=bcast_mix,
+        inner_transition=inner, link_mix=link_mix,
         lifted_mix=lifted_mix, data_input=data_input, link_input=link_input,
     )
 
@@ -439,14 +436,16 @@ class NoiseCovariances:
     """Driving-noise second moments of the fluctuation recursion.
 
     ``r_eps_inf`` is the stationary covariance of the per-sensor data
-    noise h_j eps_j accumulated with forgetting. ``r_eta`` is the diagonal,
-    in link-table order, of the covariance sigma2_eta_j I_p of the noise each
-    link owner j hears, ``r_eta_bar`` the per-sensor aggregate of the
-    multiplier-exchange noise ((deg_j / 4) sigma2_eta_j I_p).
-    ``r_eta_lam`` / ``r_eta_bar_lam`` are both mapped into the fluctuation
-    state, and ``feedthrough`` is the instantaneous link-noise covariance
-    that adds to the top-left block of the state covariance when reading
-    off estimation-error moments.
+    noise h_j eps_j accumulated with forgetting. The link noise is
+    isotropic, so its covariances are diagonal and kept as their diagonals:
+    ``r_eta`` (Dp,) holds, in link-table order, the variance sigma2_eta_j of
+    each entry of the noise each link owner j hears, and ``r_eta_bar``
+    (Jp,) the per-sensor aggregate of the multiplier-exchange noise,
+    (deg_j / 4) sigma2_eta_j per entry. ``r_eta_lam`` / ``r_eta_bar_lam``
+    are their (2Jp, 2Jp) covariances mapped into the fluctuation state, and
+    ``feedthrough`` is the instantaneous link-noise covariance that adds to
+    the top-left block of the state covariance when reading off
+    estimation-error moments.
     """
 
     lam: float
@@ -467,15 +466,16 @@ def noise_covariances(system, model):
     lam = system.lam
 
     r_eps_inf = bdiag(model.rh * model.sigma2_eps[:, None, None]) / (1.0 - lam * lam)
-    r_eta = np.diag(np.repeat(model.sigma2_eta[top.link_owner], model.p))
-    r_eta_bar = np.diag(np.repeat((top.degrees / 4.0) * model.sigma2_eta, model.p))
+    r_eta = np.repeat(model.sigma2_eta[top.link_owner], model.p)
+    r_eta_bar = np.repeat((top.degrees / 4.0) * model.sigma2_eta, model.p)
     b = system.data_input
     g = system.link_input
-    r_eta_bar_lam = b @ r_eta_bar @ b.T
-    r_eta_lam = g @ r_eta @ g.T
-    mix = system.recv_mix - system.bcast_mix
+    mix = system.link_mix
+    # the covariances are diagonal: a product with one scales columns
+    r_eta_bar_lam = (b * r_eta_bar) @ b.T
+    r_eta_lam = (g * r_eta) @ g.T
     feedthrough = system.rh_lam_inv @ (
-        r_eta_bar + mix @ r_eta @ mix.T
+        np.diag(r_eta_bar) + (mix * r_eta) @ mix.T
     ) @ system.rh_lam_inv
     return NoiseCovariances(
         lam=lam, sigma2_eps=np.array(model.sigma2_eps, dtype=np.float64),
@@ -533,9 +533,8 @@ def _metrics_from_error_covariance(system, noise, r_y1):
     at = np.arange(j)
     # (J, p, p) stacks of the per-sensor diagonal blocks
     blocks = r_y1.reshape(j, p, j, p)[at, :, at]
-    rh = system.rh.reshape(j, p, j, p)[at, :, at]
     msd = np.trace(blocks, axis1=1, axis2=2)
-    emse = np.trace(rh @ blocks, axis1=1, axis2=2)
+    emse = np.trace(system.rh @ blocks, axis1=1, axis2=2)
     return msd, emse, emse + noise.sigma2_eps
 
 

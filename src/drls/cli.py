@@ -93,13 +93,20 @@ def _cmd_gen_topology(args):
     return 0
 
 
-def _cmd_simulate(args):
-    config = _load(args)
-    out = _outdir(args)
+def _warned_setup(config):
+    """The network and model of a config, after printing its step-size
+    warnings on stderr, so they come before any work that may refuse."""
     topology = build_topology(config)
     model = build_model(config, topology)
     for warning in step_size_warnings(config, topology, model):
         print(f"warning: {warning}", file=sys.stderr)
+    return topology, model
+
+
+def _cmd_simulate(args):
+    config = _load(args)
+    out = _outdir(args)
+    topology, model = _warned_setup(config)
     ensemble = run_ensemble(config, topology=topology, model=model)
     global_path = os.path.join(out, "global.csv")
     sensor_path = os.path.join(out, "per_sensor.csv")
@@ -114,8 +121,7 @@ def _cmd_simulate(args):
         ("MSE", ensemble.series.mse_global),
     ):
         tail = steady_state_empirical(series, window)
-        print(f"steady-state {name}: {to_db(tail.mean):.3f} dB "
-              f"(tail of {tail.window} steps)")
+        print(f"steady-state {name}: {to_db(tail):.3f} dB (tail of {window} steps)")
     print(f"learning curves written to {global_path} and {sensor_path}")
     return 0
 
@@ -147,13 +153,12 @@ def _cmd_predict(args):
 def _cmd_compare(args):
     config = _load(args)
     out = _outdir(args)
-    report = compare_theory(config, tol_db=args.tol_db)
+    topology, model = _warned_setup(config)
+    report = compare_theory(config, tol_db=args.tol_db, topology=topology, model=model)
     comparison_path = os.path.join(out, "comparison.csv")
     report.to_csv(comparison_path)
     report.prediction.to_csv(os.path.join(out, "prediction.csv"))
     write_global_csv(report.ensemble.series, os.path.join(out, "global.csv"))
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     print("metric  scope   predicted_db  empirical_db  delta_db  pass")
     for row in report.global_rows:
         print(f"{row.metric:<7} {row.scope:<7} {row.predicted_db:>12.3f}  "

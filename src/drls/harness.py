@@ -20,7 +20,7 @@ topology.radius    connectivity radius for geometric (0.45)
 topology.seed      placement seed (master_seed)
 topology.path      edge-list file for edgelist
 scenario.kind      iid | ar (iid)
-scenario.p         regressor length, iid only; ar is fixed at 4 (2)
+scenario.p         regressor length >= 1, iid only; ar is fixed at 4 (2)
 scenario.seed      spatial-profile seed (master_seed)
 scenario.sigma2_eta link-noise variance at every receiver (0.1)
 scenario.rh_scale  scales the identity regressor covariance, iid only (1.0)
@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ConfigError("topology.kind = edgelist requires topology.path")
         if self.scenario_kind not in ("iid", "ar"):
             raise ConfigError(f"scenario.kind must be iid or ar, got {self.scenario_kind!r}")
+        if self.scenario_p is not None and self.scenario_p < 1:
+            raise ConfigError(f"scenario.p must be >= 1, got {self.scenario_p}")
         if self.scenario_sigma2_eta < 0:
             raise ConfigError(
                 f"scenario.sigma2_eta must be >= 0, got {self.scenario_sigma2_eta}"
@@ -331,23 +333,17 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     )
 
 
-@dataclass(frozen=True)
-class TailStats:
-    mean: float
-    window: int
-
-
 def steady_state_empirical(values, window):
-    """Mean of the last `window` entries of a learning curve."""
+    """Mean of the last `window` steps of a learning curve: a float for a
+    (T,) network curve, a (J,) array for (T, J) per-sensor curves."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError(f"expected a 1-D series, got shape {values.shape}")
+    if values.ndim not in (1, 2):
+        raise ValueError(f"expected a (T,) or (T, J) series, got shape {values.shape}")
     if not 1 <= window <= values.shape[0]:
         raise ValueError(
             f"tail window must lie in [1, {values.shape[0]}], got {window}"
         )
-    tail = values[-window:]
-    return TailStats(mean=float(tail.mean()), window=window)
+    return values[-window:].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +366,6 @@ class ComparisonRow:
 class ComparisonReport:
     rows: tuple
     tol_db: float
-    warnings: tuple
     prediction: object      # SteadyStateReport
     ensemble: EnsembleResult
 
@@ -417,8 +412,8 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
     model, so other algorithms are refused. So is a `tol_db` that is
     negative or not finite: no row can pass a negative or NaN tolerance,
     and every row passes an infinite one. Prediction instabilities raise
-    StabilityError before any simulation runs; a consensus step at or
-    above the mean-stability bound is reported as a warning.
+    StabilityError before any simulation runs. A step past the
+    mean-stability bound is the caller's to report (`step_size_warnings`).
     """
     if config.algorithm != "drls_ama":
         raise ConfigError(
@@ -443,8 +438,7 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
     rows = []
     for metric in ("msd", "emse", "mse"):
         pred_sensor = getattr(prediction, metric)
-        emp_series = getattr(series, metric)
-        emp_tail = emp_series[-window:, :].mean(axis=0)
+        emp_tail = steady_state_empirical(getattr(series, metric), window)
         rows.append(ComparisonRow(
             metric=metric, scope="global",
             predicted_db=float(to_db(pred_sensor.mean())),
@@ -457,8 +451,7 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
                 empirical_db=float(to_db(emp_tail[k])),
             ))
     return ComparisonReport(
-        rows=tuple(rows), tol_db=tol_db, warnings=step_size_warnings(config, topology, model),
-        prediction=prediction, ensemble=ensemble,
+        rows=tuple(rows), tol_db=tol_db, prediction=prediction, ensemble=ensemble,
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from drls import analysis
 from drls.analysis import (
@@ -20,7 +20,7 @@ from drls.analysis import (
     to_db,
 )
 from drls.errors import AssemblyError, DivergenceError, ModelError, StabilityError
-from drls.signals import SensorEnsembleModel, iid_scenario
+from drls.signals import SensorEnsembleModel, ar_scenario, iid_scenario
 from drls.topology import from_edges, random_geometric
 
 
@@ -38,10 +38,10 @@ def test_pair_oracle_coupling_and_mixing():
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert_allclose(system.lap_scaled, 2.0 * lap)
     assert_allclose(system.rh_lam_inv, 0.05 * np.eye(2))
-    # c/4 = 1 here, so the mixing maps are bare selection matrices: link 0 is
-    # what sensor 0 hears from sensor 1, link 1 what sensor 1 hears from 0
-    assert_allclose(system.recv_mix, np.eye(2))
-    assert_allclose(system.bcast_mix, [[0.0, 1.0], [1.0, 0.0]])
+    # c/4 = 1 here, so the mixing map is a bare signed selection: link 0 is
+    # what sensor 0 hears from sensor 1, link 1 what sensor 1 hears from 0,
+    # and each sensor gets its broadcast's corruption less what it hears
+    assert_allclose(system.link_mix, [[-1.0, 1.0], [1.0, -1.0]], rtol=0, atol=0)
     assert_allclose(system.lifted_mix, -lap / 4.0, atol=1e-12)
 
 
@@ -76,8 +76,8 @@ def test_pair_oracle_mean_eigenstructure():
 def test_pair_oracle_noise_covariances():
     top, model, system = _pair_system()
     noise = noise_covariances(system, model)
-    assert_allclose(noise.r_eta, 0.1 * np.eye(2))
-    assert_allclose(noise.r_eta_bar, 0.025 * np.eye(2))
+    assert_allclose(noise.r_eta, [0.1, 0.1])
+    assert_allclose(noise.r_eta_bar, [0.025, 0.025])
     assert_allclose(noise.r_eps_inf, 0.5 / (1 - 0.95 ** 2) * np.eye(2))
     expected_feed = 0.05 ** 2 * np.array([[0.225, -0.2], [-0.2, 0.225]])
     assert_allclose(noise.feedthrough, expected_feed, atol=1e-14)
@@ -100,9 +100,10 @@ def test_intertwining_identity():
 
 
 def test_mixing_maps_agree_with_per_receiver_sums():
-    """recv_mix/bcast_mix reproduce loop-computed noise aggregates of the
-    noise rows as the simulation draws them (row k = what link_owner[k]
-    hears from link_peer[k])."""
+    """link_mix reproduces loop-computed noise aggregates of the noise rows
+    as the simulation draws them (row k = what link_owner[k] hears from
+    link_peer[k]): every corruption of a sensor's own broadcast, less
+    everything it hears, so owner and peer are told apart."""
     top = random_geometric(7, 0.6, seed=4)
     p, c = 2, 0.4
     model = iid_scenario(top.J, p, seed=0)
@@ -110,25 +111,21 @@ def test_mixing_maps_agree_with_per_receiver_sums():
     rng = np.random.default_rng(0)
     eta = rng.standard_normal((top.n_links, p))
 
-    heard = system.recv_mix @ eta.reshape(-1)
-    echoed = system.bcast_mix @ eta.reshape(-1)
+    mixed = system.link_mix @ eta.reshape(-1)
     for j in range(top.J):
         # everything sensor j hears
         mine = [k for k in range(top.n_links) if top.link_owner[k] == j]
-        assert_allclose(heard[j * p:(j + 1) * p],
-                        c / 4.0 * eta[mine].sum(axis=0), atol=1e-12)
         # every corruption of sensor j's own broadcast
         own = [k for k in range(top.n_links) if top.link_peer[k] == j]
-        assert_allclose(echoed[j * p:(j + 1) * p],
-                        c / 4.0 * eta[own].sum(axis=0), atol=1e-12)
+        assert_allclose(mixed[j * p:(j + 1) * p],
+                        c / 4.0 * (eta[own].sum(axis=0) - eta[mine].sum(axis=0)), atol=1e-12)
 
 
 def test_lift_and_projector_residuals():
     top = random_geometric(8, 0.55, seed=2)
     model = iid_scenario(top.J, 2, seed=2)
     system = build_averaged_system(top, model, 0.95, 0.1)
-    diff = system.bcast_mix - system.recv_mix
-    assert np.linalg.norm(system.lap_scaled @ system.lifted_mix - diff) < 1e-10
+    assert np.linalg.norm(system.lap_scaled @ system.lifted_mix - system.link_mix) < 1e-10
     proj = system.inner_transition[top.J * 2:, :top.J * 2]
     assert np.linalg.norm(proj @ proj - proj) < 1e-10
 
@@ -152,11 +149,29 @@ def test_noise_covariances_use_receiver_profiles():
     model = replace(model, sigma2_eta=0.1 * np.arange(1, 4))
     system = build_averaged_system(top, model, 0.95, 0.1)
     noise = noise_covariances(system, model)
-    expected = np.diag([0.1 * (int(top.link_owner[k]) + 1)
-                        for k in range(top.n_links)])
+    expected = [0.1 * (int(top.link_owner[k]) + 1) for k in range(top.n_links)]
     assert_allclose(noise.r_eta, expected)
-    assert_allclose(np.diag(noise.r_eta_bar),
+    assert_allclose(noise.r_eta_bar,
                     [d / 4.0 * 0.1 * (j + 1) for j, d in enumerate(top.degrees)])
+
+
+@pytest.mark.parametrize("top, model", [
+    (random_geometric(7, 0.6, seed=4), iid_scenario(7, 2, seed=1)),
+    (random_geometric(6, 1.5, seed=1), ar_scenario(6, seed=2).with_link_noise(False)),
+], ids=["iid-links-on", "ar-complete-links-off"])
+def test_noise_covariances_match_the_dense_diagonal_formulas(top, model):
+    """The variance vectors stand for diagonal covariances: each product
+    with one equals the product with the dense diagonal, bit for bit."""
+    system = build_averaged_system(top, model, 0.95, 0.1)
+    noise = noise_covariances(system, model)
+    assert noise.r_eta.shape == (top.n_links * model.p,)
+    assert noise.r_eta_bar.shape == (top.J * model.p,)
+    r_eta, r_eta_bar = np.diag(noise.r_eta), np.diag(noise.r_eta_bar)
+    b, g, mix = system.data_input, system.link_input, system.link_mix
+    assert_array_equal(noise.r_eta_lam, g @ r_eta @ g.T)
+    assert_array_equal(noise.r_eta_bar_lam, b @ r_eta_bar @ b.T)
+    assert_array_equal(noise.feedthrough,
+                       system.rh_lam_inv @ (r_eta_bar + mix @ r_eta @ mix.T) @ system.rh_lam_inv)
 
 
 def test_per_sensor_blocks_follow_their_sensor():
@@ -180,20 +195,23 @@ def test_per_sensor_blocks_follow_their_sensor():
     def block(m, k):
         return m[k * p:(k + 1) * p, k * p:(k + 1) * p]
 
+    def entries(v, k):
+        return v[k * p:(k + 1) * p]
+
     rh_inv = np.zeros((j * p, j * p))
     for k in range(j):
-        assert_allclose(block(system.rh, k), rh[k], rtol=0, atol=0)
+        assert_allclose(system.rh[k], rh[k], rtol=0, atol=0)
         assert_allclose(block(system.rh_lam_inv, k), (1 - lam) * np.linalg.inv(rh[k]))
         assert_allclose(block(noise.r_eps_inf, k),
                         rh[k] * model.sigma2_eps[k] / (1 - lam * lam))
-        assert_allclose(block(noise.r_eta_bar, k),
-                        top.degrees[k] / 4.0 * sigma2_eta[k] * np.eye(p))
+        assert_allclose(entries(noise.r_eta_bar, k),
+                        np.full(p, top.degrees[k] / 4.0 * sigma2_eta[k]))
         r_y1_k = block(report.r_y1, k)
         assert report.msd[k] == pytest.approx(np.trace(r_y1_k), rel=1e-12)
         assert report.emse[k] == pytest.approx(np.trace(rh[k] @ r_y1_k), rel=1e-12)
         rh_inv[k * p:(k + 1) * p, k * p:(k + 1) * p] = np.linalg.inv(rh[k])
     for k in range(top.n_links):
-        assert_allclose(block(noise.r_eta, k), sigma2_eta[top.link_owner[k]] * np.eye(p),
+        assert_allclose(entries(noise.r_eta, k), np.full(p, sigma2_eta[top.link_owner[k]]),
                         rtol=0, atol=0)
     assert_allclose(report.mse, report.emse + model.sigma2_eps, rtol=1e-15)
     coupling = rh_inv @ np.kron(np.diag(top.degrees) - top.adjacency, np.eye(p))

@@ -309,6 +309,25 @@ def test_simulate_warns_on_a_step_above_the_mean_stability_bound(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_compare_warns_before_a_refused_prediction(tmp_path, capsys):
+    """compare says c is past the mean-stability bound before any work, so
+    the warning stands even when the prediction then refuses the config."""
+    path = tmp_path / "slow.cfg"
+    path.write_text("lambda = 0.99\nscenario.rh_scale = 1e-6\nc = 0.1\nT = 50\nruns = 2\n")
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    warning, error = capsys.readouterr().err.splitlines()
+    assert warning == ("warning: consensus step c = 0.1 is at or above the mean-stability "
+                       "bound 4.86885e-05; the mean recursion may diverge")
+    assert error.startswith("error: error dynamics are not mean-square stable")
+
+
+def test_regressor_length_below_one_exits_one(tmp_path, capsys):
+    path = tmp_path / "short.cfg"
+    path.write_text(SMALL_CONFIG.replace("scenario.p = 2", "scenario.p = -1"))
+    assert main(["predict", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: scenario.p must be >= 1, got -1\n"
+
+
 def test_overflowing_metric_exits_three_before_any_csv(tmp_path, capsys):
     """Finite estimates whose squared error overflows fail the run: nothing
     is written, rather than learning curves holding inf."""

@@ -3,9 +3,10 @@ The byte contract: the same config writes the same CSV bytes.
 
 Each case runs one small config through the CLI and compares the SHA-256 of
 every CSV it writes with a digest pinned here. The cases span both regressor
-kinds, links on and off, p = 1 and p = 5, and an algorithm with and without
-consensus. A digest that moves means an output byte moved: a change that
-means to move one says why in CHANGES.md before the digest is updated.
+kinds, links on and off, p = 1 and p = 5, an algorithm with and without
+consensus, a complete graph, and every table `compare` writes. A digest that
+moves means an output byte moved: a change that means to move one says why
+in CHANGES.md before the digest is updated.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ runs = 4
 master_seed = 5
 """
 
-# case name -> (command, config lines added to BASE, {csv name: sha256})
+# case name -> (command, config lines that add to or override BASE, {csv name: sha256})
 CASES = {
     "iid-p1-links-on-drls_ama": (
         "simulate", "scenario.p = 1\nalgorithm = drls_ama\n", {
@@ -64,12 +65,27 @@ CASES = {
         "predict", "scenario.kind = ar\n", {
             "prediction.csv": "941ab43d182149751d13c1b016c70e7e7c9b3eb6d4ebdb7034226e327ed68883",
         }),
+    "iid-p2-links-off-predict": (
+        "predict", "scenario.p = 2\nlink_noise = off\n", {
+            "prediction.csv": "10b37010b65d420357fcad60cf0dac256c0e2bb5993c59bed9e38bb2938cfcda",
+        }),
+    "complete-p5-predict": (
+        "predict", "topology.radius = 1.5\nscenario.p = 5\n", {
+            "prediction.csv": "e9a1573f4d628bbbadfe91522c03b3f46d2b1522c978db7760a7f1a083a96303",
+        }),
+    "iid-p2-compare": (
+        "compare", "scenario.p = 2\ndelta = 0.01\n", {
+            "comparison.csv": "8ad20c031016f5b4c7005d5e8d73ee75046ab5010acf3316444ca14c9cb31921",
+            "global.csv": "d0b389f8f152e0fa19558b5bbc55d351c95372c51a7455f815a988b19f5c8479",
+            "prediction.csv": "883ffc9363abfc88cca3384878759f0c23daeb6b17cd11f46492dc445c20affc",
+        }),
 }
 
 
 def _digests(tmp_path, command, extra):
+    keys = dict(line.split(" = ") for line in (BASE + extra).splitlines() if line)
     config = tmp_path / "case.cfg"
-    config.write_text(BASE + extra)
+    config.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 0
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()

@@ -157,6 +157,9 @@ def test_hash_opens_a_comment_only_after_whitespace(tmp_path):
         (dict(master_seed=-1), "master_seed must be >= 0"),
         (dict(topology_seed=-1), "topology.seed must be >= 0"),
         (dict(scenario_seed=-2), "scenario.seed must be >= 0"),
+        (dict(scenario_p=-1), r"scenario.p must be >= 1, got -1"),
+        (dict(scenario_p=0), r"scenario.p must be >= 1, got 0"),
+        (dict(scenario_kind="ar", scenario_p=0), r"scenario.p must be >= 1, got 0"),
     ],
 )
 def test_validate_errors(kw, fragment):
@@ -370,13 +373,17 @@ def test_run_failure_names_the_first_failure_in_a_chunk(tmp_path, monkeypatch, a
 
 
 def test_steady_state_empirical():
-    stats = steady_state_empirical(np.array([9.0, 1.0, 3.0]), window=2)
-    assert stats.mean == pytest.approx(2.0)
-    assert stats.window == 2
+    assert steady_state_empirical(np.array([9.0, 1.0, 3.0]), window=2) == pytest.approx(2.0)
+    per_sensor = np.array([[9.0, 0.0], [1.0, 4.0], [3.0, 8.0]])
+    tail = steady_state_empirical(per_sensor, window=2)
+    assert tail.shape == (2,)
+    assert_allclose(tail, [2.0, 6.0], rtol=0, atol=0)
     with pytest.raises(ValueError, match="window"):
         steady_state_empirical(np.zeros(3), window=4)
-    with pytest.raises(ValueError, match="1-D"):
-        steady_state_empirical(np.zeros((3, 2)), window=2)
+    with pytest.raises(ValueError, match="window"):
+        steady_state_empirical(np.zeros((3, 2)), window=0)
+    with pytest.raises(ValueError, match=r"\(T,\) or \(T, J\)"):
+        steady_state_empirical(np.zeros((3, 2, 2)), window=2)
 
 
 # ---------------------------------------------------------------------------
