@@ -21,7 +21,6 @@ import os
 import sys
 
 from .analysis import (
-    build_averaged_system,
     check_mean_stability,
     check_mse_stability,
     mean_stability_bound,
@@ -39,6 +38,7 @@ from .errors import (
     TopologyError,
 )
 from .harness import (
+    averaged_system,
     build_model,
     build_topology,
     compare_theory,
@@ -129,8 +129,7 @@ def _cmd_simulate(args):
 def _prediction_pipeline(config):
     topology = build_topology(config)
     model = build_model(config, topology)
-    system = build_averaged_system(topology, model, config.lam, config.c)
-    return topology, model, system
+    return topology, model, averaged_system(config, topology, model)
 
 
 def _cmd_predict(args):

@@ -106,7 +106,7 @@ def ewlse_centralized(regressors, observations, lam, phi0):
 
 
 # ---------------------------------------------------------------------------
-# flop cost model (documented analytic counts, incremented at runtime)
+# flop cost model (analytic counts; each estimator keeps its per-step total)
 # ---------------------------------------------------------------------------
 
 def ama_step_flops(p, degree):
@@ -165,9 +165,6 @@ class _NetworkBase:
         self.c = c
         self.s = np.zeros((topology.J, p))
         self.v = np.zeros((topology.n_links, p))
-        self.t = 0
-        self.flops = 0
-        self.delta = delta
 
     def _exchange(self, eta, eta_bar):
         """Multiplier recursion from broadcast estimates; returns what each
@@ -207,9 +204,7 @@ class DrlsState(_NetworkBase):
         super().__init__(topology, p, lam, c, delta)
         self.pinv = np.broadcast_to(delta * np.eye(p), (topology.J, p, p)).copy()
         self.psi = np.zeros((topology.J, p))
-        self._step_flops = int(
-            sum(ama_step_flops(p, int(d)) for d in topology.degrees)
-        )
+        self.step_flops = sum(ama_step_flops(p, int(d)) for d in topology.degrees)
 
     def step(self, h, x, eta=None, eta_bar=None):
         """One time step: absorb datum t+1, then one consensus round.
@@ -220,8 +215,6 @@ class DrlsState(_NetworkBase):
         """
         self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, x, self.lam)
         self._consensus(eta, eta_bar)
-        self.t += 1
-        self.flops += self._step_flops
         return self
 
     def _consensus(self, eta=None, eta_bar=None):
@@ -245,9 +238,7 @@ class AdmomState(_NetworkBase):
         self.phi = np.broadcast_to(np.eye(p) / delta, (topology.J, p, p)).copy()
         self.psi = np.zeros((topology.J, p))
         self._ridge = c * self.topology.degrees[:, None, None] * np.eye(p)
-        self._step_flops = int(
-            sum(admom_step_flops(p, int(d)) for d in topology.degrees)
-        )
+        self.step_flops = sum(admom_step_flops(p, int(d)) for d in topology.degrees)
 
     def step(self, h, x, eta=None, eta_bar=None):
         top = self.topology
@@ -259,8 +250,6 @@ class AdmomState(_NetworkBase):
         rhs = self.psi + 0.5 * self.c * nbr - 0.5 * self._persensor_sum(v_new - recv_v)
         self.s = np.linalg.solve(self.phi + self._ridge, rhs[..., None])[..., 0]
         self.v = v_new
-        self.t += 1
-        self.flops += self._step_flops
         return self
 
 
@@ -271,13 +260,11 @@ class LocalRls(DrlsState):
     def __init__(self, topology, p, lam, c, delta):
         super().__init__(topology, p, lam, c, delta)
         # the AMA step without neighbors: kernel update and estimate only
-        self._step_flops = topology.J * ama_step_flops(p, 0)
+        self.step_flops = topology.J * ama_step_flops(p, 0)
 
     def step(self, h, x, eta=None, eta_bar=None):
         self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, x, self.lam)
         self.s = _matvec(self.pinv, self.psi)
-        self.t += 1
-        self.flops += self._step_flops
         return self
 
 
@@ -289,13 +276,10 @@ class CentralizedRls:
         self.topology = topology
         self.p = p
         self.lam = lam
-        self.delta = delta
         self.phi = (topology.J / delta) * np.eye(p)
         self.psi_c = np.zeros(p)
         self.s_c = np.zeros(p)
-        self.t = 0
-        self.flops = 0
-        self._step_flops = centralized_step_flops(p, topology.J)
+        self.step_flops = centralized_step_flops(p, topology.J)
 
     @property
     def s(self):
@@ -307,8 +291,6 @@ class CentralizedRls:
         self.phi = self.lam * self.phi + h_t @ h
         self.psi_c = self.lam * self.psi_c + (h_t @ x[..., None])[..., 0]
         self.s_c = np.linalg.solve(self.phi, self.psi_c[..., None])[..., 0]
-        self.t += 1
-        self.flops += self._step_flops
         return self
 
 

@@ -329,7 +329,7 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     return EnsembleResult(
         series=MetricSeries(msd=msd, emse=emse, mse=mse, runs=runs),
         final_estimate_mean=_run_sum(state.s) / float(runs),
-        network_deviation=deviation, flops_per_run=state.flops,
+        network_deviation=deviation, flops_per_run=config.t_samples * state.step_flops,
     )
 
 
@@ -392,6 +392,16 @@ class ComparisonReport:
                 )
 
 
+def averaged_system(config, topology, model):
+    """The averaged error system of a config: the one gate to the model,
+    which covers the single-time-scale AMA recursion only."""
+    if config.algorithm != "drls_ama":
+        raise ConfigError(
+            f"the averaged error model covers algorithm drls_ama only, got {config.algorithm!r}"
+        )
+    return build_averaged_system(topology, model, config.lam, config.c)
+
+
 def step_size_warnings(config, topology, model):
     """Warnings on the consensus step: one if a drls_ama step is at or above
     its mean-stability bound. Other algorithms have no such bound."""
@@ -409,16 +419,13 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
     """Predict steady-state metrics and measure them from an ensemble.
 
     Only the single-time-scale AMA recursion has a matching analytical
-    model, so other algorithms are refused. So is a `tol_db` that is
-    negative or not finite: no row can pass a negative or NaN tolerance,
-    and every row passes an infinite one. Prediction instabilities raise
-    StabilityError before any simulation runs. A step past the
-    mean-stability bound is the caller's to report (`step_size_warnings`).
+    model, so other algorithms are refused (`averaged_system`). So is a
+    `tol_db` that is negative or not finite: no row can pass a negative or
+    NaN tolerance, and every row passes an infinite one. Prediction
+    instabilities raise StabilityError before any simulation runs. A step
+    past the mean-stability bound is the caller's to report
+    (`step_size_warnings`).
     """
-    if config.algorithm != "drls_ama":
-        raise ConfigError(
-            f"theory comparison covers algorithm drls_ama only, got {config.algorithm!r}"
-        )
     if not (np.isfinite(tol_db) and tol_db >= 0.0):
         raise ConfigError(f"comparison tolerance must be a finite number of dB >= 0, got {tol_db}")
     if topology is None:
@@ -426,7 +433,7 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
     if model is None:
         model = build_model(config, topology)
 
-    system = build_averaged_system(topology, model, config.lam, config.c)
+    system = averaged_system(config, topology, model)
     noise = noise_covariances(system, model)
     prediction = steady_state_solve(system, noise)
 

@@ -175,6 +175,23 @@ def test_compare_tolerance_miss_still_exits_zero(tmp_path, config_path):
     assert ",false" in text
 
 
+@pytest.mark.parametrize("algorithm", ["local_rls", "drls_admom", "centralized"])
+@pytest.mark.parametrize("command", ["predict", "stability"])
+def test_averaged_model_refuses_other_algorithms(tmp_path, capsys, command, algorithm):
+    """The averaged model covers drls_ama only, so predict and stability
+    refuse any other algorithm, as compare does, and write nothing."""
+    path = tmp_path / "other.cfg"
+    path.write_text(SMALL_CONFIG + f"algorithm = {algorithm}\n")
+    out = tmp_path / "out"
+    writes = [] if command == "stability" else ["--out", str(out)]
+    assert main([command, "--config", str(path), *writes]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: the averaged error model covers algorithm drls_ama only, "
+                            f"got {algorithm!r}\n")
+    assert captured.out == ""
+    assert not (out / "prediction.csv").exists()
+
+
 def test_stability_stable_config(tmp_path, config_path, capsys):
     code = main(["stability", "--config", config_path])
     assert code == 0

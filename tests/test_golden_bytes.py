@@ -3,10 +3,10 @@ The byte contract: the same config writes the same CSV bytes.
 
 Each case runs one small config through the CLI and compares the SHA-256 of
 every CSV it writes with a digest pinned here. The cases span both regressor
-kinds, links on and off, p = 1 and p = 5, an algorithm with and without
-consensus, a complete graph, and every table `compare` writes. A digest that
-moves means an output byte moved: a change that means to move one says why
-in CHANGES.md before the digest is updated.
+kinds, links on and off, p = 1 and p = 5, all four algorithms, a complete
+graph, and every table `compare` writes. A digest that moves means an output
+byte moved: a change that means to move one says why in CHANGES.md before the
+digest is updated.
 """
 
 import hashlib
@@ -56,6 +56,16 @@ CASES = {
         "simulate", "scenario.kind = ar\nalgorithm = local_rls\n", {
             "global.csv": "ac5b85007cbffbcda5e4005ad25146599b8b59fe95e4b965c9e9384c1e6a5456",
             "per_sensor.csv": "fddaeb1f8e0c304a4cb95f4511fa532a938f2a5f7fdb67987ca0cb54270f66fe",
+        }),
+    "iid-p2-links-on-drls_admom": (
+        "simulate", "scenario.p = 2\nalgorithm = drls_admom\n", {
+            "global.csv": "bd9d8a576fdab53e5d1333670f600f2dff81cf52d92a8e554bcf111dc02d6fb1",
+            "per_sensor.csv": "9bfbe65cd579685d085658f902f0cff2f9c92f2324c935a153a597ab340a2789",
+        }),
+    "ar-links-on-centralized": (
+        "simulate", "scenario.kind = ar\nalgorithm = centralized\n", {
+            "global.csv": "5e1bcba07b727886e35059869526cdabbc5abd8eb790053fd3bf0851bbd733bd",
+            "per_sensor.csv": "e3d4c5f9cbd721eaca7a5b6c9f41140854748f0f1fc23d4846d95e9b77abff94",
         }),
     "iid-p2-predict": (
         "predict", "scenario.p = 2\n", {

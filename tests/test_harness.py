@@ -282,7 +282,12 @@ def test_ensemble_metric_shapes_and_deviation():
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_every_algorithm_counts_its_flops(algorithm):
     config = _small_config(algorithm=algorithm, t_samples=5, runs=1)
-    assert run_ensemble(config).flops_per_run > 0
+    top = build_topology(config)
+    state = ALGORITHMS[algorithm](top, build_model(config, top).p, config.lam,
+                                  config.c, config.delta)
+    assert state.step_flops > 0
+    assert run_ensemble(config).flops_per_run == 5 * state.step_flops
+    assert not {"t", "flops", "delta"} & vars(state).keys()  # recursion state only
 
 
 def test_centralized_noiseless_estimates_are_exact():
@@ -427,6 +432,25 @@ def test_step_size_warning_is_for_drls_ama_at_or_above_its_bound():
             f"{bound:.6g}; the mean recursion may diverge",)
         for other in ("drls_admom", "local_rls", "centralized"):
             assert step_size_warnings(replace(config, c=c, algorithm=other), top, model) == ()
+
+
+@pytest.mark.parametrize("kind", ["iid", "ar"])
+def test_a_step_just_below_the_bound_finishes_or_fails_as_a_run(kind):
+    """At c = 0.99 x the mean-stability bound an ensemble either finishes or
+    raises RunFailure naming the run and step; numpy never errors or warns."""
+    config = _small_config(topology_j=6, topology_radius=0.7, topology_seed=2,
+                           scenario_kind=kind, scenario_p=None, scenario_seed=3,
+                           t_samples=3000, runs=4, master_seed=5)
+    top = build_topology(config)
+    model = build_model(config, top)
+    config = replace(config, c=0.99 * analysis.mean_stability_bound(top, model, config.lam))
+    try:
+        result = run_ensemble(config, topology=top, model=model)
+    except RunFailure as exc:
+        assert re.fullmatch(r"run \d produced a non-finite \w+ at step \d+, first at sensor \d: "
+                            r"the recursion diverged", str(exc))
+    else:
+        assert np.isfinite(result.series.msd).all()
 
 
 def test_compare_theory_reuses_a_provided_ensemble():
