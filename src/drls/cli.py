@@ -126,16 +126,11 @@ def _cmd_simulate(args):
     return 0
 
 
-def _prediction_pipeline(config):
-    topology = build_topology(config)
-    model = build_model(config, topology)
-    return topology, model, averaged_system(config, topology, model)
-
-
 def _cmd_predict(args):
     config = _load(args)
     path = os.path.join(_outdir(args), "prediction.csv")
-    topology, model, system = _prediction_pipeline(config)
+    topology, model = _warned_setup(config)
+    system = averaged_system(config, topology, model)
     noise = noise_covariances(system, model)
     report = steady_state_solve(system, noise)
     report.to_csv(path)
@@ -169,7 +164,8 @@ def _cmd_compare(args):
 
 def _cmd_stability(args):
     config = _load(args)
-    topology, model, system = _prediction_pipeline(config)
+    topology, model = _warned_setup(config)
+    system = averaged_system(config, topology, model)
     bound = mean_stability_bound(topology, model, config.lam)
     mean_report = check_mean_stability(system)
     mse_report = check_mse_stability(system)

@@ -18,13 +18,13 @@ topology.kind      geometric | edgelist (geometric)
 topology.j         sensor count for geometric (10)
 topology.radius    connectivity radius for geometric (0.45)
 topology.seed      placement seed (master_seed)
-topology.path      edge-list file for edgelist
+topology.path      edge-list file, edgelist only
 scenario.kind      iid | ar (iid)
 scenario.p         regressor length >= 1, iid only; ar is fixed at 4 (2)
 scenario.seed      spatial-profile seed (master_seed)
-scenario.sigma2_eta link-noise variance at every receiver (0.1)
-scenario.rh_scale  scales the identity regressor covariance, iid only (1.0)
-scenario.eps_scale multiplies the drawn observation-noise profile (1.0)
+scenario.sigma2_eta link-noise variance at every receiver; 0 = ideal links (0.1)
+scenario.rh_scale  positive scale of the identity regressor covariance, iid only (1.0)
+scenario.eps_scale multiplies the drawn observation-noise profile, >= 0 (1.0)
 algorithm          drls_ama | drls_admom | local_rls | centralized (drls_ama)
 lambda             forgetting factor in (0, 1] (0.95)
 c                  consensus step size (0.1)
@@ -32,13 +32,11 @@ delta              inverse-data-matrix init scale (100.0)
 T                  samples per run (2000)
 runs               Monte Carlo runs (100)
 burn_in            steps discarded by tail statistics (T - max(1, T // 10))
-link_noise         on | off (on)
 master_seed        root seed (0)
 threads            must be 1; kept so that existing configs parse (1)
 """
 
 import math
-import re
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -54,7 +52,7 @@ from .analysis import (
 from .errors import ConfigError, RunFailure
 from .estimators import AdmomState, CentralizedRls, DrlsState, LocalRls
 from .signals import SnapshotStream, ar_scenario, iid_scenario
-from .topology import random_geometric, read_edge_list
+from .topology import content_lines, random_geometric, read_edge_list, read_text
 
 ALGORITHMS = {
     "drls_ama": DrlsState,
@@ -97,7 +95,6 @@ class ExperimentConfig:
     t_samples: int = _key("T", 2000)
     runs: int = _key("runs", 100)
     burn_in: int | None = _key("burn_in", None)
-    link_noise: bool = _key("link_noise", True)
     master_seed: int = _key("master_seed", 0)
     threads: int = _key("threads", 1)
 
@@ -119,6 +116,9 @@ class ExperimentConfig:
             raise ConfigError(f"topology.kind must be geometric or edgelist, got {self.topology_kind!r}")
         if self.topology_kind == "edgelist" and not self.topology_path:
             raise ConfigError("topology.kind = edgelist requires topology.path")
+        if self.topology_kind != "edgelist" and self.topology_path is not None:
+            raise ConfigError(f"topology.path applies to topology.kind = edgelist only, "
+                              f"got topology.kind = {self.topology_kind}")
         if self.scenario_kind not in ("iid", "ar"):
             raise ConfigError(f"scenario.kind must be iid or ar, got {self.scenario_kind!r}")
         if self.scenario_p is not None and self.scenario_p < 1:
@@ -127,6 +127,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"scenario.sigma2_eta must be >= 0, got {self.scenario_sigma2_eta}"
             )
+        if self.scenario_rh_scale <= 0:
+            raise ConfigError(f"scenario.rh_scale must be positive, got {self.scenario_rh_scale}")
+        if self.scenario_eps_scale < 0:
+            raise ConfigError(f"scenario.eps_scale must be >= 0, got {self.scenario_eps_scale}")
         if self.scenario_kind == "ar":
             if self.scenario_p is not None and self.scenario_p != 4:
                 raise ConfigError("the ar scenario has a fixed regressor length of 4")
@@ -156,12 +160,8 @@ class ExperimentConfig:
 
 
 def _convert(f, value):
-    """The text of a config value as its field's type: int, float, on/off or text."""
+    """The text of a config value as its field's type: int, float or text."""
     key = f.metadata["key"]
-    if f.type is bool:
-        if value not in ("on", "off"):
-            raise ConfigError(f"{key} expects on or off, got {value!r}")
-        return value == "on"
     for number, noun in ((int, "an integer"), (float, "a number")):
         if f.type in (number, number | None):
             try:
@@ -177,14 +177,9 @@ _FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 def parse_config_text(text, source="<config>"):
     """Parse ``key = value`` lines into an ExperimentConfig."""
     values = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        # '#' opens a comment at the start of a line or after whitespace only,
-        # so a value such as a file path may contain one
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
-        if not line:
-            continue
+    for ln, line in content_lines(text):
         if "=" not in line:
-            raise ConfigError(f"{source}:{ln}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"{source}:{ln}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _FIELDS:
@@ -198,14 +193,7 @@ def parse_config_text(text, source="<config>"):
 
 def load_config(path, **overrides):
     """Read a config file; keyword overrides win over file values."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    config = parse_config_text(text, source=path)
+    config = parse_config_text(read_text(path, "config", ConfigError), source=path)
     if overrides:
         config = replace(config, **overrides)
     return config
@@ -230,7 +218,7 @@ def build_model(config, topology):
         model = ar_scenario(topology.J, seed, sigma2_eta=config.scenario_sigma2_eta)
     if config.scenario_eps_scale != 1.0:
         model = replace(model, sigma2_eps=config.scenario_eps_scale * model.sigma2_eps)
-    return model.with_link_noise(config.link_noise)
+    return model
 
 
 # ---------------------------------------------------------------------------

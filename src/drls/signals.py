@@ -20,7 +20,7 @@ so changing one sensor's noise level or disabling a noise source perturbs
 no other draw. Steps are drawn a chunk at a time; the byte budget changes no byte.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,12 +137,8 @@ class SensorEnsembleModel:
     def J(self):
         return self.sigma2_eps.shape[0]
 
-    def with_link_noise(self, enabled):
-        """The model with link noise kept (itself) or zeroed (a copy)."""
-        return self if enabled else replace(self, sigma2_eta=np.zeros(self.J))
 
-
-def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=None, sigma2_eps=None):
+def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=1.0, sigma2_eps=None):
     """Gaussian-regressor benchmark model.
 
     Parameters
@@ -152,10 +148,10 @@ def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=None, sigma2_eps=None):
     seed : int
         Spatial-profile seed (draws the default observation-noise profile).
     sigma2_eta : float
-        Link-noise variance at every receiver.
-    rh : None, float or ndarray
-        None = identity covariance at every sensor; a float scales the
-        identity; a (J, p, p) array is used as given.
+        Link-noise variance at every receiver; 0 gives ideal links.
+    rh : float or ndarray
+        A float scales the identity covariance at every sensor; a
+        (J, p, p) array is used as given.
     sigma2_eps : None, float or ndarray
         None = 1e-3 * U[0,1) per sensor (drawn from `seed`); a float is a
         common variance; a (J,) array is per sensor.
@@ -166,8 +162,6 @@ def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=None, sigma2_eps=None):
         eps = 1e-3 * alpha
     else:
         eps = np.broadcast_to(np.asarray(sigma2_eps, dtype=np.float64), (j,)).copy()
-    if rh is None:
-        rh = 1.0
     if np.ndim(rh) == 0:
         rh = np.broadcast_to(float(rh) * np.eye(p), (j, p, p)).copy()
     else:

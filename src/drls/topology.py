@@ -12,8 +12,11 @@ module's noise mixing maps) is what ``link_owner[k]`` hears from
 ``link_peer[k]``.
 
 Edge-list file format: first line is the sensor count J, then one line
-"i j" per undirected edge with 0 <= i < j < J.
+"i j" per undirected edge with 0 <= i < j < J. Comments and blank lines
+are as in config files (``content_lines``), and errors name file lines.
 """
+
+import re
 
 import numpy as np
 
@@ -163,24 +166,40 @@ def write_edge_list(top, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_edge_list(path):
-    """Parse the edge-list text format back into a Topology."""
+def read_text(path, what, error):
+    """The text of a UTF-8 file; a failed read raises `error` naming the
+    `what` file it could not read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = [ln.strip() for ln in fh]
+            return fh.read()
     except OSError as exc:
-        raise TopologyError(f"cannot read edge-list file {path}: {exc.strerror or exc}") from exc
+        raise error(f"cannot read {what} file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise TopologyError(f"edge-list file {path} is not UTF-8 text: {exc}") from exc
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
-    if not lines:
+        raise error(f"{what} file {path} is not UTF-8 text: {exc}") from exc
+
+
+def content_lines(text):
+    """Yield (file line number, content) for each line holding more than a
+    comment or blanks. '#' opens a comment at the start of a line or after
+    whitespace only, so a value such as a file path may contain one."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        if line:
+            yield ln, line
+
+
+def read_edge_list(path):
+    """Parse the edge-list text format back into a Topology."""
+    lines = content_lines(read_text(path, "edge-list", TopologyError))
+    _, first = next(lines, (None, None))
+    if first is None:
         raise TopologyError(f"{path}: empty edge-list file")
     try:
-        j = int(lines[0])
+        j = int(first)
     except ValueError:
-        raise TopologyError(f"{path}: first line must be the sensor count, got {lines[0]!r}")
+        raise TopologyError(f"{path}: first line must be the sensor count, got {first!r}")
     edges = []
-    for n, ln in enumerate(lines[1:], start=2):
+    for n, ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise TopologyError(f"{path}:{n}: expected 'i j', got {ln!r}")

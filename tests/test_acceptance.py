@@ -11,6 +11,7 @@ across tests.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,13 +96,13 @@ def ar_bench_compare(ar_bench_ensemble):
 
 @pytest.fixture(scope="module")
 def iid_ideal_ensemble():
-    config = ExperimentConfig(**{**IID_BENCH, "link_noise": False, "runs": 60})
+    config = ExperimentConfig(**{**IID_BENCH, "scenario_sigma2_eta": 0.0, "runs": 60})
     return run_ensemble(config)
 
 
 @pytest.fixture(scope="module")
 def ar_ideal_ensemble():
-    config = ExperimentConfig(**{**AR_BENCH, "link_noise": False, "runs": 20})
+    config = ExperimentConfig(**{**AR_BENCH, "scenario_sigma2_eta": 0.0, "runs": 20})
     return run_ensemble(config)
 
 
@@ -259,7 +260,8 @@ def test_noise_penalty_in_the_prediction(iid_bench_compare, ar_bench_compare):
         config = ExperimentConfig(**(IID_BENCH if bench == "iid" else AR_BENCH))
         noisy = report.prediction
         top = build_topology(config)
-        ideal_model = build_model(config, top).with_link_noise(False)
+        model = build_model(config, top)
+        ideal_model = replace(model, sigma2_eta=np.zeros(model.J))
         system = build_averaged_system(top, ideal_model, config.lam, config.c)
         ideal = steady_state_solve(system, noise_covariances(system, ideal_model))
         assert noisy.emse_global > ideal.emse_global, bench

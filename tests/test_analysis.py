@@ -157,7 +157,7 @@ def test_noise_covariances_use_receiver_profiles():
 
 @pytest.mark.parametrize("top, model", [
     (random_geometric(7, 0.6, seed=4), iid_scenario(7, 2, seed=1)),
-    (random_geometric(6, 1.5, seed=1), ar_scenario(6, seed=2).with_link_noise(False)),
+    (random_geometric(6, 1.5, seed=1), ar_scenario(6, seed=2, sigma2_eta=0.0)),
 ], ids=["iid-links-on", "ar-complete-links-off"])
 def test_noise_covariances_match_the_dense_diagonal_formulas(top, model):
     """The variance vectors stand for diagonal covariances: each product

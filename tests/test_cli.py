@@ -338,6 +338,40 @@ def test_compare_warns_before_a_refused_prediction(tmp_path, capsys):
     assert error.startswith("error: error dynamics are not mean-square stable")
 
 
+def test_predict_and_stability_warn_before_any_refusal(tmp_path, capsys):
+    """predict and stability print the step-size warning that simulate and
+    compare print, before the prediction refuses the config."""
+    path = tmp_path / "hot.cfg"
+    path.write_text(SMALL_CONFIG + "c = 100\n")
+    warning = "warning: consensus step c = 100.0 is at or above the mean-stability bound "
+    assert main(["predict", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    first, error = capsys.readouterr().err.splitlines()
+    assert first.startswith(warning)
+    assert error.startswith("error: ")
+    assert main(["stability", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(warning) and len(captured.err.splitlines()) == 1
+    assert "mean-square stable: false" in captured.out
+
+
+def test_link_noise_key_is_unknown(tmp_path, capsys):
+    """Ideal links are scenario.sigma2_eta = 0; the old on/off switch is refused."""
+    path = tmp_path / "old.cfg"
+    path.write_text(SMALL_CONFIG + "link_noise = off\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:10: unknown key 'link_noise'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_topology_path_without_edgelist_exits_one(tmp_path, capsys):
+    """A path that nothing would read is refused, not ignored."""
+    path = tmp_path / "net.cfg"
+    path.write_text("topology.path = /nonexistent/net.txt\nT = 50\nruns = 1\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: topology.path applies to topology.kind = edgelist only")
+
+
 def test_regressor_length_below_one_exits_one(tmp_path, capsys):
     path = tmp_path / "short.cfg"
     path.write_text(SMALL_CONFIG.replace("scenario.p = 2", "scenario.p = -1"))

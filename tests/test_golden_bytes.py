@@ -38,7 +38,7 @@ CASES = {
             "per_sensor.csv": "80e111908e25be40cf3b0a6f10139aa8d9ccb504b08c5fb636b9f8e011eb104c",
         }),
     "iid-p5-links-off-local_rls": (
-        "simulate", "scenario.p = 5\nalgorithm = local_rls\nlink_noise = off\n", {
+        "simulate", "scenario.p = 5\nalgorithm = local_rls\nscenario.sigma2_eta = 0\n", {
             "global.csv": "389f75babbf49a415896302fa6743f8d2885d09b4840b860a31fbe6c1f19c222",
             "per_sensor.csv": "2056c6c06137522b1f1cd494c8362abe3597a7408b82a387efb80ecdf4aefb10",
         }),
@@ -48,7 +48,7 @@ CASES = {
             "per_sensor.csv": "1238412a2b9691545a5c36e3cde5442cc52a9d535852f6beb1bdbb1369b75d4e",
         }),
     "ar-links-off-drls_ama": (
-        "simulate", "scenario.kind = ar\nalgorithm = drls_ama\nlink_noise = off\n", {
+        "simulate", "scenario.kind = ar\nalgorithm = drls_ama\nscenario.sigma2_eta = 0\n", {
             "global.csv": "5b77e8444677d988ef4257f4df9307f04238d95d6b5cc4f5c1d16e996f53c314",
             "per_sensor.csv": "1c39af205e7550919ef5a7e84c9383f7b91f627ccca8ba7356ef0ed59d3e1cbe",
         }),
@@ -76,7 +76,7 @@ CASES = {
             "prediction.csv": "941ab43d182149751d13c1b016c70e7e7c9b3eb6d4ebdb7034226e327ed68883",
         }),
     "iid-p2-links-off-predict": (
-        "predict", "scenario.p = 2\nlink_noise = off\n", {
+        "predict", "scenario.p = 2\nscenario.sigma2_eta = 0\n", {
             "prediction.csv": "10b37010b65d420357fcad60cf0dac256c0e2bb5993c59bed9e38bb2938cfcda",
         }),
     "complete-p5-predict": (

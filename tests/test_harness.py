@@ -45,7 +45,6 @@ delta = 50.0
 T = 40
 runs = 3
 burn_in = 20
-link_noise = on
 master_seed = 11
 threads = 1
 """
@@ -75,7 +74,6 @@ def test_parse_full_config():
     assert config.lam == 0.9
     assert config.t_samples == 40
     assert config.burn_in == 20
-    assert config.link_noise is True
     assert config.master_seed == 11
 
 
@@ -95,7 +93,6 @@ def test_parse_defaults():
         ("T = 10\nT = 20", "duplicate key"),
         ("T = ten", "expects an integer"),
         ("lambda = fast", "expects a number"),
-        ("link_noise = yes", "expects on or off"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -160,6 +157,10 @@ def test_hash_opens_a_comment_only_after_whitespace(tmp_path):
         (dict(scenario_p=-1), r"scenario.p must be >= 1, got -1"),
         (dict(scenario_p=0), r"scenario.p must be >= 1, got 0"),
         (dict(scenario_kind="ar", scenario_p=0), r"scenario.p must be >= 1, got 0"),
+        (dict(scenario_rh_scale=-1.0), r"scenario.rh_scale must be positive, got -1.0"),
+        (dict(scenario_rh_scale=0.0), r"scenario.rh_scale must be positive, got 0.0"),
+        (dict(scenario_eps_scale=-0.5), r"scenario.eps_scale must be >= 0, got -0.5"),
+        (dict(topology_path="net.txt"), "topology.path applies to topology.kind = edgelist"),
     ],
 )
 def test_validate_errors(kw, fragment):
@@ -205,12 +206,6 @@ def test_build_model_iid_scaling():
     scaled = build_model(config, build_topology(config))
     assert_allclose(scaled.rh, 3.0 * base.rh)
     assert_allclose(scaled.sigma2_eps, 0.5 * base.sigma2_eps)
-
-
-def test_build_model_link_noise_switch():
-    config = _small_config(link_noise=False)
-    model = build_model(config, build_topology(config))
-    assert_array_equal(model.sigma2_eta, np.zeros(model.J))
 
 
 def test_build_model_ar_kind():
@@ -294,7 +289,7 @@ def test_centralized_noiseless_estimates_are_exact():
     """With no noise anywhere and a huge data weight the pooled estimator
     nails the parameter after p samples."""
     config = _small_config(
-        algorithm="centralized", link_noise=False, scenario_eps_scale=0.0,
+        algorithm="centralized", scenario_sigma2_eta=0.0, scenario_eps_scale=0.0,
         lam=1.0, delta=1e12, t_samples=10, runs=2,
     )
     result = run_ensemble(config)

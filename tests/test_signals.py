@@ -90,16 +90,6 @@ def test_model_validation():
         _tiny_model(**{**ar, "ar_sigma2_omega": np.ones(5)})
 
 
-def test_with_link_noise_toggling():
-    model = iid_scenario(4, 2, seed=0, sigma2_eta=0.25)
-    ideal = model.with_link_noise(False)
-    assert_array_equal(model.sigma2_eta, np.full(4, 0.25))
-    assert_array_equal(ideal.sigma2_eta, np.zeros(4))
-    assert_allclose(ideal.rh, model.rh)
-    back = ideal.with_link_noise(True)   # stays zero; the profile is gone
-    assert_array_equal(back.sigma2_eta, np.zeros(4))
-
-
 def test_iid_scenario_defaults():
     model = iid_scenario(5, 3, seed=9)
     assert model.J == 5

@@ -196,8 +196,9 @@ def test_edge_list_roundtrip(tmp_path):
 
 
 def test_edge_list_accepts_comments_and_blanks(tmp_path):
+    """'#' opens a comment at the start of a line or after whitespace, as in configs."""
     path = tmp_path / "net.txt"
-    path.write_text("# a comment\n3\n\n0 1\n1 2\n")
+    path.write_text("# a comment\n3  # sensors\n\n0 1\t# first edge\n1 2\n")
     top = read_edge_list(path)
     assert top.J == 3
     assert top.edges() == [(0, 1), (1, 2)]
@@ -226,7 +227,8 @@ def test_edge_list_parse_errors(tmp_path, content, fragment):
 
 
 def test_edge_list_error_names_line_number(tmp_path):
+    """The line named is the file line: comment and blank lines count."""
     path = tmp_path / "bad.txt"
-    path.write_text("3\n0 1\n0 1 9\n")
-    with pytest.raises(TopologyError, match=r"bad\.txt:3"):
+    path.write_text("3\n# edges\n\n0 1\n0 1 9\n")
+    with pytest.raises(TopologyError, match=r"bad\.txt:5: expected 'i j', got '0 1 9'"):
         read_edge_list(path)
