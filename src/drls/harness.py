@@ -15,9 +15,9 @@ built, so the functions that take one use it as given.
 Recognized keys (defaults in parentheses):
 
 topology.kind      geometric | edgelist (geometric)
-topology.j         sensor count for geometric (10)
-topology.radius    connectivity radius for geometric (0.45)
-topology.seed      placement seed (master_seed)
+topology.j         sensor count, geometric only (10)
+topology.radius    connectivity radius, geometric only (0.45)
+topology.seed      placement seed, geometric only (master_seed)
 topology.path      edge-list file, edgelist only
 scenario.kind      iid | ar (iid)
 scenario.p         regressor length >= 1, iid only; ar is fixed at 4 (2)
@@ -78,8 +78,8 @@ class ExperimentConfig:
     Each field's metadata names the config-file key that sets it."""
 
     topology_kind: str = _key("topology.kind", "geometric")
-    topology_j: int = _key("topology.j", 10)
-    topology_radius: float = _key("topology.radius", 0.45)
+    topology_j: int | None = _key("topology.j", None)
+    topology_radius: float | None = _key("topology.radius", None)
     topology_seed: int | None = _key("topology.seed", None)
     topology_path: str | None = _key("topology.path", None)
     scenario_kind: str = _key("scenario.kind", "iid")
@@ -119,6 +119,10 @@ class ExperimentConfig:
         if self.topology_kind != "edgelist" and self.topology_path is not None:
             raise ConfigError(f"topology.path applies to topology.kind = edgelist only, "
                               f"got topology.kind = {self.topology_kind}")
+        for key in ("topology.j", "topology.radius", "topology.seed"):
+            if self.topology_kind == "edgelist" and getattr(self, _FIELDS[key].name) is not None:
+                raise ConfigError(f"{key} applies to topology.kind = geometric only, "
+                                  f"got topology.kind = edgelist")
         if self.scenario_kind not in ("iid", "ar"):
             raise ConfigError(f"scenario.kind must be iid or ar, got {self.scenario_kind!r}")
         if self.scenario_p is not None and self.scenario_p < 1:
@@ -202,8 +206,10 @@ def load_config(path, **overrides):
 def build_topology(config):
     if config.topology_kind == "edgelist":
         return read_edge_list(config.topology_path)
+    j = config.topology_j if config.topology_j is not None else 10
+    radius = config.topology_radius if config.topology_radius is not None else 0.45
     seed = config.topology_seed if config.topology_seed is not None else config.master_seed
-    return random_geometric(config.topology_j, config.topology_radius, seed)
+    return random_geometric(j, radius, seed)
 
 
 def build_model(config, topology):

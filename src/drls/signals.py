@@ -2,15 +2,13 @@
 Sensor observation models and seeded snapshot streams.
 
 Each sensor j observes x_j(t) = h_j(t)^T s0 + eps_j(t) with its own
-regressor covariance R_hj and observation-noise variance. Two regressor
-kinds are supported:
-
-* ``iid_gaussian``: h_j(t) drawn i.i.d. Gaussian(0, R_hj) across time.
-* ``ar1_shift``: shift-structure regressors built from one scalar AR(1)
-  process per sensor, h_j(t) = [h_j(t), h_j(t-1), ..., h_j(t-p+1)], with
-  h_j(t) = (1-rho)*beta_j*h_j(t-1) + sqrt(rho)*omega_j(t) and uniform
-  driving noise of variance sigma2_omega_j. The model carries the exact
-  stationary autocovariance (Toeplitz) so the analysis module can use it.
+regressor covariance R_hj and observation-noise variance. Without AR
+parameters, h_j(t) is drawn i.i.d. Gaussian(0, R_hj) across time. With
+them, h_j(t) = [h_j(t), h_j(t-1), ..., h_j(t-p+1)] is the shift-structure
+regressor of one scalar AR(1) process per sensor,
+h_j(t) = (1-rho)*beta_j*h_j(t-1) + sqrt(rho)*omega_j(t), with uniform
+driving noise of variance sigma2_omega_j, and R_hj must be its exact
+stationary (Toeplitz) covariance, so the analysis reads the drawn process.
 
 Inter-sensor links add receiver-side noise with per-receiver covariance
 sigma2_eta_j I_p, applied to both the estimate and the multiplier exchange
@@ -26,26 +24,26 @@ import numpy as np
 
 from .errors import ModelError
 
-REGRESSOR_KINDS = ("iid_gaussian", "ar1_shift")
-
 #: scalar AR(1) steps taken before t = 1 so streams start near-stationary
 AR_WARMUP_STEPS = 200
 
 
 def ar_stationary_covariance(rho, beta, sigma2_omega, p):
-    """Exact stationary covariance of a shift-structure AR(1) regressor.
+    """Exact stationary covariances of shift-structure AR(1) regressors.
 
     For h(t) = a h(t-1) + sqrt(rho) omega(t) with a = (1-rho)*beta and
     Var(omega) = sigma2_omega, the scalar process has stationary variance
     rho*sigma2_omega / (1 - a^2) and lag-k autocovariance var * a^k; the
-    regressor covariance is the p x p Toeplitz matrix of those lags.
+    regressor covariance is the p x p Toeplitz matrix of those lags. Takes
+    (J,) `beta` and `sigma2_omega` and returns the (J, p, p) stack.
     """
     a = (1.0 - rho) * beta
-    if not abs(a) < 1.0:
-        raise ModelError(f"AR coefficient (1-rho)*beta = {a} is not stable")
+    bad = np.flatnonzero(~(np.abs(a) < 1.0))
+    if bad.size:
+        raise ModelError(f"AR coefficient (1-rho)*beta of sensor {bad[0]} = {a[bad[0]]} is not stable")
     var = rho * sigma2_omega / (1.0 - a * a)
     lags = np.arange(p)
-    return var * a ** np.abs(lags[:, None] - lags[None, :])
+    return var[:, None, None] * a[:, None, None] ** np.abs(lags[:, None] - lags[None, :])
 
 
 def _check_spd(m, name):
@@ -71,74 +69,83 @@ def _check_variances(v, j, name):
 class SensorEnsembleModel:
     """Per-sensor signal model shared by all Monte Carlo runs.
 
+    Checked when built, by ``dataclasses.replace`` too. The regressors are
+    AR exactly when the AR parameters are given, and `rh` is then theirs.
+
     Attributes
     ----------
-    p : int
-        Regressor length.
     s0 : ndarray
-        (p,) common parameter vector being estimated.
+        (p,) common parameter vector being estimated; p is the regressor length.
     rh : ndarray
-        (J, p, p) regressor covariances (draw covariance for iid, exact
-        stationary covariance for the AR kind).
+        (J, p, p) regressor covariances (draw covariance of Gaussian
+        regressors, exact stationary covariance of AR ones).
     sigma2_eps : ndarray
         (J,) observation-noise variances.
     sigma2_eta : ndarray
         (J,) link-noise variances: receiver j hears noise of covariance
         sigma2_eta[j] * I_p on both the estimate and the multiplier exchange.
-    regressor_kind : str
-        One of ``iid_gaussian`` / ``ar1_shift``.
     ar_rho, ar_beta, ar_sigma2_omega
-        AR parameters (``ar1_shift`` only).
+        AR pole in (0, 1), and (J,) memory coefficients in [0, 1] and
+        driving-noise variances > 0; all three or none.
     """
 
-    p: int
     s0: np.ndarray
     rh: np.ndarray
     sigma2_eps: np.ndarray
     sigma2_eta: np.ndarray
-    regressor_kind: str
     ar_rho: float | None = None
     ar_beta: np.ndarray | None = None
     ar_sigma2_omega: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.regressor_kind not in REGRESSOR_KINDS:
-            raise ModelError(f"unknown regressor kind {self.regressor_kind!r}")
-        if self.p < 1:
-            raise ModelError(f"regressor length must be >= 1, got {self.p}")
-        j = self.sigma2_eps.shape[0]
-        if self.s0.shape != (self.p,):
-            raise ModelError(f"s0 must have shape ({self.p},), got {self.s0.shape}")
+        given = [v is not None for v in (self.ar_rho, self.ar_beta, self.ar_sigma2_omega)]
+        if any(given) != all(given):
+            raise ModelError("an AR model needs all of ar_rho, ar_beta and ar_sigma2_omega")
+        ar = ("ar_beta", "ar_sigma2_omega") if all(given) else ()
+        for name in ("s0", "rh", "sigma2_eps", "sigma2_eta") + ar:
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray):
+                raise ModelError(f"{name} must be a numpy array, got {type(value).__name__}")
+            if name in ("s0", "sigma2_eps") and (value.ndim != 1 or value.size == 0):
+                raise ModelError(f"{name} must be a non-empty 1-D array, got shape {value.shape}")
         if not np.isfinite(self.s0).all():
             raise ModelError("s0 must be finite")
-        if self.rh.shape != (j, self.p, self.p):
-            raise ModelError(f"rh must have shape ({j}, {self.p}, {self.p})")
+        j, p = self.J, self.p
+        if self.rh.shape != (j, p, p):
+            raise ModelError(f"rh must have shape ({j}, {p}, {p})")
         if not np.isfinite(self.rh).all():
             raise ModelError("rh must be finite")
         _check_variances(self.sigma2_eps, j, "sigma2_eps")
         _check_variances(self.sigma2_eta, j, "sigma2_eta")
         for k in range(j):
             _check_spd(self.rh[k], f"rh[{k}]")
-        if self.regressor_kind == "ar1_shift":
-            if self.ar_rho is None or self.ar_beta is None or self.ar_sigma2_omega is None:
-                raise ModelError("ar1_shift needs ar_rho, ar_beta and ar_sigma2_omega")
-            for name in ("ar_beta", "ar_sigma2_omega"):
-                shape = np.shape(getattr(self, name))
-                if shape != (j,):
-                    raise ModelError(f"{name} must have shape ({j},), got {shape}")
-            if not 0.0 < self.ar_rho < 1.0:
-                raise ModelError(f"ar_rho must lie in (0, 1), got {self.ar_rho}")
-            if not ((0 <= self.ar_beta) & (self.ar_beta <= 1)).all():
-                raise ModelError("ar_beta entries must lie in [0, 1]")
-            if not (np.isfinite(self.ar_sigma2_omega) & (self.ar_sigma2_omega > 0)).all():
-                raise ModelError("ar_sigma2_omega entries must be finite and positive")
+        if not ar:
+            return
+        for name in ar:
+            shape = getattr(self, name).shape
+            if shape != (j,):
+                raise ModelError(f"{name} must have shape ({j},), got {shape}")
+        if not 0.0 < self.ar_rho < 1.0:
+            raise ModelError(f"ar_rho must lie in (0, 1), got {self.ar_rho}")
+        if not ((0 <= self.ar_beta) & (self.ar_beta <= 1)).all():
+            raise ModelError("ar_beta entries must lie in [0, 1]")
+        if not (np.isfinite(self.ar_sigma2_omega) & (self.ar_sigma2_omega > 0)).all():
+            raise ModelError("ar_sigma2_omega entries must be finite and positive")
+        stationary = ar_stationary_covariance(self.ar_rho, self.ar_beta, self.ar_sigma2_omega, p)
+        if not np.array_equal(self.rh, stationary):
+            raise ModelError("rh of an AR model must be ar_stationary_covariance of its "
+                             "ar_rho, ar_beta and ar_sigma2_omega")
 
     @property
     def J(self):
         return self.sigma2_eps.shape[0]
 
+    @property
+    def p(self):
+        return self.s0.shape[0]
 
-def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=1.0, sigma2_eps=None):
+
+def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=1.0):
     """Gaussian-regressor benchmark model.
 
     Parameters
@@ -146,29 +153,19 @@ def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=1.0, sigma2_eps=None):
     j, p : int
         Sensor count and regressor length.
     seed : int
-        Spatial-profile seed (draws the default observation-noise profile).
+        Spatial-profile seed: sensor j's observation-noise variance is
+        1e-3 * U[0,1), drawn from it.
     sigma2_eta : float
         Link-noise variance at every receiver; 0 gives ideal links.
-    rh : float or ndarray
-        A float scales the identity covariance at every sensor; a
-        (J, p, p) array is used as given.
-    sigma2_eps : None, float or ndarray
-        None = 1e-3 * U[0,1) per sensor (drawn from `seed`); a float is a
-        common variance; a (J,) array is per sensor.
+    rh : float
+        Scale of the identity regressor covariance at every sensor.
+
+    Any other profile is ``dataclasses.replace(model, rh=..., sigma2_eps=...)``.
     """
     rng = np.random.default_rng(seed)
-    alpha = rng.uniform(size=j)
-    if sigma2_eps is None:
-        eps = 1e-3 * alpha
-    else:
-        eps = np.broadcast_to(np.asarray(sigma2_eps, dtype=np.float64), (j,)).copy()
-    if np.ndim(rh) == 0:
-        rh = np.broadcast_to(float(rh) * np.eye(p), (j, p, p)).copy()
-    else:
-        rh = np.asarray(rh, dtype=np.float64)
     return SensorEnsembleModel(
-        p=p, s0=np.ones(p), rh=rh, sigma2_eps=eps,
-        sigma2_eta=np.full(j, float(sigma2_eta)), regressor_kind="iid_gaussian",
+        s0=np.ones(p), rh=np.broadcast_to(float(rh) * np.eye(p), (j, p, p)).copy(),
+        sigma2_eps=1e-3 * rng.uniform(size=j), sigma2_eta=np.full(j, float(sigma2_eta)),
     )
 
 
@@ -187,15 +184,11 @@ def ar_scenario(j, seed, sigma2_eta=0.1):
     alpha = rng.uniform(size=j)
     beta = rng.uniform(size=j)
     gamma = rng.uniform(size=j)
-    sigma2_omega = 2.0 * gamma
     # driving noise must be nondegenerate for the stationary covariance
-    sigma2_omega = np.maximum(sigma2_omega, 1e-8)
-    rh = np.stack([
-        ar_stationary_covariance(rho, beta[k], sigma2_omega[k], p) for k in range(j)
-    ])
+    sigma2_omega = np.maximum(2.0 * gamma, 1e-8)
     return SensorEnsembleModel(
-        p=p, s0=np.ones(p), rh=rh, sigma2_eps=1e-3 * alpha,
-        sigma2_eta=np.full(j, float(sigma2_eta)), regressor_kind="ar1_shift",
+        s0=np.ones(p), rh=ar_stationary_covariance(rho, beta, sigma2_omega, p),
+        sigma2_eps=1e-3 * alpha, sigma2_eta=np.full(j, float(sigma2_eta)),
         ar_rho=rho, ar_beta=beta, ar_sigma2_omega=sigma2_omega,
     )
 
@@ -233,7 +226,7 @@ class SnapshotStream:
         self.runs = len(self._rngs)
 
         self._sigma_eps = np.sqrt(model.sigma2_eps)
-        if model.regressor_kind == "iid_gaussian":
+        if model.ar_rho is None:
             self._chol_rh = np.linalg.cholesky(model.rh)
         else:
             self._ar_a = (1.0 - model.ar_rho) * model.ar_beta
@@ -265,22 +258,22 @@ class SnapshotStream:
 
     def _regressors(self, n):
         """Regressors of the next `n` steps, (n, runs, J, p)."""
-        m = self.model
-        if m.regressor_kind == "iid_gaussian":
-            z = self._per_run(_REG, (n, m.J, m.p))
+        m, p = self.model, self.model.p
+        if m.ar_rho is None:
+            z = self._per_run(_REG, (n, m.J, p))
             # copied out: einsum over broadcast factors takes several times longer, same bits
-            full = np.broadcast_to(self._chol_rh, z.shape + (m.p,)).copy()
+            full = np.broadcast_to(self._chol_rh, z.shape + (p,)).copy()
             return np.einsum("...ab,...b->...a", full, z)
         omega = self._ar_sigma * self._per_run(_REG, (n, m.J), lambda g, out: np.copyto(
             out, g.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=out.shape)))
         s = np.concatenate([self._tail, np.empty((n, self.runs, m.J))])
-        for k in range(m.p, m.p + n):
-            s[k] = self._ar_a * s[k - 1] + self._ar_gain * omega[k - m.p]
+        for k in range(p, p + n):
+            s[k] = self._ar_a * s[k - 1] + self._ar_gain * omega[k - p]
         self._tail = s[n:]
         # entry i of step k's regressor is the series i steps before step k
-        h = np.empty((n, self.runs, m.J, m.p))
-        for i in range(m.p):
-            h[..., i] = s[m.p - i:m.p - i + n]
+        h = np.empty((n, self.runs, m.J, p))
+        for i in range(p):
+            h[..., i] = s[p - i:p - i + n]
         return h
 
     def draws(self, n):

@@ -183,7 +183,7 @@ def _topology_sweep():
         for k in range(j):
             a = rng.standard_normal((p, p))
             rh[k] = a @ a.T + 0.5 * np.eye(p)
-        model = iid_scenario(j, p, seed=i, rh=rh)
+        model = replace(iid_scenario(j, p, seed=i), rh=rh)
         cases.append((top, model, p))
     return cases
 

@@ -28,8 +28,8 @@ def _pair_system(c=4.0, lam=0.95, sigma2_eta=0.1, sigma2_eps=0.5):
     """Two sensors, one link, scalar parameter: everything is computable
     by hand."""
     top = from_edges(2, [(0, 1)])
-    model = iid_scenario(2, 1, seed=0, sigma2_eta=sigma2_eta,
-                         sigma2_eps=sigma2_eps)
+    model = replace(iid_scenario(2, 1, seed=0, sigma2_eta=sigma2_eta),
+                    sigma2_eps=np.full(2, sigma2_eps))
     return top, model, build_averaged_system(top, model, lam, c)
 
 
@@ -185,8 +185,8 @@ def test_per_sensor_blocks_follow_their_sensor():
     rh = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(p)
     sigma2_eta = 0.05 * np.arange(1, j + 1)
     model = SensorEnsembleModel(
-        p=p, s0=np.ones(p), rh=rh, sigma2_eps=np.array([1e-3, 4e-3, 2e-3, 8e-3]),
-        sigma2_eta=sigma2_eta, regressor_kind="iid_gaussian",
+        s0=np.ones(p), rh=rh, sigma2_eps=np.array([1e-3, 4e-3, 2e-3, 8e-3]),
+        sigma2_eta=sigma2_eta,
     )
     system = build_averaged_system(top, model, lam, 0.1)
     noise = noise_covariances(system, model)

@@ -372,6 +372,23 @@ def test_topology_path_without_edgelist_exits_one(tmp_path, capsys):
     assert err.startswith("error: topology.path applies to topology.kind = edgelist only")
 
 
+@pytest.mark.parametrize("line", ["topology.j = 50", "topology.radius = 0.1",
+                                  "topology.seed = 3"])
+def test_geometric_keys_with_edgelist_exit_one(tmp_path, capsys, line):
+    """An edge list fixes the network, so a placement key would be ignored:
+    it is refused by key, before any output."""
+    net = tmp_path / "net.txt"
+    write_edge_list(from_edges(4, [(0, 1), (1, 2), (2, 3)]), net)
+    path = tmp_path / "net.cfg"
+    path.write_text(f"topology.kind = edgelist\ntopology.path = {net}\n{line}\nT = 50\nruns = 1\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == (
+        f"error: {key} applies to topology.kind = geometric only, got topology.kind = edgelist\n")
+    assert not out.exists()
+
+
 def test_regressor_length_below_one_exits_one(tmp_path, capsys):
     path = tmp_path / "short.cfg"
     path.write_text(SMALL_CONFIG.replace("scenario.p = 2", "scenario.p = -1"))

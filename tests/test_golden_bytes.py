@@ -106,3 +106,24 @@ def _digests(tmp_path, command, extra):
 def test_csv_bytes_are_pinned(tmp_path, name):
     command, extra, expected = CASES[name]
     assert _digests(tmp_path, command, extra) == expected
+
+
+def test_an_edge_list_of_the_geometric_network_writes_the_same_bytes(tmp_path):
+    """`gen-topology` saves the network BASE draws; `simulate` read through
+    that edge list writes the CSV bytes of the geometric run."""
+    net = tmp_path / "net"
+    assert main(["gen-topology", "--j", "6", "--radius", "0.7", "--seed", "2",
+                 "--out", str(net)]) == 0
+    rest = "".join(f"{line}\n" for line in BASE.splitlines()
+                   if line and not line.startswith("topology."))
+    configs = {"geometric": BASE,
+               "edgelist": f"topology.kind = edgelist\ntopology.path = {net / 'topology.txt'}\n"
+                           + rest}
+    written = {}
+    for route, text in configs.items():
+        config, out = tmp_path / f"{route}.cfg", tmp_path / route
+        config.write_text(text)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        written[route] = {name: (out / name).read_bytes()
+                          for name in ("global.csv", "per_sensor.csv")}
+    assert written["edgelist"] == written["geometric"]

@@ -24,7 +24,7 @@ from drls.harness import (
     write_global_csv,
     write_per_sensor_csv,
 )
-from drls.topology import from_edges, write_edge_list
+from drls.topology import from_edges, random_geometric, write_edge_list
 
 FULL_CONFIG = """
 # exercise every key once
@@ -48,6 +48,10 @@ burn_in = 20
 master_seed = 11
 threads = 1
 """
+
+
+#: the geometric-only fields left unset, as an edge-list config needs them
+_NO_GEOMETRY = dict(topology_j=None, topology_radius=None, topology_seed=None)
 
 
 def _small_config(**kw):
@@ -82,7 +86,7 @@ def test_parse_defaults():
     assert config.algorithm == "drls_ama"
     assert config.t_samples == 2000
     assert config.resolved_burn_in == 1800
-    assert config.topology_seed is None
+    assert config.topology_j is config.topology_radius is config.topology_seed is None
 
 
 @pytest.mark.parametrize(
@@ -161,6 +165,12 @@ def test_hash_opens_a_comment_only_after_whitespace(tmp_path):
         (dict(scenario_rh_scale=0.0), r"scenario.rh_scale must be positive, got 0.0"),
         (dict(scenario_eps_scale=-0.5), r"scenario.eps_scale must be >= 0, got -0.5"),
         (dict(topology_path="net.txt"), "topology.path applies to topology.kind = edgelist"),
+        *((dict(topology_kind="edgelist", topology_path="net.txt",
+                **{**_NO_GEOMETRY, name: value}),
+           f"{key} applies to topology.kind = geometric only, got topology.kind = edgelist")
+          for name, key, value in (("topology_j", "topology.j", 10),
+                                   ("topology_radius", "topology.radius", 0.45),
+                                   ("topology_seed", "topology.seed", 0))),
     ],
 )
 def test_validate_errors(kw, fragment):
@@ -190,13 +200,16 @@ def test_build_topology_geometric_defaults_to_master_seed():
     explicit = build_topology(_small_config(topology_seed=0))
     implicit = build_topology(_small_config(topology_seed=None, master_seed=0))
     assert_array_equal(explicit.adjacency, implicit.adjacency)
+    # unset, topology.j and topology.radius are 10 and 0.45
+    unset = build_topology(ExperimentConfig(master_seed=4))
+    assert_array_equal(unset.adjacency, random_geometric(10, 0.45, 4).adjacency)
 
 
 def test_build_topology_edgelist(tmp_path):
     top = from_edges(3, [(0, 1), (1, 2)])
     path = tmp_path / "net.txt"
     write_edge_list(top, path)
-    config = _small_config(topology_kind="edgelist", topology_path=str(path))
+    config = _small_config(topology_kind="edgelist", topology_path=str(path), **_NO_GEOMETRY)
     assert_array_equal(build_topology(config).adjacency, top.adjacency)
 
 
@@ -211,7 +224,7 @@ def test_build_model_iid_scaling():
 def test_build_model_ar_kind():
     config = _small_config(scenario_kind="ar", scenario_p=None)
     model = build_model(config, build_topology(config))
-    assert model.regressor_kind == "ar1_shift"
+    assert model.ar_rho == 0.5
     assert model.p == 4
 
 
@@ -329,7 +342,7 @@ def _pair_config(tmp_path, **kw):
     top = from_edges(2, [(0, 1)])
     path = tmp_path / "pair.txt"
     write_edge_list(top, path)
-    return _small_config(topology_kind="edgelist", topology_path=str(path),
+    return _small_config(topology_kind="edgelist", topology_path=str(path), **_NO_GEOMETRY,
                          scenario_p=1, c=5000.0, t_samples=400, **kw)
 
 

@@ -18,7 +18,7 @@ from drls.topology import from_edges, random_geometric
 
 def test_ar_stationary_covariance_oracle():
     """Hand-computed Toeplitz covariance for rho=0.5, beta=0.8, var=2."""
-    cov = ar_stationary_covariance(0.5, 0.8, 2.0, 3)
+    cov, = ar_stationary_covariance(0.5, np.array([0.8]), np.array([2.0]), 3)
     a = 0.4
     var = 0.5 * 2.0 / (1.0 - a * a)   # = 1/0.84
     assert var == pytest.approx(1.0 / 0.84)
@@ -31,28 +31,43 @@ def test_ar_stationary_covariance_oracle():
 
 
 def test_ar_stationary_covariance_rejects_unstable_pole():
-    with pytest.raises(ModelError, match="not stable"):
-        ar_stationary_covariance(0.5, 2.0, 1.0, 2)
+    with pytest.raises(ModelError, match="sensor 1 = 1.0 is not stable"):
+        ar_stationary_covariance(0.5, np.array([0.5, 2.0]), np.ones(2), 2)
+
+
+def test_ar_stationary_covariance_stacks_the_per_sensor_matrices():
+    """The (J,) form is the stack of the one-sensor Toeplitz matrices, each
+    computed from that sensor's scalars, bit for bit."""
+    rng = np.random.default_rng(4)
+    for j, p, rho in ((1, 1, 0.5), (6, 4, 0.5), (9, 7, 0.13)):
+        beta, sigma2_omega = rng.uniform(size=j), 2.0 * rng.uniform(size=j) + 1e-8
+        stack = ar_stationary_covariance(rho, beta, sigma2_omega, p)
+        lags = np.abs(np.arange(p)[:, None] - np.arange(p)[None, :])
+        one_by_one = []
+        for k in range(j):
+            a = (1.0 - rho) * beta[k]
+            one_by_one.append(rho * sigma2_omega[k] / (1.0 - a * a) * a ** lags)
+        assert stack.shape == (j, p, p)
+        assert np.array_equal(stack, np.stack(one_by_one))
 
 
 def _tiny_model(**kw):
     base = dict(
-        p=2,
         s0=np.ones(2),
         rh=np.broadcast_to(np.eye(2), (3, 2, 2)).copy(),
         sigma2_eps=np.full(3, 1e-3),
         sigma2_eta=np.zeros(3),
-        regressor_kind="iid_gaussian",
     )
     base.update(kw)
     return SensorEnsembleModel(**base)
 
 
 def test_model_validation():
-    with pytest.raises(ModelError, match="unknown regressor kind"):
-        _tiny_model(regressor_kind="white")
-    with pytest.raises(ModelError, match="s0"):
+    with pytest.raises(ModelError, match=r"rh must have shape \(3, 3, 3\)"):
         _tiny_model(s0=np.ones(3))
+    for s0 in (np.ones(0), np.ones((2, 1)), np.float64(1.0)):
+        with pytest.raises(ModelError, match="s0 must be a"):
+            _tiny_model(s0=s0)
     with pytest.raises(ModelError, match="rh"):
         _tiny_model(rh=np.zeros((3, 2, 3)))
     with pytest.raises(ModelError, match="sigma2_eps of sensor 1 .* >= 0"):
@@ -69,10 +84,25 @@ def test_model_validation():
             _tiny_model(sigma2_eta=np.zeros(shape))
     with pytest.raises(ModelError, match="positive definite"):
         _tiny_model(rh=np.zeros((3, 2, 2)))
-    with pytest.raises(ModelError, match="ar1_shift needs"):
-        _tiny_model(regressor_kind="ar1_shift")
-    ar = dict(regressor_kind="ar1_shift", ar_rho=0.5, ar_beta=np.array([0.1, 0.2, 0.3]),
-              ar_sigma2_omega=np.ones(3))
+    ar = dict(ar_rho=0.5, ar_beta=np.array([0.1, 0.2, 0.3]), ar_sigma2_omega=np.ones(3))
+    ar["rh"] = ar_stationary_covariance(0.5, ar["ar_beta"], ar["ar_sigma2_omega"], 2)
+    _tiny_model(**ar)
+    for name in ("ar_rho", "ar_beta", "ar_sigma2_omega"):
+        with pytest.raises(ModelError, match="an AR model needs all of ar_rho, ar_beta "
+                                             "and ar_sigma2_omega"):
+            _tiny_model(**{name: ar[name]})
+        with pytest.raises(ModelError, match="needs all"):
+            _tiny_model(**{**ar, name: None})
+    # a field that is not an array is named, whatever the value
+    for name, value in (("sigma2_eps", 0.5), ("sigma2_eps", [1e-3, 1e-3, 1e-3]),
+                        ("sigma2_eps", np.float64(0.5)), ("s0", [1.0, 1.0]),
+                        ("rh", 1.0), ("sigma2_eta", 0.1)):
+        with pytest.raises(ModelError, match=f"{name} must be a numpy array, got "
+                                             f"{type(value).__name__}"):
+            _tiny_model(**{name: value})
+    for name in ("ar_beta", "ar_sigma2_omega"):
+        with pytest.raises(ModelError, match=f"{name} must be a numpy array, got list"):
+            _tiny_model(**{**ar, name: list(ar[name])})
     with pytest.raises(ModelError, match="ar_beta"):
         _tiny_model(**{**ar, "ar_beta": np.array([np.nan, 0.2, 0.3])})
     with pytest.raises(ModelError, match="ar_sigma2_omega"):
@@ -90,10 +120,26 @@ def test_model_validation():
         _tiny_model(**{**ar, "ar_sigma2_omega": np.ones(5)})
 
 
+def test_ar_model_refuses_a_covariance_that_is_not_its_own():
+    """An AR model's rh is the stationary covariance of its AR parameters,
+    exactly: the identity, a changed parameter or a rounding step is refused."""
+    model = ar_scenario(4, seed=2)
+    for changes in ({"rh": np.broadcast_to(np.eye(4), (4, 4, 4)).copy()},
+                    {"ar_beta": 0.5 * model.ar_beta},
+                    {"ar_sigma2_omega": 2.0 * model.ar_sigma2_omega},
+                    {"ar_rho": 0.25},
+                    {"rh": np.nextafter(model.rh, np.inf)}):
+        with pytest.raises(ModelError, match="rh of an AR model must be ar_stationary_covariance"):
+            replace(model, **changes)
+    # changing what the AR parameters do not fix keeps the model valid
+    replace(model, sigma2_eps=2.0 * model.sigma2_eps, sigma2_eta=np.zeros(4))
+
+
 def test_iid_scenario_defaults():
     model = iid_scenario(5, 3, seed=9)
     assert model.J == 5
-    assert model.regressor_kind == "iid_gaussian"
+    assert model.p == 3
+    assert model.ar_rho is None and model.ar_beta is None and model.ar_sigma2_omega is None
     assert_allclose(model.s0, 1.0)
     assert_allclose(model.rh, np.broadcast_to(np.eye(3), (5, 3, 3)))
     assert_array_equal(model.sigma2_eta, np.full(5, 0.1))
@@ -104,7 +150,7 @@ def test_iid_scenario_defaults():
 
 
 def test_iid_scenario_scalar_overrides():
-    model = iid_scenario(3, 2, seed=0, sigma2_eta=0.0, rh=4.0, sigma2_eps=0.5)
+    model = replace(iid_scenario(3, 2, seed=0, sigma2_eta=0.0, rh=4.0), sigma2_eps=np.full(3, 0.5))
     assert_allclose(model.rh, np.broadcast_to(4.0 * np.eye(2), (3, 2, 2)))
     assert_allclose(model.sigma2_eps, 0.5)
     assert_array_equal(model.sigma2_eta, np.zeros(3))
@@ -113,15 +159,10 @@ def test_iid_scenario_scalar_overrides():
 def test_ar_scenario_profile():
     model = ar_scenario(6, seed=3)
     assert model.p == 4
-    assert model.regressor_kind == "ar1_shift"
     assert model.ar_rho == 0.5
     assert ((model.ar_beta >= 0) & (model.ar_beta <= 1)).all()
-    for k in range(6):
-        assert_allclose(
-            model.rh[k],
-            ar_stationary_covariance(0.5, model.ar_beta[k], model.ar_sigma2_omega[k], 4),
-            rtol=1e-12,
-        )
+    assert_array_equal(model.rh, ar_stationary_covariance(0.5, model.ar_beta,
+                                                          model.ar_sigma2_omega, 4))
 
 
 def test_stream_determinism_and_seed_sensitivity():
@@ -170,8 +211,8 @@ def test_ideal_links_return_none():
 
 def test_iid_moments():
     """Sample moments of the regressors and observation noise."""
-    model = iid_scenario(2, 2, seed=0, rh=np.array([np.eye(2), [[2.0, 0.6], [0.6, 1.0]]]),
-                         sigma2_eps=np.array([0.5, 0.1]))
+    model = replace(iid_scenario(2, 2, seed=0), rh=np.array([np.eye(2), [[2.0, 0.6], [0.6, 1.0]]]),
+                    sigma2_eps=np.array([0.5, 0.1]))
     top = from_edges(2, [(0, 1)])
     stream = SnapshotStream(model, top, [123])
     n = 60_000
