@@ -35,14 +35,11 @@ from .errors import (
 )
 from .estimators import (
     AdmomState,
-    BatchConsensusResult,
     CentralizedRls,
     DrlsState,
     LocalRls,
     admom_step_flops,
     ama_step_flops,
-    drls_batch_ama,
-    ewlse_centralized,
     rls_kernel_step,
 )
 from .harness import (

@@ -20,8 +20,8 @@ class ModelError(Exception):
 
 class SequencingError(Exception):
     """Time indices requested out of order. Nothing in the package raises it
-    since snapshot streams serve their draws in order; it stays exported for
-    callers that catch it."""
+    since snapshot streams serve their draws in order; it stays exported
+    while perfbench/workloads.py names it, see ROADMAP item 1."""
 
 
 class AssemblyError(Exception):

@@ -18,10 +18,6 @@ realized by initializing the inverse at delta*I before any datum arrives.
 * ``AdmomState`` is the augmented-Lagrangian variant: same multiplier
   recursion, but the estimate update solves a dense p x p system whose
   matrix carries an extra c*deg_j*I term, O(p^3) per sensor per step.
-* ``drls_batch_ama`` freezes the data at one instant and repeats the
-  ``DrlsState`` consensus round to convergence (the two-time-scale limit);
-  with ideal links it converges to the centralized solution for small
-  enough c.
 
 Per-link quantities follow the topology's directed-link table: row k of a
 (D, p) array belongs to ``link_owner[k]`` and concerns its neighbor
@@ -34,15 +30,7 @@ unbatched copy and takes on the leading shape of its first datum by
 broadcasting, so each run of a batch follows its own recursion.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DivergenceError
-
-#: growth factor over a 100-iteration window that trips divergence watchdogs
-WATCHDOG_FACTOR = 10.0
-WATCHDOG_WINDOW = 100
 
 
 def _matvec(mats, vecs):
@@ -67,42 +55,6 @@ def rls_kernel_step(pinv, psi, h, x, lam):
     den = lam + np.einsum("...a,...a->...", h, ph)
     pinv = (pinv - ph[..., :, None] * ph[..., None, :] / den[..., None, None]) / lam
     return pinv, lam * psi + h * x[..., None]
-
-
-def ewlse_centralized(regressors, observations, lam, phi0):
-    """Exact exponentially weighted LS minimizer over pooled history.
-
-    Parameters
-    ----------
-    regressors : ndarray
-        (T, J, p): regressor of sensor j at sample index tau.
-    observations : ndarray
-        (T, J) matching observations.
-    lam : float
-        Forgetting factor; sample tau gets weight lam^(T-1-tau).
-    phi0 : float or ndarray
-        Ridge matrix (a float means phi0 * I_p), discounted by the same
-        factor as the oldest sample. To reproduce a recursive kernel that
-        took T steps from pinv(0) = delta*I, pass phi0 = lam * J / delta.
-
-    Returns the (p,) minimizer of
-    sum_tau lam^(T-1-tau) sum_j (x_j(tau) - h_j(tau)^T s)^2
-    + lam^(T-1) s^T phi0 s.
-    """
-    hs = np.asarray(regressors, dtype=np.float64)
-    xs = np.asarray(observations, dtype=np.float64)
-    if hs.ndim != 3 or xs.shape != hs.shape[:2]:
-        raise ValueError(
-            f"need regressors (T, J, p) and observations (T, J), got {hs.shape} / {xs.shape}"
-        )
-    t, _, p = hs.shape
-    phi0 = np.asarray(phi0, dtype=np.float64)
-    if phi0.ndim == 0:
-        phi0 = float(phi0) * np.eye(p)
-    w = lam ** np.arange(t - 1, -1, -1, dtype=np.float64)
-    phi = np.einsum("t,tja,tjb->ab", w, hs, hs) + (w[0] if t else 1.0) * phi0
-    b = np.einsum("t,tja,tj->a", w, hs, xs) if t else np.zeros(p)
-    return np.linalg.solve(phi, b)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +136,6 @@ class _NetworkBase:
         if self.topology.n_links == 0:
             return np.zeros((self.topology.J, self.p))
         return np.add.reduceat(per_link, self.topology.link_start[:-1], axis=-2)
-
-    def multiplier_imbalance(self):
-        """Largest violation of the pairwise antisymmetry v_ij = -v_ji.
-
-        Exactly zero for all time under ideal links (each update adds
-        opposite quantities to the two directions of a link); receiver
-        noise makes it drift.
-        """
-        if self.topology.n_links == 0:
-            return 0.0
-        return float(np.abs(self.v + self.v.take(self.topology.link_flip, axis=-2)).max())
 
 
 class DrlsState(_NetworkBase):
@@ -292,66 +233,3 @@ class CentralizedRls:
         self.psi_c = self.lam * self.psi_c + (h_t @ x[..., None])[..., 0]
         self.s_c = np.linalg.solve(self.phi, self.psi_c[..., None])[..., 0]
         return self
-
-
-# ---------------------------------------------------------------------------
-# batch consensus mode
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BatchConsensusResult:
-    s: np.ndarray              # (J, p) estimates after the final iteration
-    iterations: int
-    disagreement: float        # max over links of ||s_i - s_j|| at exit
-    history: np.ndarray        # per-iteration disagreement trace
-
-
-def drls_batch_ama(pinv, psi, topology, c, iters, tol=None):
-    """Repeat the ``DrlsState`` consensus round with the data frozen.
-
-    `pinv` (J, p, p) and `psi` (J, p) are the per-sensor kernel states at
-    the frozen instant; multipliers start at zero and the estimates at the
-    local ones, pinv @ psi. Stops early once the maximum link
-    disagreement drops to `tol` (when given). Raises DivergenceError if
-    the disagreement grows 10x over any 100-iteration window.
-
-    With ideal links and c inside its (topology-dependent) convergence
-    range, the iterates approach the pooled EWLS solution.
-    """
-    if iters < 0:
-        raise ValueError(f"iteration count must be >= 0, got {iters}")
-    if c <= 0:
-        raise ValueError(f"consensus step c must be positive, got {c}")
-    # lam and delta shape only kernel updates, which a frozen state never takes
-    state = DrlsState(topology, np.shape(psi)[-1], 1.0, c, 1.0)
-    state.pinv = np.asarray(pinv, dtype=np.float64)
-    state.psi = np.asarray(psi, dtype=np.float64)
-    state.s = _matvec(state.pinv, state.psi)
-    owner, peer = topology.link_owner, topology.link_peer
-
-    def disagreement(est):
-        if topology.n_links == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(est[owner] - est[peer], axis=1)))
-
-    history = []
-    d = disagreement(state.s)
-    k = 0
-    for k in range(1, iters + 1):
-        state._consensus()
-        d = disagreement(state.s)
-        history.append(d)
-        if (
-            k > WATCHDOG_WINDOW
-            and d > WATCHDOG_FACTOR * history[k - 1 - WATCHDOG_WINDOW]
-            and d > 1e-12
-        ):
-            raise DivergenceError(
-                f"batch consensus diverging: disagreement {d:.3e} at iteration {k} "
-                f"is over {WATCHDOG_FACTOR:.0f}x its value {WATCHDOG_WINDOW} iterations ago"
-            )
-        if tol is not None and d <= tol:
-            break
-    return BatchConsensusResult(
-        s=state.s, iterations=k, disagreement=d, history=np.asarray(history)
-    )

@@ -33,7 +33,7 @@ T                  samples per run (2000)
 runs               Monte Carlo runs (100)
 burn_in            steps discarded by tail statistics (T - max(1, T // 10))
 master_seed        root seed (0)
-threads            must be 1; kept so that existing configs parse (1)
+threads            must be 1; kept as the benchmark configs set it, ROADMAP item 1 (1)
 """
 
 import math

@@ -85,6 +85,10 @@ def from_positions(positions, radius):
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise TopologyError(f"positions must be (J, 2), got {pos.shape}")
+    if not np.isfinite(pos).all():
+        raise TopologyError("positions must be finite")
+    if not radius > 0:
+        raise TopologyError(f"radius must be positive, got {radius}")
     d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     adj = (d <= radius).astype(np.int64)
     np.fill_diagonal(adj, 0)
@@ -102,6 +106,7 @@ def random_geometric(j, radius, seed, max_attempts=1000):
     """
     if j < 1:
         raise TopologyError(f"need at least one sensor, got J={j}")
+    # refused here as well as in from_positions: the loop retries on any TopologyError
     if not radius > 0:
         raise TopologyError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)

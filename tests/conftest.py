@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drls.analysis import _stationary_forcing
+from drls.estimators import DrlsState
 
 #: relative tail-error target, and step cap, of the forward covariance iteration
 ITERATE_TOL = 1e-11
@@ -59,6 +60,56 @@ def _iterated_lyapunov(system, noise):
     pytest.fail(f"covariance recursion did not converge in {ITERATE_MAX_STEPS} steps")
 
 
+def _ewlse_centralized(regressors, observations, lam, phi0):
+    """Exact exponentially weighted LS minimizer over pooled history.
+
+    Parameters
+    ----------
+    regressors : ndarray
+        (T, J, p): regressor of sensor j at sample index tau.
+    observations : ndarray
+        (T, J) matching observations.
+    lam : float
+        Forgetting factor; sample tau gets weight lam^(T-1-tau).
+    phi0 : float or ndarray
+        Ridge matrix (a float means phi0 * I_p), discounted by the same
+        factor as the oldest sample. To reproduce a recursive kernel that
+        took T steps from pinv(0) = delta*I, pass phi0 = lam * J / delta.
+
+    Returns the (p,) minimizer of
+    sum_tau lam^(T-1-tau) sum_j (x_j(tau) - h_j(tau)^T s)^2
+    + lam^(T-1) s^T phi0 s.
+    """
+    hs = np.asarray(regressors, dtype=np.float64)
+    xs = np.asarray(observations, dtype=np.float64)
+    if hs.ndim != 3 or xs.shape != hs.shape[:2]:
+        raise ValueError(
+            f"need regressors (T, J, p) and observations (T, J), got {hs.shape} / {xs.shape}"
+        )
+    t, _, p = hs.shape
+    phi0 = np.asarray(phi0, dtype=np.float64)
+    if phi0.ndim == 0:
+        phi0 = float(phi0) * np.eye(p)
+    w = lam ** np.arange(t - 1, -1, -1, dtype=np.float64)
+    phi = np.einsum("t,tja,tjb->ab", w, hs, hs) + (w[0] if t else 1.0) * phi0
+    b = np.einsum("t,tja,tj->a", w, hs, xs) if t else np.zeros(p)
+    return np.linalg.solve(phi, b)
+
+
+def _frozen_consensus(local, top, c, iters):
+    """Estimates after `iters` consensus rounds on the kernels of `local`
+    held still: multipliers start at zero and the estimates at the local
+    ones. At lam = 1 a step on zero data leaves `pinv` and `psi` as they
+    are, so each ``DrlsState`` step is one consensus round alone."""
+    p = local.psi.shape[-1]
+    state = DrlsState(top, p, 1.0, c, 1.0)
+    state.pinv, state.psi, state.s = local.pinv, local.psi, local.s
+    h, x = np.zeros((top.J, p)), np.zeros(top.J)
+    for _ in range(iters):
+        state.step(h, x)
+    return state.s
+
+
 @pytest.fixture
 def kron_lyapunov():
     return _kron_lyapunov
@@ -67,3 +118,13 @@ def kron_lyapunov():
 @pytest.fixture
 def iterated_lyapunov():
     return _iterated_lyapunov
+
+
+@pytest.fixture
+def ewlse_centralized():
+    return _ewlse_centralized
+
+
+@pytest.fixture
+def frozen_consensus():
+    return _frozen_consensus

@@ -30,8 +30,6 @@ from drls.estimators import (
     LocalRls,
     admom_step_flops,
     ama_step_flops,
-    drls_batch_ama,
-    ewlse_centralized,
     rls_kernel_step,
 )
 from drls.harness import (
@@ -120,7 +118,7 @@ def _tail_emse_db(ensemble, window):
 # 1. batch consensus reaches the pooled solution
 # ---------------------------------------------------------------------------
 
-def test_batch_consensus_tracks_the_pooled_estimator():
+def test_batch_consensus_tracks_the_pooled_estimator(ewlse_centralized, frozen_consensus):
     """Frozen-data consensus converges to the pooled weighted LS solution
     on a complete 5-sensor network for at least one swept step size."""
     start = time.monotonic()
@@ -136,8 +134,8 @@ def test_batch_consensus_tracks_the_pooled_estimator():
 
     best = np.inf
     for c in (0.01, 0.05, 0.1):
-        result = drls_batch_ama(local.pinv, local.psi, top, c=c, iters=2000)
-        rel = float(np.max(np.linalg.norm(result.s - pooled, axis=1))
+        s = frozen_consensus(local, top, c=c, iters=2000)
+        rel = float(np.max(np.linalg.norm(s - pooled, axis=1))
                     / np.linalg.norm(pooled))
         best = min(best, rel)
     assert best < 1e-6
@@ -295,7 +293,7 @@ def test_ensemble_mean_bias_stays_small():
 # 9. degenerate setups collapse to the classical estimators
 # ---------------------------------------------------------------------------
 
-def test_single_sensor_equals_pooled_weighted_ls():
+def test_single_sensor_equals_pooled_weighted_ls(ewlse_centralized):
     top = from_edges(1, [])
     lam, delta = 0.95, 100.0
     state = DrlsState(top, 2, lam, c=0.1, delta=delta)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drls.errors import DivergenceError
 from drls.estimators import (
     AdmomState,
     CentralizedRls,
@@ -11,8 +10,6 @@ from drls.estimators import (
     admom_step_flops,
     ama_step_flops,
     centralized_step_flops,
-    drls_batch_ama,
-    ewlse_centralized,
     rls_kernel_step,
 )
 from drls.harness import ALGORITHMS
@@ -80,7 +77,7 @@ def test_kernel_stays_symmetric_positive_definite_at_the_edges(lam, t_total, p):
 # pooled exponentially weighted LS
 # ---------------------------------------------------------------------------
 
-def test_ewlse_hand_oracles():
+def test_ewlse_hand_oracles(ewlse_centralized):
     # one sample: (0.9^0 * 4 + phi0) s = 12
     s = ewlse_centralized(np.array([[[2.0]]]), np.array([[6.0]]), lam=0.9, phi0=1.0)
     assert_allclose(s, [2.4], rtol=1e-14)
@@ -92,12 +89,12 @@ def test_ewlse_hand_oracles():
     assert_allclose(s, [1.75], rtol=1e-14)
 
 
-def test_ewlse_shape_validation():
+def test_ewlse_shape_validation(ewlse_centralized):
     with pytest.raises(ValueError, match="regressors"):
         ewlse_centralized(np.zeros((4, 2)), np.zeros((4, 2)), 0.9, 1.0)
 
 
-def test_ewlse_matches_recursive_kernel():
+def test_ewlse_matches_recursive_kernel(ewlse_centralized):
     """J=1 recursive kernel and the batch solution agree at every horizon."""
     rng = np.random.default_rng(3)
     lam, delta, p = 0.95, 100.0, 3
@@ -116,7 +113,7 @@ def test_ewlse_matches_recursive_kernel():
         assert_allclose(pinv @ psi, batch, atol=1e-10)
 
 
-def test_centralized_state_matches_pooled_ewlse():
+def test_centralized_state_matches_pooled_ewlse(ewlse_centralized):
     top = from_edges(3, [(0, 1), (1, 2)])
     model = iid_scenario(3, 2, seed=1, sigma2_eta=0.0)
     hs, xs, _, _ = SnapshotStream(model, top, [2]).draws(5)
@@ -256,7 +253,7 @@ def test_multiplier_antisymmetry_conserved_on_ideal_links():
     rng = np.random.default_rng(5)
     for _ in range(10):
         state.step(rng.standard_normal((3, 2)), rng.standard_normal(3))
-    assert state.multiplier_imbalance() == 0.0
+    assert np.abs(state.v + state.v[top.link_flip]).max() == 0.0
 
 
 def test_multiplier_antisymmetry_drifts_under_noise():
@@ -264,7 +261,7 @@ def test_multiplier_antisymmetry_drifts_under_noise():
     state = DrlsState(top, 2, lam=0.95, c=0.2, delta=100.0)
     for h, x, eta, eta_bar in _noisy_steps(top, 2, 5, seed=8):
         state.step(h, x, eta=eta, eta_bar=eta_bar)
-    assert state.multiplier_imbalance() > 1e-6
+    assert np.abs(state.v + state.v[top.link_flip]).max() > 1e-6
 
 
 def test_zero_consensus_step_reduces_to_local_rls():
@@ -295,60 +292,38 @@ def test_single_sensor_network_equals_centralized():
 
 
 # ---------------------------------------------------------------------------
-# batch consensus mode
+# frozen-data consensus
 # ---------------------------------------------------------------------------
 
-def _frozen_kernels(top, p, t, seed, lam=0.95, delta=100.0):
-    model = iid_scenario(top.J, p, seed=seed, sigma2_eta=0.0)
-    hs, xs, _, _ = SnapshotStream(model, top, [seed]).draws(t)
+def test_zero_data_step_at_unit_forgetting_leaves_the_kernel_unchanged():
+    """At lam = 1 a datum h = 0, x = 0 adds nothing to the data matrix, so
+    the kernel keeps every bit and the step is one consensus round alone."""
+    top = from_edges(5, K5_EDGES)
+    state = DrlsState(top, 3, lam=1.0, c=0.05, delta=100.0)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        state.step(rng.standard_normal((5, 3)), rng.standard_normal(5))
+    pinv, psi = state.pinv, state.psi
+    state.step(np.zeros((5, 3)), np.zeros(5))
+    assert_array_equal(state.pinv, pinv)
+    assert_array_equal(state.psi, psi)
+
+
+def test_batch_consensus_reaches_the_pooled_solution(ewlse_centralized, frozen_consensus):
+    top = from_edges(5, K5_EDGES)
+    lam, delta, p = 0.95, 100.0, 3
+    model = iid_scenario(top.J, p, seed=4, sigma2_eta=0.0)
+    hs, xs, _, _ = SnapshotStream(model, top, [4]).draws(10)
     hs, xs = hs[:, 0], xs[:, 0]
     local = LocalRls(top, p, lam, 0.0, delta)
     for h, x in zip(hs, xs):
         local.step(h, x)
     pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
-    return local, pooled
-
-
-def test_batch_consensus_reaches_the_pooled_solution():
-    top = from_edges(5, K5_EDGES)
-    local, pooled = _frozen_kernels(top, 3, t=10, seed=4)
-    result = drls_batch_ama(local.pinv, local.psi, top, c=0.05, iters=2000)
-    rel = np.linalg.norm(result.s - pooled, axis=1) / np.linalg.norm(pooled)
+    s = frozen_consensus(local, top, c=0.05, iters=2000)
+    rel = np.linalg.norm(s - pooled, axis=1) / np.linalg.norm(pooled)
     assert rel.max() < 1e-6
-    assert result.disagreement < 1e-6
-
-
-def test_batch_consensus_zero_iterations_returns_local_estimates():
-    top = from_edges(5, K5_EDGES)
-    local, _ = _frozen_kernels(top, 3, t=10, seed=4)
-    result = drls_batch_ama(local.pinv, local.psi, top, c=0.05, iters=0)
-    assert result.iterations == 0
-    assert_allclose(result.s, local.s)
-
-
-def test_batch_consensus_tolerance_stops_early():
-    top = from_edges(5, K5_EDGES)
-    local, _ = _frozen_kernels(top, 3, t=10, seed=4)
-    result = drls_batch_ama(local.pinv, local.psi, top, c=0.05, iters=2000,
-                            tol=1e-4)
-    assert result.iterations < 2000
-    assert result.disagreement <= 1e-4
-    assert len(result.history) == result.iterations
-
-
-def test_batch_consensus_watchdog_catches_divergence():
-    top = from_edges(5, K5_EDGES)
-    local, _ = _frozen_kernels(top, 3, t=10, seed=4)
-    with pytest.raises(DivergenceError, match="diverging"):
-        drls_batch_ama(local.pinv, local.psi, top, c=50.0, iters=5000)
-
-
-def test_batch_consensus_validation():
-    top = from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError, match="positive"):
-        drls_batch_ama(np.zeros((2, 1, 1)), np.zeros((2, 1)), top, c=0.0, iters=1)
-    with pytest.raises(ValueError, match=">= 0"):
-        drls_batch_ama(np.zeros((2, 1, 1)), np.zeros((2, 1)), top, c=0.1, iters=-1)
+    disagreement = np.linalg.norm(s[top.link_owner] - s[top.link_peer], axis=1)
+    assert disagreement.max() < 1e-6
 
 
 # ---------------------------------------------------------------------------

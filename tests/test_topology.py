@@ -139,6 +139,21 @@ def test_from_positions_validates_shape():
         from_positions(np.zeros((3, 3)), 0.5)
 
 
+@pytest.mark.parametrize("positions, radius, fragment", [
+    ([[0.0, 0.0], [0.3, 0.0]], 0.0, "radius must be positive, got 0.0"),
+    ([[0.0, 0.0], [0.3, 0.0]], -1.0, "radius must be positive, got -1.0"),
+    ([[0.0, 0.0], [0.3, 0.0]], np.nan, "radius must be positive, got nan"),
+    ([[0.0, 0.0], [np.nan, 0.0]], 0.5, "positions must be finite"),
+    ([[0.0, np.inf], [0.3, 0.0]], 0.5, "positions must be finite"),
+    ([[np.nan, 0.0]], 0.5, "positions must be finite"),
+])
+def test_from_positions_refuses_bad_input(positions, radius, fragment):
+    """A bad radius or position is named as such, not as a disconnected
+    graph, and a lone sensor cannot store a NaN position."""
+    with pytest.raises(TopologyError, match=fragment):
+        from_positions(np.array(positions), radius)
+
+
 def test_from_positions_radius_rule():
     pos = np.array([[0.0, 0.0], [0.3, 0.0], [1.0, 0.0]])
     top = from_positions(pos, 0.7)
