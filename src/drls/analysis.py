@@ -287,7 +287,7 @@ def build_averaged_system(topology, model, lam, c):
         raise AssemblyError(
             f"steady-state analysis needs a forgetting factor in (0, 1), got {lam}"
         )
-    if c <= 0:
+    if not c > 0:
         raise AssemblyError(f"consensus step c must be positive, got {c}")
     j, p = topology.J, model.p
     jp = j * p
@@ -382,24 +382,31 @@ def check_mean_stability(system):
     eigenvalues strictly inside the unit circle, and left unit-eigenvectors
     supported on the multiplier block only (so the invariant directions
     never contaminate the estimation errors).
-    """
-    omega = system.mean_transition
-    n = omega.shape[0]
-    jp = n // 2
-    w = np.linalg.eigvals(omega)
-    unit = np.abs(w - 1.0) < UNIT_EIGEN_TOL
-    others = np.abs(w[~unit])
-    max_other = float(others.max()) if others.size else 0.0
 
-    u, sv, _ = np.linalg.svd(omega - np.eye(n))
+    The transition is U V = [-R; I] [L, I] (R = rh_lam_inv, L = lap_scaled),
+    and eig(UV) = eig(VU) plus Jp zeros, with like Jordan blocks at each
+    nonzero eigenvalue. So the spectrum is that of the Jp x Jp core V U =
+    I - LR, and z -> V^T z = [L z; z] maps the left null space of V U - I =
+    -LR onto the left unit-eigenspace.
+    """
+    lap = system.lap_scaled
+    jp = lap.shape[0]
+    lr = lap @ system.rh_lam_inv
+    w = np.linalg.eigvals(np.eye(jp) - lr)
+    unit = np.abs(w - 1.0) < UNIT_EIGEN_TOL
+    # the transition's other Jp eigenvalues are zeros
+    max_other = float(np.abs(w[~unit]).max(initial=0.0))
+
+    u, sv, _ = np.linalg.svd(-lr)
     sv_tol = UNIT_EIGEN_TOL * max(1.0, float(sv[0]))
     nullity = int(np.sum(sv < sv_tol))
     if nullity:
-        # zero-singular-value U columns y satisfy (omega - I)^T y = 0, so
-        # they are an orthonormal basis of the left unit-eigenspace
-        basis = u[:, n - nullity:]
+        # zero-singular-value U columns z satisfy (LR)^T z = 0; their images
+        # [L z; z], orthonormalised, are a basis of the left unit-eigenspace
+        z = u[:, jp - nullity:]
+        basis = np.linalg.qr(np.vstack([lap @ z, z]))[0]
         upper = float(np.linalg.norm(basis[:jp, :]))
-        null_residual = float(np.linalg.norm(system.lap_scaled @ basis[jp:, :]))
+        null_residual = float(np.linalg.norm(lap @ basis[jp:, :]))
     else:
         upper = 0.0
         null_residual = 0.0
@@ -422,9 +429,17 @@ class MseStabilityReport:
         return self.rho < 1.0
 
 
+def _fluctuation_radius(system):
+    """rho of the fluctuation transition, on its core (see `check_mse_stability`)."""
+    upper, lower = np.split(system.inner_transition[:, :system.lap_scaled.shape[0]], 2)
+    return spectral_radius(upper + lower)
+
+
 def check_mse_stability(system):
-    """Mean-square stability reduces to specrad(inner_transition) < 1."""
-    return MseStabilityReport(rho=spectral_radius(system.inner_transition))
+    """Mean-square stability reduces to specrad(inner_transition) < 1. That
+    transition is U V = [-RL; P] [I, I], R and L as in `check_mean_stability`
+    and P = L L^+, so rho is taken on the Jp x Jp core V U = P - RL."""
+    return MseStabilityReport(rho=_fluctuation_radius(system))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +580,7 @@ def steady_state_solve(system, noise):
     is not a contraction, and raises DivergenceError rather than return a
     covariance that did not converge within DOUBLING_MAX_SQUARINGS.
     """
-    rho = spectral_radius(system.inner_transition)
+    rho = _fluctuation_radius(system)
     if rho >= 1.0:
         raise StabilityError(
             f"error dynamics are not mean-square stable: spectral radius "

@@ -156,7 +156,7 @@ def scaled_laplacian(top, c, p):
     Positive semidefinite with nullspace of dimension exactly p when the
     topology is connected.
     """
-    if c <= 0:
+    if not c > 0:
         raise TopologyError(f"consensus step c must be positive, got {c}")
     if p < 1:
         raise TopologyError(f"regressor length p must be >= 1, got {p}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drls.analysis import _stationary_forcing
+from drls.analysis import UNIT_EIGEN_TOL, MeanStabilityReport, _stationary_forcing
 from drls.estimators import DrlsState
 
 #: relative tail-error target, and step cap, of the forward covariance iteration
@@ -19,6 +19,46 @@ def _kron_lyapunov(system, noise):
     sol = np.linalg.solve(np.eye(n * n) - np.kron(a, a), forcing.flatten(order="F"))
     r_z = sol.reshape((n, n), order="F")
     return 0.5 * (r_z + r_z.T)
+
+
+def _full_radius(system):
+    """Spectral radius of the whole (2Jp, 2Jp) fluctuation transition; the
+    package takes it on a Jp x Jp core."""
+    return float(np.max(np.abs(np.linalg.eigvals(system.inner_transition))))
+
+
+def _full_mean_stability(system):
+    """The mean-transition eigenstructure read off the whole (2Jp, 2Jp)
+    transition: its eigenvalues, and its left unit-eigenspace from the SVD
+    of the transition less I. The package takes both on a Jp x Jp core."""
+    omega = system.mean_transition
+    n = omega.shape[0]
+    jp = n // 2
+    w = np.linalg.eigvals(omega)
+    unit = np.abs(w - 1.0) < UNIT_EIGEN_TOL
+    others = np.abs(w[~unit])
+    max_other = float(others.max()) if others.size else 0.0
+
+    u, sv, _ = np.linalg.svd(omega - np.eye(n))
+    sv_tol = UNIT_EIGEN_TOL * max(1.0, float(sv[0]))
+    nullity = int(np.sum(sv < sv_tol))
+    if nullity:
+        # zero-singular-value U columns y satisfy (omega - I)^T y = 0, so
+        # they are an orthonormal basis of the left unit-eigenspace
+        basis = u[:, n - nullity:]
+        upper = float(np.linalg.norm(basis[:jp, :]))
+        null_residual = float(np.linalg.norm(system.lap_scaled @ basis[jp:, :]))
+    else:
+        upper = 0.0
+        null_residual = 0.0
+    return MeanStabilityReport(
+        unit_eigen_count=int(np.sum(unit)),
+        expected_unit_count=system.p,
+        max_other_modulus=max_other,
+        semisimple=nullity == int(np.sum(unit)),
+        left_upper_norm=upper,
+        left_null_residual=null_residual,
+    )
 
 
 def _iterated_lyapunov(system, noise):
@@ -113,6 +153,16 @@ def _frozen_consensus(local, top, c, iters):
 @pytest.fixture
 def kron_lyapunov():
     return _kron_lyapunov
+
+
+@pytest.fixture
+def full_radius():
+    return _full_radius
+
+
+@pytest.fixture
+def full_mean_stability():
+    return _full_mean_stability
 
 
 @pytest.fixture

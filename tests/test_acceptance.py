@@ -19,11 +19,13 @@ import pytest
 from drls.analysis import (
     build_averaged_system,
     check_mean_stability,
+    check_mse_stability,
     mean_stability_bound,
     noise_covariances,
     steady_state_solve,
     to_db,
 )
+from drls.errors import RunFailure
 from drls.estimators import (
     CentralizedRls,
     DrlsState,
@@ -34,6 +36,7 @@ from drls.estimators import (
 )
 from drls.harness import (
     ExperimentConfig,
+    averaged_system,
     build_model,
     build_topology,
     compare_theory,
@@ -63,6 +66,14 @@ AR_BENCH = dict(
 )
 
 AR_TAIL = AR_BENCH["t_samples"] - AR_BENCH["burn_in"]
+
+# 6 sensors where the averaged model calls steps mean-square stable that the
+# simulation diverges at; lam near 1 and a small delta keep the transient short
+EDGE_SETUP = dict(
+    topology_kind="geometric", topology_j=6, topology_radius=0.7, topology_seed=2,
+    scenario_kind="iid", scenario_p=2, scenario_seed=3, lam=0.99, delta=0.01,
+    t_samples=6000, runs=10, master_seed=5,
+)
 
 _timings = {}
 
@@ -198,6 +209,38 @@ def test_mean_transition_eigenstructure():
         assert report.left_null_residual < 1e-8
 
 
+def test_mean_stability_flips_at_the_bound():
+    """The bound and the eigenstructure are computed apart; they must agree
+    on which side of the bound a step lies."""
+    for top, model, _ in _topology_sweep():
+        bound = mean_stability_bound(top, model, 0.95)
+        inside = build_averaged_system(top, model, 0.95, 0.95 * bound)
+        outside = build_averaged_system(top, model, 0.95, 1.05 * bound)
+        assert check_mean_stability(inside).stable
+        assert not check_mean_stability(outside).stable
+
+
+def test_core_eigensolves_match_the_full_transitions(full_radius, full_mean_stability):
+    """The stability checks solve Jp x Jp cores; the whole (2Jp, 2Jp)
+    transitions give the same answers on the sweep, either side of the
+    bound, on the AR benchmark network and on a single sensor."""
+    ar = ExperimentConfig(**AR_BENCH)
+    ar_top = build_topology(ar)
+    cases = [(ar_top, build_model(ar, ar_top), ar.lam, ar.c),
+             (from_edges(1, []), iid_scenario(1, 2, seed=1), 0.95, 0.1)]
+    for top, model, _ in _topology_sweep():
+        bound = mean_stability_bound(top, model, 0.95)
+        cases += [(top, model, 0.95, 0.5 * bound), (top, model, 0.95, 1.05 * bound)]
+    for top, model, lam, c in cases:
+        system = build_averaged_system(top, model, lam, c)
+        assert abs(check_mse_stability(system).rho - full_radius(system)) <= 1e-10
+        core, full = check_mean_stability(system), full_mean_stability(system)
+        assert core.unit_eigen_count == full.unit_eigen_count
+        assert core.semisimple == full.semisimple
+        assert core.left_vectors_structured == full.left_vectors_structured
+        assert abs(core.max_other_modulus - full.max_other_modulus) <= 1e-10
+
+
 def test_link_noise_lift_exists_on_the_sweep():
     for top, model, p in _topology_sweep():
         system = build_averaged_system(top, model, 0.95, 0.1)
@@ -243,6 +286,24 @@ def test_prediction_matches_simulation_ar(ar_bench_compare):
     deltas = {r.metric: r.delta_db for r in ar_bench_compare.global_rows}
     assert abs(deltas["emse"]) <= 1.5, deltas
     assert abs(deltas["msd"]) <= 1.5, deltas
+
+
+def test_averaged_model_misses_divergence_below_the_bound():
+    """At half the mean-stability bound the prediction holds; at 0.9 of it
+    the averaged model still calls the step mean-square stable, but the
+    simulation diverges. The model drops the fluctuation of the inverse data
+    matrices about their mean, and this pins what that costs."""
+    config = ExperimentConfig(**EDGE_SETUP)
+    top = build_topology(config)
+    model = build_model(config, top)
+    bound = mean_stability_bound(top, model, config.lam)
+    half = compare_theory(replace(config, c=0.5 * bound), tol_db=0.5, topology=top, model=model)
+    msd = next(r for r in half.global_rows if r.metric == "msd")
+    assert abs(msd.delta_db) <= 0.5
+    near = replace(config, c=0.9 * bound)
+    assert check_mse_stability(averaged_system(near, top, model)).stable
+    with pytest.raises(RunFailure):
+        run_ensemble(near, topology=top, model=model)
 
 
 def test_benchmark_runtime_budget(iid_bench_compare, ar_bench_compare):

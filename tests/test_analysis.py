@@ -137,6 +137,8 @@ def test_build_rejects_degenerate_parameters():
         build_averaged_system(top, model, 1.0, 0.1)
     with pytest.raises(AssemblyError, match="consensus step"):
         build_averaged_system(top, model, 0.95, 0.0)
+    with pytest.raises(AssemblyError, match="c must be positive, got nan"):
+        build_averaged_system(top, model, 0.95, float("nan"))
     with pytest.raises(ModelError, match="sensors"):
         build_averaged_system(from_edges(3, [(0, 1), (1, 2)]), model, 0.95, 0.1)
 

@@ -130,6 +130,9 @@ def test_scaled_laplacian_rejects_bad_parameters():
     top = from_edges(2, [(0, 1)])
     with pytest.raises(TopologyError, match="positive"):
         scaled_laplacian(top, c=0.0, p=1)
+    # NaN fails every comparison, so `c <= 0` alone would let it through
+    with pytest.raises(TopologyError, match="c must be positive, got nan"):
+        scaled_laplacian(top, c=float("nan"), p=1)
     with pytest.raises(TopologyError, match=">= 1"):
         scaled_laplacian(top, c=1.0, p=0)
 
