@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, DivergenceError, ModelError, StabilityError
-from .linalg import bdiag, pinv, spectral_radius
+from .linalg import bdiag, pinv
 from .topology import laplacian, scaled_laplacian
 
 #: residual above which the multiplier-mix lift is considered unsolvable
@@ -55,7 +55,7 @@ LIFT_RESIDUAL_LIMIT = 1e-8
 DOUBLING_MAX_SQUARINGS = 64
 
 #: distance from 1 within which an eigenvalue of the mean transition counts
-#: as a unit eigenvalue (also the relative singular-value cutoff of its nullity)
+#: as a unit eigenvalue
 UNIT_EIGEN_TOL = 1e-8
 
 _DB_FLOOR = 1e-300
@@ -246,6 +246,13 @@ class AveragedSystem:
         (2Jp, 2Jp) transition of E[beta(t)].
     inner_transition : ndarray
         (2Jp, 2Jp) transition of the fluctuation state z(t).
+    coupling_spectrum : ndarray
+        (Jp,) ascending eigenvalues mu of lap_scaled @ rh_lam_inv, all
+        real and >= 0 up to round-off, of which a connected network has
+        exactly p zeros. Every stability figure is read from them: the
+        mean transition has eigenvalues 1 - mu, and the fluctuation
+        transition 1 - mu at all but the p smallest (see
+        `check_mean_stability` and `check_mse_stability`).
     link_mix : ndarray
         (Jp, Dp) link-noise aggregation map, columns in link-table order and
         c/4 included: row block j sums the noise on every reception of
@@ -267,10 +274,20 @@ class AveragedSystem:
     rh_lam_inv: np.ndarray
     mean_transition: np.ndarray
     inner_transition: np.ndarray
+    coupling_spectrum: np.ndarray
     link_mix: np.ndarray
     lifted_mix: np.ndarray
     data_input: np.ndarray
     link_input: np.ndarray
+
+
+def _coupling_spectrum(lap, rh_inv):
+    """Ascending eigenvalues of lap @ bdiag(rh_inv) for a symmetric lap and
+    a (K, p, p) SPD stack rh_inv. With G G^T = bdiag(rh_inv) (Cholesky),
+    eig(AB) = eig(BA) makes them those of the symmetric G^T lap G, so one
+    symmetric eigensolve gives them, real and sorted."""
+    g = bdiag(np.linalg.cholesky(rh_inv))
+    return np.linalg.eigvalsh(g.T @ lap @ g)
 
 
 def build_averaged_system(topology, model, lam, c):
@@ -294,7 +311,9 @@ def build_averaged_system(topology, model, lam, c):
     eye = np.eye(jp)
 
     lap = scaled_laplacian(topology, c, p)
-    rh_lam_inv = (1.0 - lam) * bdiag(np.linalg.inv(model.rh))
+    rh_inv = np.linalg.inv(model.rh)
+    rh_lam_inv = (1.0 - lam) * bdiag(rh_inv)
+    mu = (1.0 - lam) * _coupling_spectrum(lap, rh_inv)
 
     mean = np.block([[-rh_lam_inv @ lap, -rh_lam_inv], [lap, eye]])
     lap_pinv = pinv(lap)
@@ -321,7 +340,7 @@ def build_averaged_system(topology, model, lam, c):
     return AveragedSystem(
         topology=topology, p=p, lam=lam, c=c, lap_scaled=lap, rh=model.rh,
         rh_lam_inv=rh_lam_inv, mean_transition=mean,
-        inner_transition=inner, link_mix=link_mix,
+        inner_transition=inner, coupling_spectrum=mu, link_mix=link_mix,
         lifted_mix=lifted_mix, data_input=data_input, link_input=link_input,
     )
 
@@ -342,8 +361,8 @@ def mean_stability_bound(topology, model, lam):
         raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
     if lam == 1.0 or topology.n_links == 0:
         return float("inf")
-    coupling = bdiag(np.linalg.inv(model.rh)) @ np.kron(laplacian(topology), np.eye(model.p))
-    return 4.0 / ((1.0 - lam) * spectral_radius(coupling))
+    lap = np.kron(laplacian(topology), np.eye(model.p))
+    return 4.0 / ((1.0 - lam) * float(_coupling_spectrum(lap, np.linalg.inv(model.rh))[-1]))
 
 
 @dataclass(frozen=True)
@@ -353,70 +372,34 @@ class MeanStabilityReport:
     unit_eigen_count: int       # eigenvalues within tol of 1
     expected_unit_count: int    # p for a connected network
     max_other_modulus: float    # largest |eigenvalue| outside the unit cluster
-    semisimple: bool            # unit eigenvalue has full geometric multiplicity
-    left_upper_norm: float      # estimation-error block of the left unit-eigenbasis
-    left_null_residual: float   # ||lap_scaled @ multiplier block|| of the same basis
-
-    @property
-    def left_vectors_structured(self):
-        """Left unit-eigenvectors vanish on the estimation errors and their
-        multiplier part lies in the nullspace of the consensus coupling."""
-        return self.left_upper_norm < 1e-8 and self.left_null_residual < 1e-8
 
     @property
     def stable(self):
         """Mean error converges on the consensus-relevant subspace."""
         return (
             self.unit_eigen_count == self.expected_unit_count
-            and self.semisimple
-            and self.left_vectors_structured
             and self.max_other_modulus < 1.0
         )
 
 
 def check_mean_stability(system):
-    """Verify the unit-eigenvalue structure of the mean transition.
+    """Count the unit eigenvalues of the mean transition and bound the rest.
 
-    A healthy mean transition has exactly p semisimple unit eigenvalues
-    (the consensus-invariant directions of a connected network), all other
-    eigenvalues strictly inside the unit circle, and left unit-eigenvectors
-    supported on the multiplier block only (so the invariant directions
-    never contaminate the estimation errors).
-
-    The transition is U V = [-R; I] [L, I] (R = rh_lam_inv, L = lap_scaled),
-    and eig(UV) = eig(VU) plus Jp zeros, with like Jordan blocks at each
-    nonzero eigenvalue. So the spectrum is that of the Jp x Jp core V U =
-    I - LR, and z -> V^T z = [L z; z] maps the left null space of V U - I =
-    -LR onto the left unit-eigenspace.
+    A healthy mean transition has exactly p unit eigenvalues (the
+    consensus-invariant directions of a connected network) and all other
+    eigenvalues strictly inside the unit circle. The transition is U V =
+    [-R; I] [L, I] (R = rh_lam_inv, L = lap_scaled), and eig(UV) = eig(VU)
+    plus Jp zeros, so its spectrum is that of I - LR: the 1 - mu of
+    `AveragedSystem.coupling_spectrum`, and zeros, which bound nothing.
+    LR is similar to a symmetric matrix, so the unit eigenvalues are
+    semisimple and need no check of their own.
     """
-    lap = system.lap_scaled
-    jp = lap.shape[0]
-    lr = lap @ system.rh_lam_inv
-    w = np.linalg.eigvals(np.eye(jp) - lr)
-    unit = np.abs(w - 1.0) < UNIT_EIGEN_TOL
-    # the transition's other Jp eigenvalues are zeros
-    max_other = float(np.abs(w[~unit]).max(initial=0.0))
-
-    u, sv, _ = np.linalg.svd(-lr)
-    sv_tol = UNIT_EIGEN_TOL * max(1.0, float(sv[0]))
-    nullity = int(np.sum(sv < sv_tol))
-    if nullity:
-        # zero-singular-value U columns z satisfy (LR)^T z = 0; their images
-        # [L z; z], orthonormalised, are a basis of the left unit-eigenspace
-        z = u[:, jp - nullity:]
-        basis = np.linalg.qr(np.vstack([lap @ z, z]))[0]
-        upper = float(np.linalg.norm(basis[:jp, :]))
-        null_residual = float(np.linalg.norm(lap @ basis[jp:, :]))
-    else:
-        upper = 0.0
-        null_residual = 0.0
+    mu = system.coupling_spectrum
+    unit = np.abs(mu) < UNIT_EIGEN_TOL
     return MeanStabilityReport(
         unit_eigen_count=int(np.sum(unit)),
         expected_unit_count=system.p,
-        max_other_modulus=max_other,
-        semisimple=nullity == int(np.sum(unit)),
-        left_upper_norm=upper,
-        left_null_residual=null_residual,
+        max_other_modulus=float(np.abs(1.0 - mu[~unit]).max(initial=0.0)),
     )
 
 
@@ -430,15 +413,17 @@ class MseStabilityReport:
 
 
 def _fluctuation_radius(system):
-    """rho of the fluctuation transition, on its core (see `check_mse_stability`)."""
-    upper, lower = np.split(system.inner_transition[:, :system.lap_scaled.shape[0]], 2)
-    return spectral_radius(upper + lower)
+    """rho of the fluctuation transition (see `check_mse_stability`)."""
+    return float(np.abs(1.0 - system.coupling_spectrum[system.p:]).max(initial=0.0))
 
 
 def check_mse_stability(system):
     """Mean-square stability reduces to specrad(inner_transition) < 1. That
     transition is U V = [-RL; P] [I, I], R and L as in `check_mean_stability`
-    and P = L L^+, so rho is taken on the Jp x Jp core V U = P - RL."""
+    and P = L L^+, so its nonzero eigenvalues are those of V U = P - RL. On
+    the range of L that core acts as I - RL; on the p-dimensional null space
+    of L (a connected network) it is zero. So rho is the largest |1 - mu|
+    over all but the p smallest mu of `AveragedSystem.coupling_spectrum`."""
     return MseStabilityReport(rho=_fluctuation_radius(system))
 
 

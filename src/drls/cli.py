@@ -171,11 +171,8 @@ def _cmd_stability(args):
     mse_report = check_mse_stability(system)
     print(f"mean-stability bound on c: {bound:.6g} (config uses c = {config.c})")
     print(f"unit eigenvalues of the mean transition: {mean_report.unit_eigen_count} "
-          f"(expected {mean_report.expected_unit_count}, "
-          f"semisimple: {str(mean_report.semisimple).lower()})")
+          f"(expected {mean_report.expected_unit_count})")
     print(f"largest remaining eigenvalue modulus: {mean_report.max_other_modulus:.6f}")
-    print(f"left unit-eigenvectors confined to the multiplier block: "
-          f"{str(mean_report.left_vectors_structured).lower()}")
     print(f"fluctuation spectral radius: {mse_report.rho:.6f}")
     print(f"mean-stable: {str(mean_report.stable).lower()}")
     print(f"mean-square stable: {str(mse_report.stable).lower()}")

@@ -25,11 +25,6 @@ def pinv(a):
     return np.linalg.pinv(a, rcond=DEFAULT_PINV_TOL)
 
 
-def spectral_radius(a):
-    """Largest eigenvalue modulus of a square matrix (complex eigensolve)."""
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
-
-
 def bdiag(blocks):
     """Block-diagonal (Kp, Kp) matrix of a (K, p, p) stack; K = 0 gives (0, 0)."""
     k, p, _ = blocks.shape

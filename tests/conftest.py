@@ -1,8 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from drls.analysis import UNIT_EIGEN_TOL, MeanStabilityReport, _stationary_forcing
+from drls.analysis import UNIT_EIGEN_TOL, _stationary_forcing
 from drls.estimators import DrlsState
+from drls.linalg import bdiag
+from drls.topology import laplacian
 
 #: relative tail-error target, and step cap, of the forward covariance iteration
 ITERATE_TOL = 1e-11
@@ -23,14 +27,32 @@ def _kron_lyapunov(system, noise):
 
 def _full_radius(system):
     """Spectral radius of the whole (2Jp, 2Jp) fluctuation transition; the
-    package takes it on a Jp x Jp core."""
+    package reads it off the symmetric coupling spectrum."""
     return float(np.max(np.abs(np.linalg.eigvals(system.inner_transition))))
+
+
+@dataclass(frozen=True)
+class FullMeanStability:
+    """The mean-transition eigenstructure, read off the whole transition."""
+
+    unit_eigen_count: int       # eigenvalues within tol of 1
+    max_other_modulus: float    # largest |eigenvalue| outside the unit cluster
+    semisimple: bool            # unit eigenvalue has full geometric multiplicity
+    left_upper_norm: float      # estimation-error block of the left unit-eigenbasis
+    left_null_residual: float   # ||lap_scaled @ multiplier block|| of the same basis
+
+    @property
+    def left_vectors_structured(self):
+        """Left unit-eigenvectors vanish on the estimation errors and their
+        multiplier part lies in the nullspace of the consensus coupling."""
+        return self.left_upper_norm < 1e-8 and self.left_null_residual < 1e-8
 
 
 def _full_mean_stability(system):
     """The mean-transition eigenstructure read off the whole (2Jp, 2Jp)
     transition: its eigenvalues, and its left unit-eigenspace from the SVD
-    of the transition less I. The package takes both on a Jp x Jp core."""
+    of the transition less I. The package reads the eigenvalues off the
+    symmetric coupling spectrum and takes the rest as given."""
     omega = system.mean_transition
     n = omega.shape[0]
     jp = n // 2
@@ -51,14 +73,20 @@ def _full_mean_stability(system):
     else:
         upper = 0.0
         null_residual = 0.0
-    return MeanStabilityReport(
+    return FullMeanStability(
         unit_eigen_count=int(np.sum(unit)),
-        expected_unit_count=system.p,
         max_other_modulus=max_other,
         semisimple=nullity == int(np.sum(unit)),
         left_upper_norm=upper,
         left_null_residual=null_residual,
     )
+
+
+def _general_mean_stability_bound(topology, model, lam):
+    """The mean-stability bound by a general eigensolve of the nonsymmetric
+    bdiag(R_hj^{-1}) (L (x) I_p); the package solves a symmetric form."""
+    coupling = bdiag(np.linalg.inv(model.rh)) @ np.kron(laplacian(topology), np.eye(model.p))
+    return 4.0 / ((1.0 - lam) * float(np.max(np.abs(np.linalg.eigvals(coupling)))))
 
 
 def _iterated_lyapunov(system, noise):
@@ -163,6 +191,11 @@ def full_radius():
 @pytest.fixture
 def full_mean_stability():
     return _full_mean_stability
+
+
+@pytest.fixture
+def general_mean_stability_bound():
+    return _general_mean_stability_bound
 
 
 @pytest.fixture

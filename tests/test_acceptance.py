@@ -197,16 +197,19 @@ def _topology_sweep():
     return cases
 
 
-def test_mean_transition_eigenstructure():
+def test_mean_transition_eigenstructure(full_mean_stability):
     for top, model, p in _topology_sweep():
         bound = mean_stability_bound(top, model, 0.95)
         system = build_averaged_system(top, model, 0.95, 0.5 * bound)
         report = check_mean_stability(system)
         assert report.unit_eigen_count == p
-        assert report.semisimple
         assert report.max_other_modulus < 1.0
-        assert report.left_upper_norm < 1e-8
-        assert report.left_null_residual < 1e-8
+        # semisimplicity and the left unit-eigenvectors, which the package
+        # takes as given, checked on the whole transition
+        full = full_mean_stability(system)
+        assert full.semisimple
+        assert full.left_upper_norm < 1e-8
+        assert full.left_null_residual < 1e-8
 
 
 def test_mean_stability_flips_at_the_bound():
@@ -220,25 +223,51 @@ def test_mean_stability_flips_at_the_bound():
         assert not check_mean_stability(outside).stable
 
 
-def test_core_eigensolves_match_the_full_transitions(full_radius, full_mean_stability):
-    """The stability checks solve Jp x Jp cores; the whole (2Jp, 2Jp)
-    transitions give the same answers on the sweep, either side of the
-    bound, on the AR benchmark network and on a single sensor."""
+def test_core_eigensolves_match_the_full_transitions(full_radius, full_mean_stability,
+                                                     general_mean_stability_bound):
+    """The stability checks read one symmetric spectrum; the whole (2Jp, 2Jp)
+    transitions and a general eigensolve of the bound's coupling give the
+    same answers on the sweep, on both sides of the bound, on the AR
+    benchmark network and on a single sensor. Below the bound rho equals
+    the mean transition's largest other modulus, so rho < 1 exactly when c
+    is below it."""
     ar = ExperimentConfig(**AR_BENCH)
     ar_top = build_topology(ar)
     cases = [(ar_top, build_model(ar, ar_top), ar.lam, ar.c),
              (from_edges(1, []), iid_scenario(1, 2, seed=1), 0.95, 0.1)]
     for top, model, _ in _topology_sweep():
         bound = mean_stability_bound(top, model, 0.95)
-        cases += [(top, model, 0.95, 0.5 * bound), (top, model, 0.95, 1.05 * bound)]
+        cases += [(top, model, 0.95, f * bound) for f in (0.1, 0.5, 0.95, 1.05, 3.0)]
     for top, model, lam, c in cases:
         system = build_averaged_system(top, model, lam, c)
-        assert abs(check_mse_stability(system).rho - full_radius(system)) <= 1e-10
+        rho = check_mse_stability(system).rho
+        assert abs(rho - full_radius(system)) <= 1e-10
         core, full = check_mean_stability(system), full_mean_stability(system)
-        assert core.unit_eigen_count == full.unit_eigen_count
-        assert core.semisimple == full.semisimple
-        assert core.left_vectors_structured == full.left_vectors_structured
+        assert core.unit_eigen_count == full.unit_eigen_count == model.p
+        assert full.semisimple and full.left_vectors_structured
         assert abs(core.max_other_modulus - full.max_other_modulus) <= 1e-10
+        assert abs(rho - core.max_other_modulus) <= 1e-12
+        bound = mean_stability_bound(top, model, lam)
+        assert (rho < 1.0) == (c < bound)
+        if top.n_links:
+            reference = general_mean_stability_bound(top, model, lam)
+            assert abs(bound - reference) <= 1e-12 * reference
+
+    # an ill-conditioned R_h (condition number 1e8): its slow modes fall
+    # within UNIT_EIGEN_TOL of 1, and both routes count them alike
+    top = random_geometric(8, 0.7, seed=5)
+    rng = np.random.default_rng(3)
+    rotations = np.linalg.qr(rng.standard_normal((top.J, 2, 2)))[0]
+    rh = (rotations * [1e-4, 1e4]) @ rotations.transpose(0, 2, 1)
+    assert np.linalg.cond(rh).max() == pytest.approx(1e8)
+    model = replace(iid_scenario(top.J, 2, seed=1), rh=rh)
+    bound = mean_stability_bound(top, model, 0.95)
+    reference = general_mean_stability_bound(top, model, 0.95)
+    assert abs(bound - reference) <= 1e-12 * reference
+    system = build_averaged_system(top, model, 0.95, 0.5 * bound)
+    assert abs(check_mse_stability(system).rho - full_radius(system)) <= 1e-10
+    assert (check_mean_stability(system).unit_eigen_count
+            == full_mean_stability(system).unit_eigen_count)
 
 
 def test_link_noise_lift_exists_on_the_sweep():

@@ -61,16 +61,17 @@ def test_pair_oracle_mean_stability_bound():
     assert mean_stability_bound(top, model, 1.0) == np.inf
 
 
-def test_pair_oracle_mean_eigenstructure():
+def test_pair_oracle_mean_eigenstructure(full_mean_stability):
     _, _, system = _pair_system()
     report = check_mean_stability(system)
     assert report.unit_eigen_count == 1
     assert report.expected_unit_count == 1
-    assert report.semisimple
     assert report.max_other_modulus == pytest.approx(0.8, abs=1e-9)
-    assert report.left_upper_norm < 1e-10
-    assert report.left_null_residual < 1e-10
     assert report.stable
+    full = full_mean_stability(system)
+    assert full.semisimple
+    assert full.left_upper_norm < 1e-10
+    assert full.left_null_residual < 1e-10
 
 
 def test_pair_oracle_noise_covariances():

@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drls.linalg import bdiag, pinv, spectral_radius
+from drls.linalg import bdiag, pinv
 
 
 def _rng_matrices(seed, shapes):
@@ -36,26 +35,6 @@ def test_vec_identity_for_triple_products():
     r, s, t = rng.standard_normal((3, 4, 4))
     assert_allclose((r @ s @ t).flatten(order="F"),
                     np.kron(t.T, r) @ s.flatten(order="F"), atol=1e-12)
-
-
-def test_spectral_radius_known_values():
-    assert spectral_radius(np.diag([0.3, -0.9])) == pytest.approx(0.9)
-    # nilpotent: all eigenvalues zero regardless of entries
-    assert spectral_radius(np.array([[0.0, 5.0], [0.0, 0.0]])) == pytest.approx(0.0)
-    # rotation: complex pair on the unit circle
-    assert spectral_radius(np.array([[0.0, -1.0], [1.0, 0.0]])) == pytest.approx(1.0)
-
-
-def test_spectral_radius_similarity_invariant():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((5, 5))
-    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    assert spectral_radius(q @ a @ q.T) == pytest.approx(spectral_radius(a), rel=1e-9)
-
-
-def test_spectral_radius_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        spectral_radius(np.zeros((2, 3)))
 
 
 def test_bdiag_layout():
