@@ -22,7 +22,8 @@ on everything it hears. It lies in the range of ``lap_scaled``, and
 = link_mix.
 
 Steady-state second moments are the fixed point R = A R A^T + F of the
-covariance recursion, a discrete Lyapunov equation, solved by doubling.
+covariance recursion, a discrete Lyapunov equation. A = U V with V = [I, I],
+so it is solved by doubling on the (Jp, Jp) core V U and lifted back.
 Per-sensor and network MSD, EMSE and MSE come from the top-left block of
 that stationary covariance.
 
@@ -53,10 +54,6 @@ LIFT_RESIDUAL_LIMIT = 1e-8
 #: squarings after which the doubling solve gives up; 2^64 recursion steps
 #: reach round-off for any spectral radius representable below 1
 DOUBLING_MAX_SQUARINGS = 64
-
-#: distance from 1 within which an eigenvalue of the mean transition counts
-#: as a unit eigenvalue
-UNIT_EIGEN_TOL = 1e-8
 
 _DB_FLOOR = 1e-300
 
@@ -245,7 +242,7 @@ class AveragedSystem:
     mean_transition : ndarray
         (2Jp, 2Jp) transition of E[beta(t)].
     inner_transition : ndarray
-        (2Jp, 2Jp) transition of the fluctuation state z(t).
+        (2Jp, 2Jp) transition [U, U] of the fluctuation state z(t).
     coupling_spectrum : ndarray
         (Jp,) ascending eigenvalues mu of lap_scaled @ rh_lam_inv, all
         real and >= 0 up to round-off, of which a connected network has
@@ -315,12 +312,15 @@ def build_averaged_system(topology, model, lam, c):
     rh_lam_inv = (1.0 - lam) * bdiag(rh_inv)
     mu = (1.0 - lam) * _coupling_spectrum(lap, rh_inv)
 
-    mean = np.block([[-rh_lam_inv @ lap, -rh_lam_inv], [lap, eye]])
-    lap_pinv = pinv(lap)
-    lap_proj = lap @ lap_pinv
-    inner = np.block(
-        [[-rh_lam_inv @ lap, -rh_lam_inv @ lap], [lap_proj, lap_proj]]
-    )
+    coupled = -rh_lam_inv @ lap
+    mean = np.block([[coupled, -rh_lam_inv], [lap, eye]])
+    # lap is L_J (x) I_p, so its pseudoinverse and the projector P of the
+    # transition's factor U = [-RL; P] are those of the (J, J) L_J, times I_p
+    lap_j = lap[::p, ::p]
+    pinv_j = pinv(lap_j)
+    lap_pinv = np.kron(pinv_j, np.eye(p))
+    u = np.vstack([coupled, np.kron(lap_j @ pinv_j, np.eye(p))])
+    inner = np.hstack([u, u])
 
     # (J, D) one-hots of each link's transmitter less its receiver, widened by c/4 I_p
     one_hot = np.eye(j)
@@ -369,7 +369,7 @@ def mean_stability_bound(topology, model, lam):
 class MeanStabilityReport:
     """Eigenstructure summary of the mean transition."""
 
-    unit_eigen_count: int       # eigenvalues within tol of 1
+    unit_eigen_count: int       # eigenvalues 1 - mu, mu zero to round-off
     expected_unit_count: int    # p for a connected network
     max_other_modulus: float    # largest |eigenvalue| outside the unit cluster
 
@@ -392,10 +392,12 @@ def check_mean_stability(system):
     plus Jp zeros, so its spectrum is that of I - LR: the 1 - mu of
     `AveragedSystem.coupling_spectrum`, and zeros, which bound nothing.
     LR is similar to a symmetric matrix, so the unit eigenvalues are
-    semisimple and need no check of their own.
+    semisimple and need no check of their own. A mu counts as zero within
+    Jp eps of the largest |mu|, the round-off of the symmetric eigensolve,
+    so an ill-conditioned R_h's slow modes are not miscounted.
     """
     mu = system.coupling_spectrum
-    unit = np.abs(mu) < UNIT_EIGEN_TOL
+    unit = np.abs(mu) <= mu.size * np.finfo(np.float64).eps * np.abs(mu).max(initial=0.0)
     return MeanStabilityReport(
         unit_eigen_count=int(np.sum(unit)),
         expected_unit_count=system.p,
@@ -538,17 +540,23 @@ def _metrics_from_error_covariance(system, noise, r_y1):
     return msd, emse, emse + noise.sigma2_eps
 
 
-def _stationary_forcing(system, noise):
-    """Constant forcing of the covariance recursion at t = infinity."""
-    psi_m = system.inner_transition
-    b = system.data_input
-    n = psi_m.shape[0]
-    r_zeps = np.linalg.solve(
-        np.eye(n) - noise.lam * psi_m, noise.lam * (b @ noise.r_eps_inf)
-    )
-    cross = psi_m @ r_zeps @ b.T
+def _fold(x):
+    """V X V^T for V = [I, I]: the sum of the four blocks of X."""
+    jp = x.shape[0] // 2
+    return x.reshape(2, jp, 2, jp).sum(axis=(0, 2))
+
+
+def _stationary_forcing(u, core, b, noise):
+    """Constant forcing F of the covariance recursion at t = infinity, for
+    A = U V and core C = V U (see `steady_state_solve`). V (I - lam A)^{-1} =
+    (I - lam C)^{-1} V, so the state's cross covariance with the data noise
+    takes one (Jp, Jp) solve, and A X A^T = U (V X V^T) U^T."""
+    jp = core.shape[0]
+    cross = u @ np.linalg.solve(
+        np.eye(jp) - noise.lam * core, noise.lam * ((b[:jp] + b[jp:]) @ noise.r_eps_inf)
+    ) @ b.T
     return (
-        psi_m @ (noise.r_eta_bar_lam + noise.r_eta_lam) @ psi_m.T
+        u @ _fold(noise.r_eta_bar_lam + noise.r_eta_lam) @ u.T
         + b @ noise.r_eps_inf @ b.T
         + cross + cross.T
     )
@@ -557,13 +565,16 @@ def _stationary_forcing(system, noise):
 def steady_state_solve(system, noise):
     """Stationary covariance and mean-square metrics of the error system.
 
-    Solves R = A R A^T + F, with A the fluctuation transition and F the
-    stationary forcing, by doubling (squared Smith iteration): from Q = F,
-    repeat Q <- Q + A Q A^T and A <- A^2, so each pass doubles the number
-    of recursion terms Q sums. Stops once the added term is at round-off
-    relative to Q. Refuses systems whose fluctuation transition
-    is not a contraction, and raises DivergenceError rather than return a
-    covariance that did not converge within DOUBLING_MAX_SQUARINGS.
+    Solves R = A R A^T + F, with F the stationary forcing and A = [U, U] =
+    U V the fluctuation transition, V = [I, I]; a transition whose column
+    blocks differ is refused. As A^k = U C^(k-1) V with the (Jp, Jp) core
+    C = V U = P - RL, R = F + U S U^T where S = C S C^T + V F V^T. S is
+    solved by doubling (squared Smith iteration): from Q = V F V^T, repeat
+    Q <- Q + C Q C^T and C <- C^2, so each pass doubles the number of
+    recursion terms Q sums, until the added term is at round-off relative
+    to Q; then S is lifted back to R. Refuses systems whose fluctuation
+    transition is not a contraction, and raises DivergenceError rather than
+    return a covariance that did not converge within DOUBLING_MAX_SQUARINGS.
     """
     rho = _fluctuation_radius(system)
     if rho >= 1.0:
@@ -571,14 +582,19 @@ def steady_state_solve(system, noise):
             f"error dynamics are not mean-square stable: spectral radius "
             f"{rho:.6f} of the fluctuation transition is >= 1"
         )
-    a = system.inner_transition
+    jp = system.topology.J * system.p
+    u = system.inner_transition[:, :jp]
+    if not np.array_equal(u, system.inner_transition[:, jp:]):
+        raise AssemblyError("inner_transition is not [U, U]: its two column blocks differ")
+    a = u[:jp] + u[jp:]
     # the finiteness check below reports overflow, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        r_z = _stationary_forcing(system, noise)
+        forcing = _stationary_forcing(u, a, system.data_input, noise)
+        s = _fold(forcing)
         for squarings in range(DOUBLING_MAX_SQUARINGS + 1):
-            added = a @ r_z @ a.T
-            r_z = r_z + added
-            total_norm = float(np.linalg.norm(r_z))
+            added = a @ s @ a.T
+            s = s + added
+            total_norm = float(np.linalg.norm(s))
             if not np.isfinite(total_norm):
                 raise DivergenceError(
                     f"doubling solve lost finiteness after {squarings} squarings "
@@ -592,9 +608,8 @@ def steady_state_solve(system, noise):
                 f"doubling solve did not converge in {DOUBLING_MAX_SQUARINGS} "
                 f"squarings (spectral radius {rho:.6f})"
             )
+        r_z = forcing + u @ s @ u.T
     r_z = 0.5 * (r_z + r_z.T)
-
-    jp = system.topology.J * system.p
     r_y1 = r_z[:jp, :jp] + noise.feedthrough
     msd, emse, mse = _metrics_from_error_covariance(system, noise, r_y1)
     return SteadyStateReport(

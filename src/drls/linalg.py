@@ -18,9 +18,9 @@ def pinv(a):
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values below DEFAULT_PINV_TOL times the largest singular value
-    are treated as zero. The cutoff is loose enough for the scaled graph
-    Laplacians this package inverts (exact nullspace of dimension p) and
-    tight enough not to discard genuinely small modes.
+    are treated as zero. The cutoff is loose enough for the (J, J) scaled
+    graph Laplacian this package inverts (exact nullspace of dimension one
+    on a connected network) and tight enough not to discard small modes.
     """
     return np.linalg.pinv(a, rcond=DEFAULT_PINV_TOL)
 

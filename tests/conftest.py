@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from drls.analysis import UNIT_EIGEN_TOL, _stationary_forcing
+from drls.analysis import DOUBLING_MAX_SQUARINGS
 from drls.estimators import DrlsState
 from drls.linalg import bdiag
 from drls.topology import laplacian
@@ -12,6 +12,38 @@ from drls.topology import laplacian
 ITERATE_TOL = 1e-11
 ITERATE_MAX_STEPS = 500_000
 
+#: distance from 1 within which an eigenvalue of the whole mean transition
+#: counts as a unit eigenvalue
+FULL_UNIT_TOL = 1e-8
+
+
+def _full_forcing(system, noise):
+    """Stationary forcing F of R = A R A^T + F from the whole (2Jp, 2Jp)
+    fluctuation transition: the cross covariance with the data noise by a
+    2Jp solve of (I - lam A). The package solves a (Jp, Jp) core instead."""
+    a = system.inner_transition
+    b = system.data_input
+    n = a.shape[0]
+    r_zeps = np.linalg.solve(np.eye(n) - noise.lam * a, noise.lam * (b @ noise.r_eps_inf))
+    cross = a @ r_zeps @ b.T
+    return (a @ (noise.r_eta_bar_lam + noise.r_eta_lam) @ a.T
+            + b @ noise.r_eps_inf @ b.T + cross + cross.T)
+
+
+def _full_doubling_solve(system, noise):
+    """Stationary covariance by doubling on the whole (2Jp, 2Jp) transition:
+    from Q = F, repeat Q <- Q + A Q A^T and A <- A^2 until the added term is
+    at round-off. The package doubles on the (Jp, Jp) core and lifts back."""
+    a = system.inner_transition
+    r_z = _full_forcing(system, noise)
+    for _ in range(DOUBLING_MAX_SQUARINGS + 1):
+        added = a @ r_z @ a.T
+        r_z = r_z + added
+        if np.linalg.norm(added) <= np.finfo(np.float64).eps * np.linalg.norm(r_z):
+            return 0.5 * (r_z + r_z.T)
+        a = a @ a
+    pytest.fail(f"full doubling solve did not converge in {DOUBLING_MAX_SQUARINGS} squarings")
+
 
 def _kron_lyapunov(system, noise):
     """Closed-form stationary covariance: vectorise R = A R A^T + F by column
@@ -19,7 +51,7 @@ def _kron_lyapunov(system, noise):
     time and O((Jp)^4) memory, so it serves as an oracle on small systems."""
     a = system.inner_transition
     n = a.shape[0]
-    forcing = _stationary_forcing(system, noise)
+    forcing = _full_forcing(system, noise)
     sol = np.linalg.solve(np.eye(n * n) - np.kron(a, a), forcing.flatten(order="F"))
     r_z = sol.reshape((n, n), order="F")
     return 0.5 * (r_z + r_z.T)
@@ -57,12 +89,12 @@ def _full_mean_stability(system):
     n = omega.shape[0]
     jp = n // 2
     w = np.linalg.eigvals(omega)
-    unit = np.abs(w - 1.0) < UNIT_EIGEN_TOL
+    unit = np.abs(w - 1.0) < FULL_UNIT_TOL
     others = np.abs(w[~unit])
     max_other = float(others.max()) if others.size else 0.0
 
     u, sv, _ = np.linalg.svd(omega - np.eye(n))
-    sv_tol = UNIT_EIGEN_TOL * max(1.0, float(sv[0]))
+    sv_tol = FULL_UNIT_TOL * max(1.0, float(sv[0]))
     nullity = int(np.sum(sv < sv_tol))
     if nullity:
         # zero-singular-value U columns y satisfy (omega - I)^T y = 0, so
@@ -176,6 +208,16 @@ def _frozen_consensus(local, top, c, iters):
     for _ in range(iters):
         state.step(h, x)
     return state.s
+
+
+@pytest.fixture
+def full_forcing():
+    return _full_forcing
+
+
+@pytest.fixture
+def full_doubling_solve():
+    return _full_doubling_solve
 
 
 @pytest.fixture

@@ -253,8 +253,10 @@ def test_core_eigensolves_match_the_full_transitions(full_radius, full_mean_stab
             reference = general_mean_stability_bound(top, model, lam)
             assert abs(bound - reference) <= 1e-12 * reference
 
-    # an ill-conditioned R_h (condition number 1e8): its slow modes fall
-    # within UNIT_EIGEN_TOL of 1, and both routes count them alike
+    # an ill-conditioned R_h (condition number 1e8): at 0.1 x bound the
+    # slowest modes have mu near 5e-10 against mu_max = 0.2, and the p zero
+    # mu are near 1e-17; zero is judged relative to mu_max, so the count is
+    # p at every step below the bound
     top = random_geometric(8, 0.7, seed=5)
     rng = np.random.default_rng(3)
     rotations = np.linalg.qr(rng.standard_normal((top.J, 2, 2)))[0]
@@ -264,10 +266,12 @@ def test_core_eigensolves_match_the_full_transitions(full_radius, full_mean_stab
     bound = mean_stability_bound(top, model, 0.95)
     reference = general_mean_stability_bound(top, model, 0.95)
     assert abs(bound - reference) <= 1e-12 * reference
-    system = build_averaged_system(top, model, 0.95, 0.5 * bound)
-    assert abs(check_mse_stability(system).rho - full_radius(system)) <= 1e-10
-    assert (check_mean_stability(system).unit_eigen_count
-            == full_mean_stability(system).unit_eigen_count)
+    for f in (0.1, 0.5, 0.95):
+        system = build_averaged_system(top, model, 0.95, f * bound)
+        assert abs(check_mse_stability(system).rho - full_radius(system)) <= 1e-10
+        report = check_mean_stability(system)
+        assert report.unit_eigen_count == model.p, f"at {f} x bound"
+        assert report.stable
 
 
 def test_link_noise_lift_exists_on_the_sweep():
@@ -299,6 +303,32 @@ def test_closed_form_and_iterated_fixed_points_agree(kron_lyapunov, iterated_lya
             rel = np.linalg.norm(solved - reference) / np.linalg.norm(reference)
             assert rel < 1e-6, f"{route} disagrees at J={j}, p={p}: {rel:.2e}"
     assert time.monotonic() - start < 30.0
+
+
+def test_core_doubling_matches_the_full_doubling(full_doubling_solve, full_forcing):
+    """The package doubles on the (Jp, Jp) core and lifts back; doubling on
+    the whole (2Jp, 2Jp) transition gives the same covariance to round-off,
+    and the covariance meets the whole Lyapunov equation. Cases: the iid
+    networks of the benchmark's analysis sweep (J*p = 20, 24, 40, 80), the
+    AR benchmark (its J*p = 60 network) and a single sensor."""
+    configs = [ExperimentConfig(**{**IID_BENCH, "topology_j": j, "topology_radius": 0.5,
+                                   "topology_seed": seed, "scenario_p": p, "scenario_seed": 1})
+               for j, p, seed in [(10, 2, 7), (12, 2, 12), (20, 2, 20), (20, 4, 20)]]
+    configs.append(ExperimentConfig(**AR_BENCH))
+    cases = [(from_edges(1, []), iid_scenario(1, 2, seed=1), 0.95, 0.1)]
+    for config in configs:
+        top = build_topology(config)
+        cases.append((top, build_model(config, top), config.lam, config.c))
+    for top, model, lam, c in cases:
+        system = build_averaged_system(top, model, lam, c)
+        noise = noise_covariances(system, model)
+        r_z = steady_state_solve(system, noise).r_z
+        reference = full_doubling_solve(system, noise)
+        rel = np.linalg.norm(r_z - reference) / np.linalg.norm(reference)
+        assert rel <= 1e-12, f"J*p = {top.J * model.p}: {rel:.2e}"
+        a = system.inner_transition
+        residual = r_z - a @ r_z @ a.T - full_forcing(system, noise)
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r_z)
 
 
 # ---------------------------------------------------------------------------

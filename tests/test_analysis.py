@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from drls import analysis
 from drls.analysis import (
     _metric_cells,
-    _stationary_forcing,
     build_averaged_system,
     check_mean_stability,
     check_mse_stability,
@@ -222,7 +221,7 @@ def test_per_sensor_blocks_follow_their_sensor():
     assert mean_stability_bound(top, model, lam) == pytest.approx(4.0 / ((1 - lam) * rho))
 
 
-def test_steady_state_routes_agree(kron_lyapunov, iterated_lyapunov):
+def test_steady_state_routes_agree(kron_lyapunov, iterated_lyapunov, full_forcing):
     top = random_geometric(5, 0.7, seed=3)
     model = iid_scenario(top.J, 2, seed=3, sigma2_eta=0.1)
     cases = [(top, model, build_averaged_system(top, model, 0.95, 0.1)), _pair_system()]
@@ -233,9 +232,9 @@ def test_steady_state_routes_agree(kron_lyapunov, iterated_lyapunov):
         for reference in (kron_lyapunov(system, noise), iterated):
             rel = np.linalg.norm(report.r_z - reference) / np.linalg.norm(reference)
             assert rel < 1e-6
-        # the doubling solve meets its own equation to round-off
+        # the core doubling solve meets the whole (2Jp, 2Jp) equation to round-off
         a = system.inner_transition
-        residual = report.r_z - a @ report.r_z @ a.T - _stationary_forcing(system, noise)
+        residual = report.r_z - a @ report.r_z @ a.T - full_forcing(system, noise)
         assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(report.r_z)
         p = system.p
         jp = top.J * p
@@ -264,24 +263,43 @@ def test_steady_state_refuses_unstable_dynamics():
         steady_state_solve(system, noise)
 
 
+def _with_inner_input(system, u):
+    """`system` with fluctuation transition [U, U]: the form every averaged
+    system has, with U given."""
+    return replace(system, inner_transition=np.hstack([u, u]))
+
+
 def test_steady_state_raises_when_doubling_does_not_converge(monkeypatch):
-    """The pair system needs about seven squarings; capped at two, the
+    """Core C = 0.99 I needs eleven squarings; capped at two, the
     solve must refuse rather than return a truncated covariance."""
     top, model, system = _pair_system()
     noise = noise_covariances(system, model)
+    slow = _with_inner_input(system, np.vstack([0.99 * np.eye(2), np.zeros((2, 2))]))
     monkeypatch.setattr(analysis, "DOUBLING_MAX_SQUARINGS", 2)
     with pytest.raises(DivergenceError, match="did not converge in 2 squarings"):
-        steady_state_solve(system, noise)
+        steady_state_solve(slow, noise)
 
 
 def test_steady_state_raises_on_non_finite_covariance():
-    """A nilpotent transition (rho = 0) with huge entries overflows the
-    forcing; the solve reports it instead of returning infinities."""
+    """A nilpotent core (rho = 0) with huge entries overflows the forcing;
+    the solve reports it instead of returning infinities."""
     top, model, system = _pair_system()
     noise = noise_covariances(system, model)
-    blowup = replace(system, inner_transition=np.triu(np.full((4, 4), 1e200), 1))
-    with pytest.raises(DivergenceError, match="lost finiteness"):
-        steady_state_solve(blowup, noise)
+    u = np.zeros((4, 2))
+    u[0, 1] = 1e200
+    with pytest.raises(DivergenceError, match="lost finiteness after 0 squarings"):
+        steady_state_solve(_with_inner_input(system, u), noise)
+
+
+def test_steady_state_refuses_a_transition_not_of_the_form_u_u():
+    """The core solve rests on inner_transition = [U, U]; a transition whose
+    column blocks differ is refused by name, with no 2Jp fallback."""
+    top, model, system = _pair_system()
+    noise = noise_covariances(system, model)
+    skewed = system.inner_transition.copy()
+    skewed[0, 2] += 1e-3
+    with pytest.raises(AssemblyError, match="inner_transition is not \\[U, U\\]"):
+        steady_state_solve(replace(system, inner_transition=skewed), noise)
 
 
 def test_link_noise_raises_the_prediction():
