@@ -73,7 +73,6 @@ from .topology import (
     laplacian,
     random_geometric,
     read_edge_list,
-    scaled_laplacian,
     write_edge_list,
 )
 

@@ -13,13 +13,13 @@ instantaneous link-noise feedthrough and beta2 = lap_scaled @ z2. The two
 transitions intertwine: bdiag(I, lap_scaled) @ inner = mean @ bdiag(I,
 lap_scaled).
 
-Link noise is stacked over the topology's directed-link table as the
-simulation draws it: entry k is the noise on what ``link_owner[k]`` hears
-from ``link_peer[k]``. ``link_mix`` gives each sensor, with the c/4
-weighting, the noise on every reception of its own broadcast less the noise
-on everything it hears. It lies in the range of ``lap_scaled``, and
-``lifted_mix`` is the least-squares lift satisfying lap_scaled @ lifted_mix
-= link_mix.
+Link noise enters each sensor's multiplier imbalance, with the c/4
+weighting, as the noise on every reception of its own broadcast less the
+noise on everything it hears. The noise a receiver hears is isotropic, so
+the covariance of that aggregate is (c/4)^2 (W (x) I_p), where W is the
+(J, J) Laplacian whose link {i, j} weighs sigma2_eta_i + sigma2_eta_j. W 1 =
+0, so the aggregate lies in the range of ``lap_scaled`` and lifts through
+its pseudoinverse.
 
 Steady-state second moments are the fixed point R = A R A^T + F of the
 covariance recursion, a discrete Lyapunov equation. A = U V with V = [I, I],
@@ -28,11 +28,9 @@ Per-sensor and network MSD, EMSE and MSE come from the top-left block of
 that stationary covariance.
 
 The per-sensor blocks (R_hj, R_hj^{-1}, and the per-sensor error
-covariances) are handled as (J, p, p) stacks, with no loop over sensors or
-links. The link noise is isotropic (sigma2_eta_j I_p at receiver j), so its
-covariances are kept as vectors of variances, and a product with one is a
-scaling of columns. The model checked its inputs when it was built, so they
-are used here as given.
+covariances) are handled as (J, p, p) stacks, and every network operator is
+built at (J, J) and widened by I_p, with no loop over sensors or links. The
+model checked its inputs when it was built, so they are used here as given.
 
 `write_metrics_csv` writes the metric tables of both the prediction and the
 simulation. It formats cells a block of rows at a time with a vectorised
@@ -46,10 +44,7 @@ import numpy as np
 
 from .errors import AssemblyError, DivergenceError, ModelError, StabilityError
 from .linalg import bdiag, pinv
-from .topology import laplacian, scaled_laplacian
-
-#: residual above which the multiplier-mix lift is considered unsolvable
-LIFT_RESIDUAL_LIMIT = 1e-8
+from .topology import laplacian
 
 #: squarings after which the doubling solve gives up; 2^64 recursion steps
 #: reach round-off for any spectral radius representable below 1
@@ -234,6 +229,8 @@ class AveragedSystem:
         The network and algorithm parameters the matrices were built from.
     lap_scaled : ndarray
         (Jp, Jp) consensus coupling (c/2) L (x) I_p.
+    lap_pinv : ndarray
+        (Jp, Jp) pseudoinverse of lap_scaled, pinv((c/2) L) (x) I_p.
     rh : ndarray
         (J, p, p) stack of the regressor covariances R_hj.
     rh_lam_inv : ndarray
@@ -250,16 +247,8 @@ class AveragedSystem:
         mean transition has eigenvalues 1 - mu, and the fluctuation
         transition 1 - mu at all but the p smallest (see
         `check_mean_stability` and `check_mse_stability`).
-    link_mix : ndarray
-        (Jp, Dp) link-noise aggregation map, columns in link-table order and
-        c/4 included: row block j sums the noise on every reception of
-        sensor j's broadcast, less the noise on everything j hears.
-    lifted_mix : ndarray
-        (Jp, Dp) lift of link_mix through lap_scaled.
     data_input : ndarray
         (2Jp, Jp) injection of per-sensor data-noise vectors into z.
-    link_input : ndarray
-        (2Jp, Dp) injection of estimate-exchange noise into z.
     """
 
     topology: object
@@ -267,15 +256,13 @@ class AveragedSystem:
     lam: float
     c: float
     lap_scaled: np.ndarray
+    lap_pinv: np.ndarray
     rh: np.ndarray
     rh_lam_inv: np.ndarray
     mean_transition: np.ndarray
     inner_transition: np.ndarray
     coupling_spectrum: np.ndarray
-    link_mix: np.ndarray
-    lifted_mix: np.ndarray
     data_input: np.ndarray
-    link_input: np.ndarray
 
 
 def _coupling_spectrum(lap, rh_inv):
@@ -291,57 +278,39 @@ def build_averaged_system(topology, model, lam, c):
     """Assemble the averaged error-system matrices.
 
     Requires lam < 1 (the averaged inverse data matrix must have a finite
-    limit) and c > 0. Raises AssemblyError if the multiplier-mix lift
-    leaves a residual above LIFT_RESIDUAL_LIMIT, which would mean the
-    link-noise aggregation map fell outside the consensus range space.
+    limit) and c > 0.
     """
-    if model.J != topology.J:
-        raise ModelError(f"model has {model.J} sensors but topology has {topology.J}")
+    model.check_topology(topology)
     if not 0.0 < lam < 1.0:
         raise AssemblyError(
             f"steady-state analysis needs a forgetting factor in (0, 1), got {lam}"
         )
     if not c > 0:
         raise AssemblyError(f"consensus step c must be positive, got {c}")
-    j, p = topology.J, model.p
-    jp = j * p
+    p = model.p
+    jp = topology.J * p
     eye = np.eye(jp)
 
-    lap = scaled_laplacian(topology, c, p)
+    # lap is L_J (x) I_p, so its pseudoinverse and the projector P of the
+    # transition's factor U = [-RL; P] are those of the (J, J) L_J, times I_p
+    lap_j = 0.5 * c * laplacian(topology)
+    pinv_j = pinv(lap_j)
+    lap = np.kron(lap_j, np.eye(p))
+    lap_pinv = np.kron(pinv_j, np.eye(p))
     rh_inv = np.linalg.inv(model.rh)
     rh_lam_inv = (1.0 - lam) * bdiag(rh_inv)
     mu = (1.0 - lam) * _coupling_spectrum(lap, rh_inv)
 
     coupled = -rh_lam_inv @ lap
     mean = np.block([[coupled, -rh_lam_inv], [lap, eye]])
-    # lap is L_J (x) I_p, so its pseudoinverse and the projector P of the
-    # transition's factor U = [-RL; P] are those of the (J, J) L_J, times I_p
-    lap_j = lap[::p, ::p]
-    pinv_j = pinv(lap_j)
-    lap_pinv = np.kron(pinv_j, np.eye(p))
     u = np.vstack([coupled, np.kron(lap_j @ pinv_j, np.eye(p))])
     inner = np.hstack([u, u])
-
-    # (J, D) one-hots of each link's transmitter less its receiver, widened by c/4 I_p
-    one_hot = np.eye(j)
-    link_mix = np.kron((one_hot[topology.link_peer] - one_hot[topology.link_owner]).T,
-                       c / 4.0 * np.eye(p))
-    lifted_mix = lap_pinv @ link_mix
-    residual = float(np.linalg.norm(lap @ lifted_mix - link_mix))
-    if residual > LIFT_RESIDUAL_LIMIT:
-        raise AssemblyError(
-            f"link-noise aggregation is not liftable through the consensus "
-            f"coupling: residual {residual:.3e} exceeds {LIFT_RESIDUAL_LIMIT:.0e}"
-        )
-
     data_input = np.vstack([rh_lam_inv, np.zeros((jp, jp))])
-    link_input = np.vstack([-rh_lam_inv @ link_mix, lifted_mix])
 
     return AveragedSystem(
-        topology=topology, p=p, lam=lam, c=c, lap_scaled=lap, rh=model.rh,
-        rh_lam_inv=rh_lam_inv, mean_transition=mean,
-        inner_transition=inner, coupling_spectrum=mu, link_mix=link_mix,
-        lifted_mix=lifted_mix, data_input=data_input, link_input=link_input,
+        topology=topology, p=p, lam=lam, c=c, lap_scaled=lap, lap_pinv=lap_pinv,
+        rh=model.rh, rh_lam_inv=rh_lam_inv, mean_transition=mean,
+        inner_transition=inner, coupling_spectrum=mu, data_input=data_input,
     )
 
 
@@ -357,9 +326,10 @@ def mean_stability_bound(topology, model, lam):
     with L the unscaled graph Laplacian. Returns inf when lam = 1, and when
     the network has no links, as there is then no coupling to destabilise.
     """
+    model.check_topology(topology)
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
-    if lam == 1.0 or topology.n_links == 0:
+    if lam == 1.0 or not topology.adjacency.any():
         return float("inf")
     lap = np.kron(laplacian(topology), np.eye(model.p))
     return 4.0 / ((1.0 - lam) * float(_coupling_spectrum(lap, np.linalg.inv(model.rh))[-1]))
@@ -438,11 +408,12 @@ class NoiseCovariances:
     """Driving-noise second moments of the fluctuation recursion.
 
     ``r_eps_inf`` is the stationary covariance of the per-sensor data
-    noise h_j eps_j accumulated with forgetting. The link noise is
-    isotropic, so its covariances are diagonal and kept as their diagonals:
-    ``r_eta`` (Dp,) holds, in link-table order, the variance sigma2_eta_j of
-    each entry of the noise each link owner j hears, and ``r_eta_bar``
-    (Jp,) the per-sensor aggregate of the multiplier-exchange noise,
+    noise h_j eps_j accumulated with forgetting. ``r_eta_mix`` (Jp, Jp) is
+    the covariance of each sensor's estimate-exchange noise aggregate (c/4
+    times the noise on every reception of its broadcast less the noise on
+    everything it hears): (c/4)^2 (W (x) I_p), W the (J, J) Laplacian whose
+    link {i, j} weighs sigma2_eta_i + sigma2_eta_j. ``r_eta_bar`` (Jp,) is
+    the diagonal of the per-sensor multiplier-exchange noise covariance,
     (deg_j / 4) sigma2_eta_j per entry. ``r_eta_lam`` / ``r_eta_bar_lam``
     are their (2Jp, 2Jp) covariances mapped into the fluctuation state, and
     ``feedthrough`` is the instantaneous link-noise covariance that adds to
@@ -453,7 +424,7 @@ class NoiseCovariances:
     lam: float
     sigma2_eps: np.ndarray
     r_eps_inf: np.ndarray
-    r_eta: np.ndarray
+    r_eta_mix: np.ndarray
     r_eta_bar: np.ndarray
     r_eta_lam: np.ndarray
     r_eta_bar_lam: np.ndarray
@@ -462,26 +433,32 @@ class NoiseCovariances:
 
 def noise_covariances(system, model):
     """Assemble the noise second moments for one model on one system."""
-    if model.J != system.topology.J or model.p != system.p:
-        raise ModelError("model dimensions do not match the averaged system")
     top = system.topology
+    if model.J != top.J or model.p != system.p:
+        raise ModelError(
+            f"model has J = {model.J}, p = {model.p} but the averaged system has "
+            f"J = {top.J}, p = {system.p}"
+        )
     lam = system.lam
+    r = system.rh_lam_inv
 
     r_eps_inf = bdiag(model.rh * model.sigma2_eps[:, None, None]) / (1.0 - lam * lam)
-    r_eta = np.repeat(model.sigma2_eta[top.link_owner], model.p)
-    r_eta_bar = np.repeat((top.degrees / 4.0) * model.sigma2_eta, model.p)
+    sigma2_eta = model.sigma2_eta
+    # (J, J) link weights sigma2_eta_i + sigma2_eta_j, and their Laplacian W
+    weights = top.adjacency * (sigma2_eta[:, None] + sigma2_eta)
+    r_eta_mix = (system.c / 4.0) ** 2 * np.kron(np.diag(weights.sum(axis=1)) - weights,
+                                                 np.eye(model.p))
+    r_eta_bar = np.repeat((top.degrees / 4.0) * sigma2_eta, model.p)
     b = system.data_input
-    g = system.link_input
-    mix = system.link_mix
-    # the covariances are diagonal: a product with one scales columns
+    # the link-noise aggregate enters z through [-R; L^+], as it lies in the range of L
+    g = np.vstack([-r, system.lap_pinv])
+    # r_eta_bar is a diagonal covariance: a product with it scales columns
     r_eta_bar_lam = (b * r_eta_bar) @ b.T
-    r_eta_lam = (g * r_eta) @ g.T
-    feedthrough = system.rh_lam_inv @ (
-        np.diag(r_eta_bar) + (mix * r_eta) @ mix.T
-    ) @ system.rh_lam_inv
+    r_eta_lam = g @ r_eta_mix @ g.T
+    feedthrough = r @ (np.diag(r_eta_bar) + r_eta_mix) @ r
     return NoiseCovariances(
         lam=lam, sigma2_eps=np.array(model.sigma2_eps, dtype=np.float64),
-        r_eps_inf=r_eps_inf, r_eta=r_eta, r_eta_bar=r_eta_bar,
+        r_eps_inf=r_eps_inf, r_eta_mix=r_eta_mix, r_eta_bar=r_eta_bar,
         r_eta_lam=r_eta_lam, r_eta_bar_lam=r_eta_bar_lam,
         feedthrough=feedthrough,
     )

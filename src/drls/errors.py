@@ -25,7 +25,9 @@ class SequencingError(Exception):
 
 
 class AssemblyError(Exception):
-    """An analysis matrix failed its internal consistency residual."""
+    """The averaged error system cannot be built or solved as given: a
+    forgetting factor or consensus step out of range, or a fluctuation
+    transition not of the form [U, U]."""
 
 
 class StabilityError(Exception):

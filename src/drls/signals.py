@@ -144,6 +144,11 @@ class SensorEnsembleModel:
     def p(self):
         return self.s0.shape[0]
 
+    def check_topology(self, topology):
+        """Refuse a topology whose sensor count is not the model's."""
+        if self.J != topology.J:
+            raise ModelError(f"model has {self.J} sensors but topology has {topology.J}")
+
 
 def iid_scenario(j, p, seed, sigma2_eta=0.1, rh=1.0):
     """Gaussian-regressor benchmark model.
@@ -213,10 +218,7 @@ class SnapshotStream:
     """
 
     def __init__(self, model, topology, seeds):
-        if model.J != topology.J:
-            raise ModelError(
-                f"model has {model.J} sensors but topology has {topology.J}"
-            )
+        model.check_topology(topology)
         self.model = model
         self.topology = topology
         self._rngs = [

@@ -7,9 +7,8 @@ table of *directed links*: every undirected edge {i, j} contributes the two
 entries (i, j) and (j, i). The table is the nonzero entries of the
 adjacency in row-major order, so it is grouped by owner with peers in
 ascending order. Row k of every stacked per-link quantity in the package
-(multipliers, receiver-noise vectors, the columns of the analysis
-module's noise mixing maps) is what ``link_owner[k]`` hears from
-``link_peer[k]``.
+(the estimators' multipliers, the simulated receiver-noise vectors) is
+what ``link_owner[k]`` hears from ``link_peer[k]``.
 
 Edge-list file format: first line is the sensor count J, then one line
 "i j" per undirected edge with 0 <= i < j < J. Comments and blank lines
@@ -148,19 +147,6 @@ def algebraic_connectivity(top):
     if top.J < 2:
         raise TopologyError("algebraic connectivity needs J >= 2")
     return float(np.sort(np.linalg.eigvalsh(laplacian(top)))[1])
-
-
-def scaled_laplacian(top, c, p):
-    """(c/2) * (L kron I_p): the consensus coupling operator on stacked states.
-
-    Positive semidefinite with nullspace of dimension exactly p when the
-    topology is connected.
-    """
-    if not c > 0:
-        raise TopologyError(f"consensus step c must be positive, got {c}")
-    if p < 1:
-        raise TopologyError(f"regressor length p must be >= 1, got {p}")
-    return 0.5 * c * np.kron(laplacian(top), np.eye(p))
 
 
 def write_edge_list(top, path):

@@ -121,6 +121,24 @@ def _general_mean_stability_bound(topology, model, lam):
     return 4.0 / ((1.0 - lam) * float(np.max(np.abs(np.linalg.eigvals(coupling)))))
 
 
+def _dense_link_mix(top, p, c):
+    """(Jp, Dp) map from the link noise, stacked over the directed-link table
+    as the simulation draws it (row k = what link_owner[k] hears from
+    link_peer[k]), to each sensor's aggregate: c/4 times every corruption of
+    its own broadcast, less everything it hears. Built link by link; the
+    package builds the aggregate's covariance as a weighted (J, J) Laplacian."""
+    mix = np.zeros((top.J * p, top.n_links * p))
+    for k in range(top.n_links):
+        cols = slice(k * p, (k + 1) * p)
+        # a corruption of sensor link_peer[k]'s broadcast
+        own = top.link_peer[k]
+        mix[own * p:(own + 1) * p, cols] += c / 4.0 * np.eye(p)
+        # what sensor link_owner[k] hears
+        mine = top.link_owner[k]
+        mix[mine * p:(mine + 1) * p, cols] -= c / 4.0 * np.eye(p)
+    return mix
+
+
 def _iterated_lyapunov(system, noise):
     """Stationary covariance by running the covariance recursion forward in
     time from R(0) = 0. The data-noise covariance ramps up as
@@ -238,6 +256,11 @@ def full_mean_stability():
 @pytest.fixture
 def general_mean_stability_bound():
     return _general_mean_stability_bound
+
+
+@pytest.fixture
+def dense_link_mix():
+    return _dense_link_mix
 
 
 @pytest.fixture

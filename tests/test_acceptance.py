@@ -275,14 +275,54 @@ def test_core_eigensolves_match_the_full_transitions(full_radius, full_mean_stab
 
 
 def test_link_noise_lift_exists_on_the_sweep():
+    """The link-noise covariance lies in the range of the consensus
+    coupling, so lap_pinv lifts it with no residual."""
     for top, model, p in _topology_sweep():
         system = build_averaged_system(top, model, 0.95, 0.1)
-        lift_residual = np.linalg.norm(
-            system.lap_scaled @ system.lifted_mix - system.link_mix
-        )
-        assert lift_residual < 1e-10
+        r_eta_mix = noise_covariances(system, model).r_eta_mix
+        lift_residual = np.linalg.norm(system.lap_scaled @ system.lap_pinv @ r_eta_mix - r_eta_mix)
+        assert lift_residual <= 1e-13 * np.linalg.norm(r_eta_mix)
         proj = system.inner_transition[top.J * p:, :top.J * p]
         assert np.linalg.norm(proj @ proj - proj) < 1e-10
+
+
+def _heterogeneous_link_noise_cases():
+    """The sweep networks, a 4-sensor star with a chord, one sensor, a
+    complete graph and ideal links, each with receiver variances that
+    differ between sensors (but the last)."""
+    rng = np.random.default_rng(11)
+    cases = [(top, model) for top, model, _ in _topology_sweep()]
+    cases += [(from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)]), iid_scenario(4, 2, seed=5)),
+              (from_edges(1, []), iid_scenario(1, 3, seed=6)),
+              (random_geometric(6, 1.5, seed=1), iid_scenario(6, 2, seed=7))]
+    cases = [(top, replace(model, sigma2_eta=rng.uniform(0.01, 0.5, top.J)))
+             for top, model in cases]
+    top = random_geometric(7, 0.6, seed=4)
+    return cases + [(top, iid_scenario(top.J, 2, seed=8, sigma2_eta=0.0))]
+
+
+def test_link_noise_covariances_match_the_dense_oracle(dense_link_mix):
+    """r_eta_mix, r_eta_lam and feedthrough, built from the (J, J) weighted
+    Laplacian W, equal their forms through the dense (Jp, Dp) map of every
+    directed link's noise, with each link's receiver variance, and a
+    pseudoinverse of the whole (Jp, Jp) coupling; and W 1 = 0."""
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(b), np.finfo(float).tiny)
+
+    for top, model in _heterogeneous_link_noise_cases():
+        c, p = 0.3, model.p
+        system = build_averaged_system(top, model, 0.95, c)
+        noise = noise_covariances(system, model)
+        mix = dense_link_mix(top, p, c)
+        r_eta = np.repeat(model.sigma2_eta[top.link_owner], p)
+        r = system.rh_lam_inv
+        link_input = np.vstack([-r @ mix, np.linalg.pinv(system.lap_scaled) @ mix])
+        dense_mix = (mix * r_eta) @ mix.T
+        assert close(noise.r_eta_mix, dense_mix), top.J
+        assert close(noise.r_eta_lam, (link_input * r_eta) @ link_input.T), top.J
+        assert close(noise.feedthrough, r @ (np.diag(noise.r_eta_bar) + dense_mix) @ r), top.J
+        ones = np.kron(np.ones((top.J, 1)), np.eye(p))
+        assert np.abs(noise.r_eta_mix @ ones).max() <= 1e-14 * np.abs(noise.r_eta_mix).max()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from drls.analysis import (
 )
 from drls.errors import AssemblyError, DivergenceError, ModelError, StabilityError
 from drls.signals import SensorEnsembleModel, ar_scenario, iid_scenario
-from drls.topology import from_edges, random_geometric
+from drls.topology import from_edges, laplacian, random_geometric
 
 
 def _pair_system(c=4.0, lam=0.95, sigma2_eta=0.1, sigma2_eps=0.5):
@@ -32,16 +32,33 @@ def _pair_system(c=4.0, lam=0.95, sigma2_eta=0.1, sigma2_eps=0.5):
     return top, model, build_averaged_system(top, model, lam, c)
 
 
-def test_pair_oracle_coupling_and_mixing():
-    _, _, system = _pair_system()
+def test_pair_oracle_coupling_and_mixing(dense_link_mix):
+    top, model, system = _pair_system()
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert_allclose(system.lap_scaled, 2.0 * lap)
+    # lap @ lap = 2 lap, so pinv(2 lap) = lap / 8
+    assert_allclose(system.lap_pinv, lap / 8.0, atol=1e-15)
     assert_allclose(system.rh_lam_inv, 0.05 * np.eye(2))
     # c/4 = 1 here, so the mixing map is a bare signed selection: link 0 is
     # what sensor 0 hears from sensor 1, link 1 what sensor 1 hears from 0,
     # and each sensor gets its broadcast's corruption less what it hears
-    assert_allclose(system.link_mix, [[-1.0, 1.0], [1.0, -1.0]], rtol=0, atol=0)
-    assert_allclose(system.lifted_mix, -lap / 4.0, atol=1e-12)
+    mix = dense_link_mix(top, 1, 4.0)
+    assert_allclose(mix, [[-1.0, 1.0], [1.0, -1.0]], rtol=0, atol=0)
+    assert_allclose(system.lap_pinv @ mix, -lap / 4.0, atol=1e-15)
+    # both links carry variance 0.1, so the link {0, 1} weighs 0.2
+    noise = noise_covariances(system, model)
+    assert_allclose(noise.r_eta_mix, mix @ (0.1 * mix.T), rtol=1e-15)
+    assert_allclose(noise.r_eta_mix, 0.2 * lap, rtol=1e-15)
+
+
+def test_lap_scaled_structure():
+    top = from_edges(2, [(0, 1)])
+    system = build_averaged_system(top, iid_scenario(2, 2, seed=0), 0.95, 4.0)
+    assert_allclose(system.lap_scaled, 2.0 * np.kron(laplacian(top), np.eye(2)))
+    # PSD with nullspace of dimension exactly p
+    w = np.linalg.eigvalsh(system.lap_scaled)
+    assert (w > -1e-12).all()
+    assert int(np.sum(np.abs(w) < 1e-10)) == 2
 
 
 def test_pair_oracle_transitions():
@@ -76,7 +93,8 @@ def test_pair_oracle_mean_eigenstructure(full_mean_stability):
 def test_pair_oracle_noise_covariances():
     top, model, system = _pair_system()
     noise = noise_covariances(system, model)
-    assert_allclose(noise.r_eta, [0.1, 0.1])
+    # (c/4)^2 = 1 times the Laplacian of the link {0, 1} weighed 0.1 + 0.1
+    assert_allclose(noise.r_eta_mix, [[0.2, -0.2], [-0.2, 0.2]])
     assert_allclose(noise.r_eta_bar, [0.025, 0.025])
     assert_allclose(noise.r_eps_inf, 0.5 / (1 - 0.95 ** 2) * np.eye(2))
     expected_feed = 0.05 ** 2 * np.array([[0.225, -0.2], [-0.2, 0.225]])
@@ -99,33 +117,50 @@ def test_intertwining_identity():
         assert np.abs(left - right).max() < 1e-10
 
 
-def test_mixing_maps_agree_with_per_receiver_sums():
-    """link_mix reproduces loop-computed noise aggregates of the noise rows
-    as the simulation draws them (row k = what link_owner[k] hears from
-    link_peer[k]): every corruption of a sensor's own broadcast, less
-    everything it hears, so owner and peer are told apart."""
+def test_mixing_maps_agree_with_per_receiver_sums(dense_link_mix):
+    """The dense oracle map reproduces loop-computed noise aggregates of the
+    noise rows as the simulation draws them (row k = what link_owner[k]
+    hears from link_peer[k]): every corruption of a sensor's own broadcast,
+    less everything it hears, so owner and peer are told apart. r_eta_mix
+    is the covariance of those aggregates, summed link by link with each
+    row's receiver variance."""
     top = random_geometric(7, 0.6, seed=4)
     p, c = 2, 0.4
-    model = iid_scenario(top.J, p, seed=0)
+    model = replace(iid_scenario(top.J, p, seed=0), sigma2_eta=0.05 * np.arange(1, top.J + 1))
     system = build_averaged_system(top, model, 0.95, c)
     rng = np.random.default_rng(0)
     eta = rng.standard_normal((top.n_links, p))
 
-    mixed = system.link_mix @ eta.reshape(-1)
-    for j in range(top.J):
-        # everything sensor j hears
-        mine = [k for k in range(top.n_links) if top.link_owner[k] == j]
-        # every corruption of sensor j's own broadcast
-        own = [k for k in range(top.n_links) if top.link_peer[k] == j]
-        assert_allclose(mixed[j * p:(j + 1) * p],
-                        c / 4.0 * (eta[own].sum(axis=0) - eta[mine].sum(axis=0)), atol=1e-12)
+    def aggregate(eta):
+        out = np.zeros((top.J, p))
+        for j in range(top.J):
+            # everything sensor j hears
+            mine = [k for k in range(top.n_links) if top.link_owner[k] == j]
+            # every corruption of sensor j's own broadcast
+            own = [k for k in range(top.n_links) if top.link_peer[k] == j]
+            out[j] = c / 4.0 * (eta[own].sum(axis=0) - eta[mine].sum(axis=0))
+        return out.reshape(-1)
+
+    assert_allclose(dense_link_mix(top, p, c) @ eta.reshape(-1), aggregate(eta), atol=1e-12)
+    expected = np.zeros((top.J * p, top.J * p))
+    for k in range(top.n_links):
+        for i in range(p):
+            unit = np.zeros((top.n_links, p))
+            unit[k, i] = 1.0
+            a = aggregate(unit)
+            expected += model.sigma2_eta[top.link_owner[k]] * np.outer(a, a)
+    assert_allclose(noise_covariances(system, model).r_eta_mix, expected, rtol=1e-13, atol=1e-17)
 
 
-def test_lift_and_projector_residuals():
+def test_lift_and_projector_residuals(dense_link_mix):
     top = random_geometric(8, 0.55, seed=2)
     model = iid_scenario(top.J, 2, seed=2)
     system = build_averaged_system(top, model, 0.95, 0.1)
-    assert np.linalg.norm(system.lap_scaled @ system.lifted_mix - system.link_mix) < 1e-10
+    # the link noise lies in the range of lap_scaled, so lap_pinv lifts it
+    mix = dense_link_mix(top, 2, 0.1)
+    assert np.linalg.norm(system.lap_scaled @ system.lap_pinv @ mix - mix) < 1e-10
+    r_eta_mix = noise_covariances(system, model).r_eta_mix
+    assert np.linalg.norm(system.lap_scaled @ system.lap_pinv @ r_eta_mix - r_eta_mix) < 1e-14
     proj = system.inner_transition[top.J * 2:, :top.J * 2]
     assert np.linalg.norm(proj @ proj - proj) < 1e-10
 
@@ -143,16 +178,36 @@ def test_build_rejects_degenerate_parameters():
         build_averaged_system(from_edges(3, [(0, 1), (1, 2)]), model, 0.95, 0.1)
 
 
+def test_mean_stability_bound_refuses_a_mismatched_model():
+    """A model for another sensor count is refused by name, on a linked
+    network and on one with no links alike."""
+    model = iid_scenario(4, 2, seed=0)
+    for top in (from_edges(1, []), from_edges(3, [(0, 1), (1, 2)])):
+        with pytest.raises(ModelError, match=f"model has 4 sensors but topology has {top.J}$"):
+            mean_stability_bound(top, model, 0.95)
+
+
+def test_noise_covariances_refuse_a_mismatched_model():
+    _, _, system = _pair_system()
+    for model, got in ((iid_scenario(3, 1, seed=0), "J = 3, p = 1"),
+                       (iid_scenario(2, 2, seed=0), "J = 2, p = 2")):
+        with pytest.raises(ModelError) as info:
+            noise_covariances(system, model)
+        assert str(info.value) == f"model has {got} but the averaged system has J = 2, p = 1"
+
+
 def test_noise_covariances_use_receiver_profiles():
-    """Block k of the stacked link-noise covariance belongs to the
-    receiving end of directed link k."""
+    """Each link {i, j} carries the noise both receivers hear, so it weighs
+    sigma2_eta_i + sigma2_eta_j in r_eta_mix; the multiplier-exchange noise
+    of sensor j scales with its own degree and variance."""
     top = from_edges(3, [(0, 1), (1, 2)])
     model = iid_scenario(3, 1, seed=0)
     model = replace(model, sigma2_eta=0.1 * np.arange(1, 4))
     system = build_averaged_system(top, model, 0.95, 0.1)
     noise = noise_covariances(system, model)
-    expected = [0.1 * (int(top.link_owner[k]) + 1) for k in range(top.n_links)]
-    assert_allclose(noise.r_eta, expected)
+    # links {0, 1} and {1, 2} weigh 0.1 + 0.2 and 0.2 + 0.3
+    w = np.array([[0.3, -0.3, 0.0], [-0.3, 0.8, -0.5], [0.0, -0.5, 0.5]])
+    assert_allclose(noise.r_eta_mix, (0.1 / 4.0) ** 2 * w, rtol=1e-14)
     assert_allclose(noise.r_eta_bar,
                     [d / 4.0 * 0.1 * (j + 1) for j, d in enumerate(top.degrees)])
 
@@ -162,18 +217,24 @@ def test_noise_covariances_use_receiver_profiles():
     (random_geometric(6, 1.5, seed=1), ar_scenario(6, seed=2, sigma2_eta=0.0)),
 ], ids=["iid-links-on", "ar-complete-links-off"])
 def test_noise_covariances_match_the_dense_diagonal_formulas(top, model):
-    """The variance vectors stand for diagonal covariances: each product
-    with one equals the product with the dense diagonal, bit for bit."""
+    """The variance vector r_eta_bar stands for a diagonal covariance: each
+    product with it equals the product with the dense diagonal, bit for
+    bit. The link-noise aggregate enters through [-R; L^+], and r_eta_mix
+    is (c/4)^2 times a Laplacian, widened by I_p."""
     system = build_averaged_system(top, model, 0.95, 0.1)
     noise = noise_covariances(system, model)
-    assert noise.r_eta.shape == (top.n_links * model.p,)
-    assert noise.r_eta_bar.shape == (top.J * model.p,)
-    r_eta, r_eta_bar = np.diag(noise.r_eta), np.diag(noise.r_eta_bar)
-    b, g, mix = system.data_input, system.link_input, system.link_mix
-    assert_array_equal(noise.r_eta_lam, g @ r_eta @ g.T)
+    jp = top.J * model.p
+    assert noise.r_eta_mix.shape == (jp, jp)
+    assert noise.r_eta_bar.shape == (jp,)
+    r_eta_bar = np.diag(noise.r_eta_bar)
+    b, r = system.data_input, system.rh_lam_inv
+    g = np.vstack([-r, system.lap_pinv])
+    assert_array_equal(noise.r_eta_lam, g @ noise.r_eta_mix @ g.T)
     assert_array_equal(noise.r_eta_bar_lam, b @ r_eta_bar @ b.T)
-    assert_array_equal(noise.feedthrough,
-                       system.rh_lam_inv @ (r_eta_bar + mix @ r_eta @ mix.T) @ system.rh_lam_inv)
+    assert_array_equal(noise.feedthrough, r @ (r_eta_bar + noise.r_eta_mix) @ r)
+    w = noise.r_eta_mix[::model.p, ::model.p]
+    assert_array_equal(noise.r_eta_mix, np.kron(w, np.eye(model.p)))
+    assert_array_equal(w != 0, (laplacian(top) != 0) & (model.sigma2_eta > 0).any())
 
 
 def test_per_sensor_blocks_follow_their_sensor():
@@ -194,8 +255,9 @@ def test_per_sensor_blocks_follow_their_sensor():
     noise = noise_covariances(system, model)
     report = steady_state_solve(system, noise)
 
-    def block(m, k):
-        return m[k * p:(k + 1) * p, k * p:(k + 1) * p]
+    def block(m, k, i=None):
+        i = k if i is None else i
+        return m[k * p:(k + 1) * p, i * p:(i + 1) * p]
 
     def entries(v, k):
         return v[k * p:(k + 1) * p]
@@ -212,9 +274,18 @@ def test_per_sensor_blocks_follow_their_sensor():
         assert report.msd[k] == pytest.approx(np.trace(r_y1_k), rel=1e-12)
         assert report.emse[k] == pytest.approx(np.trace(rh[k] @ r_y1_k), rel=1e-12)
         rh_inv[k * p:(k + 1) * p, k * p:(k + 1) * p] = np.linalg.inv(rh[k])
-    for k in range(top.n_links):
-        assert_allclose(entries(noise.r_eta, k), np.full(p, sigma2_eta[top.link_owner[k]]),
-                        rtol=0, atol=0)
+    # block (k, i) of r_eta_mix: (c/4)^2 times minus the weight of the link
+    # {k, i}, sigma2_eta_k + sigma2_eta_i, and on the diagonal the sum of k's
+    # link weights
+    for k in range(j):
+        neighbours = np.flatnonzero(top.adjacency[k])
+        for i in range(j):
+            if i == k:
+                weight = sum(sigma2_eta[k] + sigma2_eta[n] for n in neighbours)
+            else:
+                weight = -(sigma2_eta[k] + sigma2_eta[i]) if i in neighbours else 0.0
+            assert_allclose(block(noise.r_eta_mix, k, i),
+                            (0.1 / 4.0) ** 2 * weight * np.eye(p), rtol=1e-14, atol=0)
     assert_allclose(report.mse, report.emse + model.sigma2_eps, rtol=1e-15)
     coupling = rh_inv @ np.kron(np.diag(top.degrees) - top.adjacency, np.eye(p))
     rho = np.max(np.abs(np.linalg.eigvals(coupling)))

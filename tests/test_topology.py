@@ -11,7 +11,6 @@ from drls.topology import (
     laplacian,
     random_geometric,
     read_edge_list,
-    scaled_laplacian,
     write_edge_list,
 )
 
@@ -113,28 +112,6 @@ def test_two_node_connectivity():
 def test_algebraic_connectivity_needs_two_sensors():
     with pytest.raises(TopologyError):
         algebraic_connectivity(from_edges(1, []))
-
-
-def test_scaled_laplacian_structure():
-    top = from_edges(2, [(0, 1)])
-    out = scaled_laplacian(top, c=4.0, p=2)
-    lap = laplacian(top)
-    assert_allclose(out, 2.0 * np.kron(lap, np.eye(2)))
-    # PSD with nullspace of dimension exactly p
-    w = np.linalg.eigvalsh(out)
-    assert (w > -1e-12).all()
-    assert int(np.sum(np.abs(w) < 1e-10)) == 2
-
-
-def test_scaled_laplacian_rejects_bad_parameters():
-    top = from_edges(2, [(0, 1)])
-    with pytest.raises(TopologyError, match="positive"):
-        scaled_laplacian(top, c=0.0, p=1)
-    # NaN fails every comparison, so `c <= 0` alone would let it through
-    with pytest.raises(TopologyError, match="c must be positive, got nan"):
-        scaled_laplacian(top, c=float("nan"), p=1)
-    with pytest.raises(TopologyError, match=">= 1"):
-        scaled_laplacian(top, c=1.0, p=0)
 
 
 def test_from_positions_validates_shape():
