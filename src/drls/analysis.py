@@ -5,13 +5,13 @@ Everything here works on the averaged error system: stack the per-sensor
 estimation errors beta1_j(t) = s_j(t) - s0 and the per-sensor multiplier
 imbalances beta2_j(t) = (1/2) sum_{j'} (v_j^{j'}(t-1) - v_{j'}^j(t-1))
 into beta = [beta1; beta2] in R^{2Jp}, and replace each sensor's inverse
-data matrix by its steady-state mean R_hj / (1 - lam). The mean error
-then evolves as E beta(t+1) = mean_transition @ E beta(t), and the error
-fluctuations evolve through the lower-dimensional inner state z(t) with
-z(t+1) = inner_transition @ z(t) + inputs, where beta1 = z1 plus an
-instantaneous link-noise feedthrough and beta2 = lap_scaled @ z2. The two
-transitions intertwine: bdiag(I, lap_scaled) @ inner = mean @ bdiag(I,
-lap_scaled).
+data matrix by its steady-state mean R_hj / (1 - lam). With R = rh_lam_inv,
+L = lap_scaled and P = L L^+, the mean error evolves by [-R; I] [L, I], and
+the error fluctuations through an inner state z(t) by A = U V, U = [-RL; P],
+V = [I, I], with beta1 = z1 plus an instantaneous link-noise feedthrough and
+beta2 = L z2. Both are products of rank Jp, so everything is computed on the
+(Jp, Jp) core C = V U = P - RL and the top block U1 = -RL of U; the (2Jp,
+2Jp) objects are derived only when something reads them.
 
 Link noise enters each sensor's multiplier imbalance, with the c/4
 weighting, as the noise on every reception of its own broadcast less the
@@ -21,11 +21,9 @@ the covariance of that aggregate is (c/4)^2 (W (x) I_p), where W is the
 0, so the aggregate lies in the range of ``lap_scaled`` and lifts through
 its pseudoinverse.
 
-Steady-state second moments are the fixed point R = A R A^T + F of the
-covariance recursion, a discrete Lyapunov equation. A = U V with V = [I, I],
-so it is solved by doubling on the (Jp, Jp) core V U and lifted back.
-Per-sensor and network MSD, EMSE and MSE come from the top-left block of
-that stationary covariance.
+Steady-state second moments are the fixed point R = A R A^T + F of a
+discrete Lyapunov equation, solved by doubling on C (A^k = U C^(k-1) V);
+MSD, EMSE and MSE come from its top-left block U1 (.) U1^T.
 
 The per-sensor blocks (R_hj, R_hj^{-1}, and the per-sensor error
 covariances) are handled as (J, p, p) stacks, and every network operator is
@@ -38,7 +36,8 @@ kernel whose bytes are the same as ``%`` gives; a row holding a cell the
 kernel cannot prove equal is formatted by ``%`` instead.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -236,10 +235,9 @@ class AveragedSystem:
     rh_lam_inv : ndarray
         (Jp, Jp) steady-state mean of the inverse data matrices,
         (1 - lam) * bdiag(R_hj^{-1}).
-    mean_transition : ndarray
-        (2Jp, 2Jp) transition of E[beta(t)].
-    inner_transition : ndarray
-        (2Jp, 2Jp) transition [U, U] of the fluctuation state z(t).
+    core, error_map : ndarray
+        (Jp, Jp) core C = P - RL of the fluctuation transition, and the top
+        block U1 = -RL of its factor U: the map from V z to the error.
     coupling_spectrum : ndarray
         (Jp,) ascending eigenvalues mu of lap_scaled @ rh_lam_inv, all
         real and >= 0 up to round-off, of which a connected network has
@@ -247,8 +245,12 @@ class AveragedSystem:
         mean transition has eigenvalues 1 - mu, and the fluctuation
         transition 1 - mu at all but the p smallest (see
         `check_mean_stability` and `check_mse_stability`).
-    data_input : ndarray
-        (2Jp, Jp) injection of per-sensor data-noise vectors into z.
+
+    Derived on first access and read by no command: the (2Jp, 2Jp)
+    transitions of E[beta] and of z, ``mean_transition`` and
+    ``inner_transition`` = [U, U], and the data-noise injection into z,
+    ``data_input`` = [R; 0]. They go once ROADMAP item 1 frees
+    perfbench/checks.py.
     """
 
     topology: object
@@ -259,10 +261,31 @@ class AveragedSystem:
     lap_pinv: np.ndarray
     rh: np.ndarray
     rh_lam_inv: np.ndarray
-    mean_transition: np.ndarray
-    inner_transition: np.ndarray
+    core: np.ndarray
+    error_map: np.ndarray
     coupling_spectrum: np.ndarray
-    data_input: np.ndarray
+
+    @cached_property
+    def mean_transition(self):
+        return np.block([[self.error_map, -self.rh_lam_inv],
+                         [self.lap_scaled, np.eye(self.core.shape[0])]])
+
+    @cached_property
+    def inner_transition(self):
+        u = np.vstack([self.error_map, self.core - self.error_map])    # V U = C
+        return np.hstack([u, u])
+
+    @cached_property
+    def data_input(self):
+        return np.vstack([self.rh_lam_inv, np.zeros_like(self.rh_lam_inv)])
+
+    @property
+    def step_bound(self):
+        """`mean_stability_bound`, read off the coupling spectrum: mu scales with
+        c and reaches mu_max = 2 at the bound, so the bound is 2c / mu_max (inf
+        on a network with no links)."""
+        mu_max = float(self.coupling_spectrum[-1])
+        return 2.0 * self.c / mu_max if mu_max > 0.0 else float("inf")
 
 
 def _coupling_spectrum(lap, rh_inv):
@@ -288,29 +311,18 @@ def build_averaged_system(topology, model, lam, c):
     if not c > 0:
         raise AssemblyError(f"consensus step c must be positive, got {c}")
     p = model.p
-    jp = topology.J * p
-    eye = np.eye(jp)
-
-    # lap is L_J (x) I_p, so its pseudoinverse and the projector P of the
-    # transition's factor U = [-RL; P] are those of the (J, J) L_J, times I_p
+    # lap is L_J (x) I_p, so its pseudoinverse and P are those of L_J, times I_p
     lap_j = 0.5 * c * laplacian(topology)
     pinv_j = pinv(lap_j)
     lap = np.kron(lap_j, np.eye(p))
-    lap_pinv = np.kron(pinv_j, np.eye(p))
     rh_inv = np.linalg.inv(model.rh)
     rh_lam_inv = (1.0 - lam) * bdiag(rh_inv)
-    mu = (1.0 - lam) * _coupling_spectrum(lap, rh_inv)
-
-    coupled = -rh_lam_inv @ lap
-    mean = np.block([[coupled, -rh_lam_inv], [lap, eye]])
-    u = np.vstack([coupled, np.kron(lap_j @ pinv_j, np.eye(p))])
-    inner = np.hstack([u, u])
-    data_input = np.vstack([rh_lam_inv, np.zeros((jp, jp))])
-
+    error_map = -rh_lam_inv @ lap
     return AveragedSystem(
-        topology=topology, p=p, lam=lam, c=c, lap_scaled=lap, lap_pinv=lap_pinv,
-        rh=model.rh, rh_lam_inv=rh_lam_inv, mean_transition=mean,
-        inner_transition=inner, coupling_spectrum=mu, data_input=data_input,
+        topology=topology, p=p, lam=lam, c=c, lap_scaled=lap,
+        lap_pinv=np.kron(pinv_j, np.eye(p)), rh=model.rh, rh_lam_inv=rh_lam_inv,
+        core=np.kron(lap_j @ pinv_j, np.eye(p)) + error_map, error_map=error_map,
+        coupling_spectrum=(1.0 - lam) * _coupling_spectrum(lap, rh_inv),
     )
 
 
@@ -357,14 +369,13 @@ def check_mean_stability(system):
 
     A healthy mean transition has exactly p unit eigenvalues (the
     consensus-invariant directions of a connected network) and all other
-    eigenvalues strictly inside the unit circle. The transition is U V =
-    [-R; I] [L, I] (R = rh_lam_inv, L = lap_scaled), and eig(UV) = eig(VU)
-    plus Jp zeros, so its spectrum is that of I - LR: the 1 - mu of
-    `AveragedSystem.coupling_spectrum`, and zeros, which bound nothing.
-    LR is similar to a symmetric matrix, so the unit eigenvalues are
-    semisimple and need no check of their own. A mu counts as zero within
-    Jp eps of the largest |mu|, the round-off of the symmetric eigensolve,
-    so an ill-conditioned R_h's slow modes are not miscounted.
+    eigenvalues strictly inside the unit circle. It is [-R; I] [L, I], and
+    eig(UV) = eig(VU) plus Jp zeros, so its spectrum is that of I - LR: the
+    1 - mu of `AveragedSystem.coupling_spectrum`, and zeros, which bound
+    nothing. LR is similar to a symmetric matrix, so the unit eigenvalues
+    are semisimple and need no check of their own. A mu counts as zero
+    within Jp eps of the largest |mu|, the round-off of the symmetric
+    eigensolve, so an ill-conditioned R_h's slow modes are not miscounted.
     """
     mu = system.coupling_spectrum
     unit = np.abs(mu) <= mu.size * np.finfo(np.float64).eps * np.abs(mu).max(initial=0.0)
@@ -390,9 +401,8 @@ def _fluctuation_radius(system):
 
 
 def check_mse_stability(system):
-    """Mean-square stability reduces to specrad(inner_transition) < 1. That
-    transition is U V = [-RL; P] [I, I], R and L as in `check_mean_stability`
-    and P = L L^+, so its nonzero eigenvalues are those of V U = P - RL. On
+    """Mean-square stability reduces to specrad(inner_transition) < 1, and
+    the nonzero eigenvalues of U V are those of the core V U = P - RL. On
     the range of L that core acts as I - RL; on the p-dimensional null space
     of L (a connected network) it is zero. So rho is the largest |1 - mu|
     over all but the p smallest mu of `AveragedSystem.coupling_spectrum`."""
@@ -414,11 +424,14 @@ class NoiseCovariances:
     everything it hears): (c/4)^2 (W (x) I_p), W the (J, J) Laplacian whose
     link {i, j} weighs sigma2_eta_i + sigma2_eta_j. ``r_eta_bar`` (Jp,) is
     the diagonal of the per-sensor multiplier-exchange noise covariance,
-    (deg_j / 4) sigma2_eta_j per entry. ``r_eta_lam`` / ``r_eta_bar_lam``
-    are their (2Jp, 2Jp) covariances mapped into the fluctuation state, and
-    ``feedthrough`` is the instantaneous link-noise covariance that adds to
-    the top-left block of the state covariance when reading off
-    estimation-error moments.
+    (deg_j / 4) sigma2_eta_j per entry. They enter z through [R; 0] and
+    [-R; L^+], which V folds to R and L^+ - R, so ``link_forcing``, their
+    (Jp, Jp) covariance in V z, is R diag(r_eta_bar) R + (L^+ - R) r_eta_mix
+    (L^+ - R)^T. ``feedthrough`` is the instantaneous link-noise covariance
+    that adds to the estimation-error covariance. Their (2Jp, 2Jp)
+    covariances in z, ``r_eta_bar_lam`` and ``r_eta_lam``, are derived from
+    ``system`` on first access and read by no command; they go once ROADMAP
+    item 1 frees perfbench/checks.py.
     """
 
     lam: float
@@ -426,9 +439,19 @@ class NoiseCovariances:
     r_eps_inf: np.ndarray
     r_eta_mix: np.ndarray
     r_eta_bar: np.ndarray
-    r_eta_lam: np.ndarray
-    r_eta_bar_lam: np.ndarray
+    link_forcing: np.ndarray
     feedthrough: np.ndarray
+    system: AveragedSystem = field(repr=False, compare=False)
+
+    @cached_property
+    def r_eta_bar_lam(self):
+        b = self.system.data_input
+        return (b * self.r_eta_bar) @ b.T
+
+    @cached_property
+    def r_eta_lam(self):
+        g = np.vstack([-self.system.rh_lam_inv, self.system.lap_pinv])
+        return g @ self.r_eta_mix @ g.T
 
 
 def noise_covariances(system, model):
@@ -439,9 +462,7 @@ def noise_covariances(system, model):
             f"model has J = {model.J}, p = {model.p} but the averaged system has "
             f"J = {top.J}, p = {system.p}"
         )
-    lam = system.lam
-    r = system.rh_lam_inv
-
+    lam, r = system.lam, system.rh_lam_inv
     r_eps_inf = bdiag(model.rh * model.sigma2_eps[:, None, None]) / (1.0 - lam * lam)
     sigma2_eta = model.sigma2_eta
     # (J, J) link weights sigma2_eta_i + sigma2_eta_j, and their Laplacian W
@@ -449,18 +470,12 @@ def noise_covariances(system, model):
     r_eta_mix = (system.c / 4.0) ** 2 * np.kron(np.diag(weights.sum(axis=1)) - weights,
                                                  np.eye(model.p))
     r_eta_bar = np.repeat((top.degrees / 4.0) * sigma2_eta, model.p)
-    b = system.data_input
-    # the link-noise aggregate enters z through [-R; L^+], as it lies in the range of L
-    g = np.vstack([-r, system.lap_pinv])
-    # r_eta_bar is a diagonal covariance: a product with it scales columns
-    r_eta_bar_lam = (b * r_eta_bar) @ b.T
-    r_eta_lam = g @ r_eta_mix @ g.T
-    feedthrough = r @ (np.diag(r_eta_bar) + r_eta_mix) @ r
+    lift = system.lap_pinv - r
     return NoiseCovariances(
         lam=lam, sigma2_eps=np.array(model.sigma2_eps, dtype=np.float64),
         r_eps_inf=r_eps_inf, r_eta_mix=r_eta_mix, r_eta_bar=r_eta_bar,
-        r_eta_lam=r_eta_lam, r_eta_bar_lam=r_eta_bar_lam,
-        feedthrough=feedthrough,
+        link_forcing=(r * r_eta_bar) @ r + lift @ r_eta_mix @ lift.T,
+        feedthrough=r @ (np.diag(r_eta_bar) + r_eta_mix) @ r, system=system,
     )
 
 
@@ -475,15 +490,30 @@ class SteadyStateReport:
     Per-sensor arrays are linear powers; the dB views and network means
     (arithmetic over sensors, matching how the simulation averages) are
     derived properties. ``r_y1`` is the stationary covariance of the
-    stacked estimation errors, ``r_z`` the full fluctuation-state one.
+    stacked estimation errors. S and X of `steady_state_solve`
+    (``core_covariance``, ``data_cross``) lift, with ``noise``, to the (2Jp,
+    2Jp) state covariance ``r_z`` = F + U S U^T, derived on first access,
+    read by no command, and gone once ROADMAP item 1 frees
+    perfbench/checks.py.
     """
 
     rho: float
-    r_z: np.ndarray
     r_y1: np.ndarray
     msd: np.ndarray
     emse: np.ndarray
     mse: np.ndarray
+    core_covariance: np.ndarray = field(default=None, repr=False, compare=False)
+    data_cross: np.ndarray = field(default=None, repr=False, compare=False)
+    noise: NoiseCovariances = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def r_z(self):
+        b = self.noise.system.data_input
+        u = self.noise.system.inner_transition[:, :b.shape[1]]
+        cross = u @ self.data_cross @ b.T
+        r_z = (u @ (self.noise.link_forcing + self.core_covariance) @ u.T
+               + b @ self.noise.r_eps_inf @ b.T + cross + cross.T)
+        return 0.5 * (r_z + r_z.T)
 
     @property
     def msd_global(self):
@@ -507,67 +537,35 @@ class SteadyStateReport:
         )
 
 
-def _metrics_from_error_covariance(system, noise, r_y1):
-    j, p = system.topology.J, system.p
-    at = np.arange(j)
-    # (J, p, p) stacks of the per-sensor diagonal blocks
-    blocks = r_y1.reshape(j, p, j, p)[at, :, at]
-    msd = np.trace(blocks, axis1=1, axis2=2)
-    emse = np.trace(system.rh @ blocks, axis1=1, axis2=2)
-    return msd, emse, emse + noise.sigma2_eps
-
-
-def _fold(x):
-    """V X V^T for V = [I, I]: the sum of the four blocks of X."""
-    jp = x.shape[0] // 2
-    return x.reshape(2, jp, 2, jp).sum(axis=(0, 2))
-
-
-def _stationary_forcing(u, core, b, noise):
-    """Constant forcing F of the covariance recursion at t = infinity, for
-    A = U V and core C = V U (see `steady_state_solve`). V (I - lam A)^{-1} =
-    (I - lam C)^{-1} V, so the state's cross covariance with the data noise
-    takes one (Jp, Jp) solve, and A X A^T = U (V X V^T) U^T."""
-    jp = core.shape[0]
-    cross = u @ np.linalg.solve(
-        np.eye(jp) - noise.lam * core, noise.lam * ((b[:jp] + b[jp:]) @ noise.r_eps_inf)
-    ) @ b.T
-    return (
-        u @ _fold(noise.r_eta_bar_lam + noise.r_eta_lam) @ u.T
-        + b @ noise.r_eps_inf @ b.T
-        + cross + cross.T
-    )
-
-
 def steady_state_solve(system, noise):
     """Stationary covariance and mean-square metrics of the error system.
 
-    Solves R = A R A^T + F, with F the stationary forcing and A = [U, U] =
-    U V the fluctuation transition, V = [I, I]; a transition whose column
-    blocks differ is refused. As A^k = U C^(k-1) V with the (Jp, Jp) core
-    C = V U = P - RL, R = F + U S U^T where S = C S C^T + V F V^T. S is
-    solved by doubling (squared Smith iteration): from Q = V F V^T, repeat
-    Q <- Q + C Q C^T and C <- C^2, so each pass doubles the number of
-    recursion terms Q sums, until the added term is at round-off relative
-    to Q; then S is lifted back to R. Refuses systems whose fluctuation
-    transition is not a contraction, and raises DivergenceError rather than
-    return a covariance that did not converge within DOUBLING_MAX_SQUARINGS.
+    Solves R = A R A^T + F, F the stationary forcing, at (Jp, Jp) only:
+    A^k = U C^(k-1) V makes R = F + U S U^T with S = C S C^T + V F V^T. With
+    Q = ``link_forcing`` and X = (I - lam C)^{-1} lam R r_eps_inf, the cross
+    covariance of V z with the data noise (V (I - lam A)^{-1} = (I - lam
+    C)^{-1} V), V F V^T = C Q C^T + R r_eps_inf R + C X R + (C X R)^T. S is
+    solved by doubling (squared Smith iteration): repeat S <- S + C S C^T
+    and C <- C^2, so each pass doubles the recursion terms S sums, until the
+    added term is at round-off relative to S. The error covariance is the
+    top-left block of R plus the feedthrough, r_y1 = U1 (Q + S) U1^T +
+    R r_eps_inf R + U1 X R + (U1 X R)^T + feedthrough. Refuses systems whose
+    fluctuation transition is not a contraction, and raises DivergenceError
+    rather than return a covariance that did not converge within
+    DOUBLING_MAX_SQUARINGS.
     """
     rho = _fluctuation_radius(system)
     if rho >= 1.0:
-        raise StabilityError(
-            f"error dynamics are not mean-square stable: spectral radius "
-            f"{rho:.6f} of the fluctuation transition is >= 1"
-        )
-    jp = system.topology.J * system.p
-    u = system.inner_transition[:, :jp]
-    if not np.array_equal(u, system.inner_transition[:, jp:]):
-        raise AssemblyError("inner_transition is not [U, U]: its two column blocks differ")
-    a = u[:jp] + u[jp:]
+        raise StabilityError(f"error dynamics are not mean-square stable: spectral radius "
+                             f"{rho:.6f} of the fluctuation transition is >= 1")
+    a, u1, r, q = system.core, system.error_map, system.rh_lam_inv, noise.link_forcing
+    r_eps = r @ noise.r_eps_inf
+    data = r_eps @ r
     # the finiteness check below reports overflow, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = _stationary_forcing(u, a, system.data_input, noise)
-        s = _fold(forcing)
+        x = np.linalg.solve(np.eye(a.shape[0]) - noise.lam * a, noise.lam * r_eps)
+        cross = a @ x @ r
+        s = a @ q @ a.T + data + cross + cross.T
         for squarings in range(DOUBLING_MAX_SQUARINGS + 1):
             added = a @ s @ a.T
             s = s + added
@@ -585,11 +583,15 @@ def steady_state_solve(system, noise):
                 f"doubling solve did not converge in {DOUBLING_MAX_SQUARINGS} "
                 f"squarings (spectral radius {rho:.6f})"
             )
-        r_z = forcing + u @ s @ u.T
-    r_z = 0.5 * (r_z + r_z.T)
-    r_y1 = r_z[:jp, :jp] + noise.feedthrough
-    msd, emse, mse = _metrics_from_error_covariance(system, noise, r_y1)
+        cross = u1 @ x @ r
+        r_y1 = u1 @ (q + s) @ u1.T + data + cross + cross.T
+    r_y1 = 0.5 * (r_y1 + r_y1.T) + noise.feedthrough
+    j, p = system.topology.J, system.p
+    at = np.arange(j)
+    # (J, p, p) stacks of the per-sensor diagonal blocks
+    blocks = r_y1.reshape(j, p, j, p)[at, :, at]
+    emse = np.trace(system.rh @ blocks, axis1=1, axis2=2)
     return SteadyStateReport(
-        rho=rho, r_z=r_z, r_y1=r_y1, msd=msd, emse=emse, mse=mse,
+        rho=rho, r_y1=r_y1, msd=np.trace(blocks, axis1=1, axis2=2), emse=emse,
+        mse=emse + noise.sigma2_eps, core_covariance=s, data_cross=x, noise=noise,
     )
-

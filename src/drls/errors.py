@@ -25,9 +25,8 @@ class SequencingError(Exception):
 
 
 class AssemblyError(Exception):
-    """The averaged error system cannot be built or solved as given: a
-    forgetting factor or consensus step out of range, or a fluctuation
-    transition not of the form [U, U]."""
+    """The averaged error system cannot be built as given: a forgetting
+    factor or consensus step out of range."""
 
 
 class StabilityError(Exception):

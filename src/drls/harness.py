@@ -318,6 +318,8 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
             if collect_deviation:
                 deviation[:, start:start + n] = per_run[0].sum(axis=-1).T
             start += n
+            # freed before the next chunk is drawn, so two chunks are never alive at once
+            del h, x, eta, eta_bar, traj, post, per_run, finite
 
     msd, emse, mse = totals / float(runs)
     return EnsembleResult(

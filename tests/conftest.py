@@ -17,16 +17,47 @@ ITERATE_MAX_STEPS = 500_000
 FULL_UNIT_TOL = 1e-8
 
 
+@dataclass(frozen=True)
+class FullOperators:
+    """The (2Jp, 2Jp) objects of the averaged error system, rebuilt from its
+    (Jp, Jp) primitives: R = rh_lam_inv, L = lap_scaled, L^+ = lap_pinv."""
+
+    mean_transition: np.ndarray     # [[-RL, -R], [L, I]]
+    inner_transition: np.ndarray    # [U, U], U = [-RL; L L^+]
+    data_input: np.ndarray          # [R; 0]
+
+
+def _full_operators(system):
+    r, lap = system.rh_lam_inv, system.lap_scaled
+    jp = r.shape[0]
+    u = np.vstack([-r @ lap, lap @ system.lap_pinv])
+    return FullOperators(
+        mean_transition=np.block([[-r @ lap, -r], [lap, np.eye(jp)]]),
+        inner_transition=np.hstack([u, u]),
+        data_input=np.vstack([r, np.zeros((jp, jp))]),
+    )
+
+
+def _full_link_covariances(system, noise):
+    """(2Jp, 2Jp) covariances of the multiplier-exchange and the
+    estimate-exchange link noise in the fluctuation state: through [R; 0]
+    and through [-R; L^+]."""
+    r = system.rh_lam_inv
+    b = np.vstack([r, np.zeros_like(r)])
+    g = np.vstack([-r, system.lap_pinv])
+    return b @ np.diag(noise.r_eta_bar) @ b.T, g @ noise.r_eta_mix @ g.T
+
+
 def _full_forcing(system, noise):
     """Stationary forcing F of R = A R A^T + F from the whole (2Jp, 2Jp)
     fluctuation transition: the cross covariance with the data noise by a
     2Jp solve of (I - lam A). The package solves a (Jp, Jp) core instead."""
-    a = system.inner_transition
-    b = system.data_input
+    full = _full_operators(system)
+    a, b = full.inner_transition, full.data_input
     n = a.shape[0]
     r_zeps = np.linalg.solve(np.eye(n) - noise.lam * a, noise.lam * (b @ noise.r_eps_inf))
     cross = a @ r_zeps @ b.T
-    return (a @ (noise.r_eta_bar_lam + noise.r_eta_lam) @ a.T
+    return (a @ sum(_full_link_covariances(system, noise)) @ a.T
             + b @ noise.r_eps_inf @ b.T + cross + cross.T)
 
 
@@ -34,7 +65,7 @@ def _full_doubling_solve(system, noise):
     """Stationary covariance by doubling on the whole (2Jp, 2Jp) transition:
     from Q = F, repeat Q <- Q + A Q A^T and A <- A^2 until the added term is
     at round-off. The package doubles on the (Jp, Jp) core and lifts back."""
-    a = system.inner_transition
+    a = _full_operators(system).inner_transition
     r_z = _full_forcing(system, noise)
     for _ in range(DOUBLING_MAX_SQUARINGS + 1):
         added = a @ r_z @ a.T
@@ -49,7 +80,7 @@ def _kron_lyapunov(system, noise):
     """Closed-form stationary covariance: vectorise R = A R A^T + F by column
     stacking and solve (I - A kron A) vec(R) = vec(F). Exact, but O((Jp)^6)
     time and O((Jp)^4) memory, so it serves as an oracle on small systems."""
-    a = system.inner_transition
+    a = _full_operators(system).inner_transition
     n = a.shape[0]
     forcing = _full_forcing(system, noise)
     sol = np.linalg.solve(np.eye(n * n) - np.kron(a, a), forcing.flatten(order="F"))
@@ -60,7 +91,7 @@ def _kron_lyapunov(system, noise):
 def _full_radius(system):
     """Spectral radius of the whole (2Jp, 2Jp) fluctuation transition; the
     package reads it off the symmetric coupling spectrum."""
-    return float(np.max(np.abs(np.linalg.eigvals(system.inner_transition))))
+    return float(np.max(np.abs(np.linalg.eigvals(_full_operators(system).inner_transition))))
 
 
 @dataclass(frozen=True)
@@ -85,7 +116,7 @@ def _full_mean_stability(system):
     transition: its eigenvalues, and its left unit-eigenspace from the SVD
     of the transition less I. The package reads the eigenvalues off the
     symmetric coupling spectrum and takes the rest as given."""
-    omega = system.mean_transition
+    omega = _full_operators(system).mean_transition
     n = omega.shape[0]
     jp = n // 2
     w = np.linalg.eigvals(omega)
@@ -147,8 +178,8 @@ def _iterated_lyapunov(system, noise):
     the oracle for it. Stops once the per-step change, times the geometric
     tail gain, is below ITERATE_TOL relative to the iterate, and fails the
     test if that takes more than ITERATE_MAX_STEPS steps."""
-    a = system.inner_transition
-    b = system.data_input
+    full = _full_operators(system)
+    a, b = full.inner_transition, full.data_input
     lam = noise.lam
     n = a.shape[0]
     rho = float(np.max(np.abs(np.linalg.eigvals(a))))
@@ -161,7 +192,7 @@ def _iterated_lyapunov(system, noise):
     def r_eps(t):
         return noise.r_eps_inf * (1.0 - lam ** (2 * (t + 1)))
 
-    link_forcing = a @ (noise.r_eta_bar_lam + noise.r_eta_lam) @ a.T
+    link_forcing = a @ sum(_full_link_covariances(system, noise)) @ a.T
     r_z = np.zeros((n, n))
     r_zeps = np.zeros((n, b.shape[1]))
     for t in range(1, ITERATE_MAX_STEPS + 1):
@@ -231,6 +262,16 @@ def _frozen_consensus(local, top, c, iters):
 @pytest.fixture
 def full_forcing():
     return _full_forcing
+
+
+@pytest.fixture
+def full_operators():
+    return _full_operators
+
+
+@pytest.fixture
+def full_link_covariances():
+    return _full_link_covariances
 
 
 @pytest.fixture

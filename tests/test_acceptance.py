@@ -286,6 +286,11 @@ def test_link_noise_lift_exists_on_the_sweep():
         assert np.linalg.norm(proj @ proj - proj) < 1e-10
 
 
+def _close(a, b):
+    """a equals b within 1e-12 of |b| (Frobenius), or exactly when b is 0."""
+    return np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(b), np.finfo(float).tiny)
+
+
 def _heterogeneous_link_noise_cases():
     """The sweep networks, a 4-sensor star with a chord, one sensor, a
     complete graph and ideal links, each with receiver variances that
@@ -306,9 +311,6 @@ def test_link_noise_covariances_match_the_dense_oracle(dense_link_mix):
     Laplacian W, equal their forms through the dense (Jp, Dp) map of every
     directed link's noise, with each link's receiver variance, and a
     pseudoinverse of the whole (Jp, Jp) coupling; and W 1 = 0."""
-    def close(a, b):
-        return np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(b), np.finfo(float).tiny)
-
     for top, model in _heterogeneous_link_noise_cases():
         c, p = 0.3, model.p
         system = build_averaged_system(top, model, 0.95, c)
@@ -318,9 +320,9 @@ def test_link_noise_covariances_match_the_dense_oracle(dense_link_mix):
         r = system.rh_lam_inv
         link_input = np.vstack([-r @ mix, np.linalg.pinv(system.lap_scaled) @ mix])
         dense_mix = (mix * r_eta) @ mix.T
-        assert close(noise.r_eta_mix, dense_mix), top.J
-        assert close(noise.r_eta_lam, (link_input * r_eta) @ link_input.T), top.J
-        assert close(noise.feedthrough, r @ (np.diag(noise.r_eta_bar) + dense_mix) @ r), top.J
+        assert _close(noise.r_eta_mix, dense_mix), top.J
+        assert _close(noise.r_eta_lam, (link_input * r_eta) @ link_input.T), top.J
+        assert _close(noise.feedthrough, r @ (np.diag(noise.r_eta_bar) + dense_mix) @ r), top.J
         ones = np.kron(np.ones((top.J, 1)), np.eye(p))
         assert np.abs(noise.r_eta_mix @ ones).max() <= 1e-14 * np.abs(noise.r_eta_mix).max()
 
@@ -345,20 +347,27 @@ def test_closed_form_and_iterated_fixed_points_agree(kron_lyapunov, iterated_lya
     assert time.monotonic() - start < 30.0
 
 
-def test_core_doubling_matches_the_full_doubling(full_doubling_solve, full_forcing):
-    """The package doubles on the (Jp, Jp) core and lifts back; doubling on
-    the whole (2Jp, 2Jp) transition gives the same covariance to round-off,
-    and the covariance meets the whole Lyapunov equation. Cases: the iid
-    networks of the benchmark's analysis sweep (J*p = 20, 24, 40, 80), the
-    AR benchmark (its J*p = 60 network) and a single sensor."""
+def _analysis_sweep():
+    """The networks of the benchmark's analysis sweep, as (topology, model,
+    lam, c): the iid ones (J*p = 20, 24, 40, 80) and the AR benchmark's
+    (J*p = 60)."""
     configs = [ExperimentConfig(**{**IID_BENCH, "topology_j": j, "topology_radius": 0.5,
                                    "topology_seed": seed, "scenario_p": p, "scenario_seed": 1})
                for j, p, seed in [(10, 2, 7), (12, 2, 12), (20, 2, 20), (20, 4, 20)]]
     configs.append(ExperimentConfig(**AR_BENCH))
-    cases = [(from_edges(1, []), iid_scenario(1, 2, seed=1), 0.95, 0.1)]
+    cases = []
     for config in configs:
         top = build_topology(config)
         cases.append((top, build_model(config, top), config.lam, config.c))
+    return cases
+
+
+def test_core_doubling_matches_the_full_doubling(full_doubling_solve, full_forcing):
+    """The package doubles on the (Jp, Jp) core and lifts back; doubling on
+    the whole (2Jp, 2Jp) transition gives the same covariance to round-off,
+    and the covariance meets the whole Lyapunov equation. Cases: the
+    networks of the benchmark's analysis sweep and a single sensor."""
+    cases = [(from_edges(1, []), iid_scenario(1, 2, seed=1), 0.95, 0.1)] + _analysis_sweep()
     for top, model, lam, c in cases:
         system = build_averaged_system(top, model, lam, c)
         noise = noise_covariances(system, model)
@@ -369,6 +378,58 @@ def test_core_doubling_matches_the_full_doubling(full_doubling_solve, full_forci
         a = system.inner_transition
         residual = r_z - a @ r_z @ a.T - full_forcing(system, noise)
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r_z)
+
+
+def test_2jp_objects_are_derived_only_on_access(tmp_path, full_operators,
+                                                full_link_covariances, full_doubling_solve):
+    """A prediction and the stability checks, as `drls predict` and `drls
+    stability` run them, compute no (2Jp, 2Jp) object: none is in the
+    instance dict. Read afterwards, each equals the oracle built from the
+    (Jp, Jp) primitives."""
+    for top, model, lam, c in _analysis_sweep():
+        system = build_averaged_system(top, model, lam, c)
+        noise = noise_covariances(system, model)
+        report = steady_state_solve(system, noise)
+        report.to_csv(tmp_path / "prediction.csv")
+        # and what `drls stability` reads
+        check_mean_stability(system), check_mse_stability(system), system.step_bound
+        derived = [(system, "mean_transition"), (system, "inner_transition"),
+                   (system, "data_input"), (noise, "r_eta_bar_lam"), (noise, "r_eta_lam"),
+                   (report, "r_z")]
+        for obj, name in derived:
+            assert name not in vars(obj), (top.J * model.p, name)
+        full = full_operators(system)
+        oracles = [full.mean_transition, full.inner_transition, full.data_input,
+                   *full_link_covariances(system, noise), full_doubling_solve(system, noise)]
+        for (obj, name), oracle in zip(derived, oracles):
+            assert _close(getattr(obj, name), oracle), (top.J * model.p, name)
+
+
+def test_error_covariance_is_the_top_block_of_the_full_solve(full_doubling_solve):
+    """r_y1, solved at Jp, is the top-left (Jp, Jp) block of the whole
+    (2Jp, 2Jp) stationary covariance plus the feedthrough: on the sweep
+    networks with and without link noise, on one sensor and on a 4-sensor
+    star with a chord."""
+    cases = [(top, model) for top, model, _, _ in _analysis_sweep()]
+    cases += [(top, replace(model, sigma2_eta=np.zeros(top.J))) for top, model in cases]
+    cases += [(from_edges(1, []), iid_scenario(1, 3, seed=6)),
+              (from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)]), iid_scenario(4, 2, seed=5))]
+    for top, model in cases:
+        system = build_averaged_system(top, model, 0.95, 0.1)
+        noise = noise_covariances(system, model)
+        jp = top.J * model.p
+        reference = full_doubling_solve(system, noise)[:jp, :jp] + noise.feedthrough
+        assert _close(steady_state_solve(system, noise).r_y1, reference), (top.J, model.p)
+
+
+def test_step_bound_is_the_mean_stability_bound():
+    """2c / mu_max from the system's own coupling spectrum is the bound that
+    `mean_stability_bound` takes by a second eigensolve."""
+    for top, model, lam, c in _analysis_sweep():
+        bound = mean_stability_bound(top, model, lam)
+        assert abs(build_averaged_system(top, model, lam, c).step_bound - bound) <= 1e-14 * bound
+    one = build_averaged_system(from_edges(1, []), iid_scenario(1, 2, seed=1), 0.95, 0.1)
+    assert one.step_bound == np.inf
 
 
 # ---------------------------------------------------------------------------

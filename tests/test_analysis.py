@@ -334,10 +334,10 @@ def test_steady_state_refuses_unstable_dynamics():
         steady_state_solve(system, noise)
 
 
-def _with_inner_input(system, u):
-    """`system` with fluctuation transition [U, U]: the form every averaged
-    system has, with U given."""
-    return replace(system, inner_transition=np.hstack([u, u]))
+def _with_core(system, core):
+    """`system` with the fluctuation transition U V for U = [core; 0], so
+    that its core V U is `core`."""
+    return replace(system, core=core, error_map=core)
 
 
 def test_steady_state_raises_when_doubling_does_not_converge(monkeypatch):
@@ -345,7 +345,7 @@ def test_steady_state_raises_when_doubling_does_not_converge(monkeypatch):
     solve must refuse rather than return a truncated covariance."""
     top, model, system = _pair_system()
     noise = noise_covariances(system, model)
-    slow = _with_inner_input(system, np.vstack([0.99 * np.eye(2), np.zeros((2, 2))]))
+    slow = _with_core(system, 0.99 * np.eye(2))
     monkeypatch.setattr(analysis, "DOUBLING_MAX_SQUARINGS", 2)
     with pytest.raises(DivergenceError, match="did not converge in 2 squarings"):
         steady_state_solve(slow, noise)
@@ -356,21 +356,10 @@ def test_steady_state_raises_on_non_finite_covariance():
     the solve reports it instead of returning infinities."""
     top, model, system = _pair_system()
     noise = noise_covariances(system, model)
-    u = np.zeros((4, 2))
-    u[0, 1] = 1e200
+    core = np.zeros((2, 2))
+    core[0, 1] = 1e200
     with pytest.raises(DivergenceError, match="lost finiteness after 0 squarings"):
-        steady_state_solve(_with_inner_input(system, u), noise)
-
-
-def test_steady_state_refuses_a_transition_not_of_the_form_u_u():
-    """The core solve rests on inner_transition = [U, U]; a transition whose
-    column blocks differ is refused by name, with no 2Jp fallback."""
-    top, model, system = _pair_system()
-    noise = noise_covariances(system, model)
-    skewed = system.inner_transition.copy()
-    skewed[0, 2] += 1e-3
-    with pytest.raises(AssemblyError, match="inner_transition is not \\[U, U\\]"):
-        steady_state_solve(replace(system, inner_transition=skewed), noise)
+        steady_state_solve(_with_core(system, core), noise)
 
 
 def test_link_noise_raises_the_prediction():

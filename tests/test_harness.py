@@ -1,4 +1,5 @@
 import re
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -264,6 +265,27 @@ def test_draw_chunk_does_not_change_the_bytes(tmp_path, monkeypatch, scenario_ki
         outputs.append((g.read_bytes(), s.read_bytes(), result.network_deviation.tobytes(),
                         result.final_estimate_mean.tobytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_each_chunk_is_freed_before_the_next_is_drawn(monkeypatch):
+    """The ensemble drops every array of a chunk's draws before it draws the
+    next chunk, so no two chunks are alive at once."""
+    draws = signals.SnapshotStream.draws
+    previous, calls = [], []
+
+    def tracked(stream, n):
+        assert all(ref() is None for ref in previous), "the previous chunk is still alive"
+        out = draws(stream, n)
+        previous[:] = [weakref.ref(a) for a in out if a is not None]
+        calls.append(n)
+        return out
+
+    monkeypatch.setattr(signals.SnapshotStream, "draws", tracked)
+    monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", 4000)
+    config = _small_config(t_samples=50)
+    assert config.scenario_sigma2_eta > 0    # the link-noise draws are tracked too
+    run_ensemble(config)
+    assert len(previous) == 4 and len(calls) > 1
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -559,8 +581,7 @@ def test_metric_tables_match_the_row_by_row_format(tmp_path):
     for sensors in (block + 1, 10):
         pm, pe, ps = rng.lognormal(-6.0, 4.0, size=(3, sensors))
         pm[0], pe[1], ps[2] = 0.0, 1e-310, 1e300
-        report = SteadyStateReport(rho=0.5, r_z=np.zeros((1, 1)), r_y1=np.zeros((1, 1)),
-                                   msd=pm, emse=pe, mse=ps)
+        report = SteadyStateReport(rho=0.5, r_y1=np.zeros((1, 1)), msd=pm, emse=pe, mse=ps)
         report.to_csv(tmp_path / "prediction.csv")
         rows = [((k,), pm[k], pe[k], ps[k]) for k in range(sensors)]
         rows.append((("global",), report.msd_global, report.emse_global, report.mse_global))
