@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError, DivergenceError, ModelError, StabilityError
-from .linalg import bdiag, pinv
+from .linalg import bdiag, kron_eye, pinv
 from .topology import laplacian
 
 #: squarings after which the doubling solve gives up; 2^64 recursion steps
@@ -314,14 +314,14 @@ def build_averaged_system(topology, model, lam, c):
     # lap is L_J (x) I_p, so its pseudoinverse and P are those of L_J, times I_p
     lap_j = 0.5 * c * laplacian(topology)
     pinv_j = pinv(lap_j)
-    lap = np.kron(lap_j, np.eye(p))
+    lap = kron_eye(lap_j, p)
     rh_inv = np.linalg.inv(model.rh)
     rh_lam_inv = (1.0 - lam) * bdiag(rh_inv)
     error_map = -rh_lam_inv @ lap
     return AveragedSystem(
         topology=topology, p=p, lam=lam, c=c, lap_scaled=lap,
-        lap_pinv=np.kron(pinv_j, np.eye(p)), rh=model.rh, rh_lam_inv=rh_lam_inv,
-        core=np.kron(lap_j @ pinv_j, np.eye(p)) + error_map, error_map=error_map,
+        lap_pinv=kron_eye(pinv_j, p), rh=model.rh, rh_lam_inv=rh_lam_inv,
+        core=kron_eye(lap_j @ pinv_j, p) + error_map, error_map=error_map,
         coupling_spectrum=(1.0 - lam) * _coupling_spectrum(lap, rh_inv),
     )
 
@@ -343,7 +343,7 @@ def mean_stability_bound(topology, model, lam):
         raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
     if lam == 1.0 or not topology.adjacency.any():
         return float("inf")
-    lap = np.kron(laplacian(topology), np.eye(model.p))
+    lap = kron_eye(laplacian(topology), model.p)
     return 4.0 / ((1.0 - lam) * float(_coupling_spectrum(lap, np.linalg.inv(model.rh))[-1]))
 
 
@@ -467,8 +467,7 @@ def noise_covariances(system, model):
     sigma2_eta = model.sigma2_eta
     # (J, J) link weights sigma2_eta_i + sigma2_eta_j, and their Laplacian W
     weights = top.adjacency * (sigma2_eta[:, None] + sigma2_eta)
-    r_eta_mix = (system.c / 4.0) ** 2 * np.kron(np.diag(weights.sum(axis=1)) - weights,
-                                                 np.eye(model.p))
+    r_eta_mix = (system.c / 4.0) ** 2 * kron_eye(np.diag(weights.sum(axis=1)) - weights, model.p)
     r_eta_bar = np.repeat((top.degrees / 4.0) * sigma2_eta, model.p)
     lift = system.lap_pinv - r
     return NoiseCovariances(

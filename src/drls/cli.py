@@ -92,20 +92,22 @@ def _cmd_gen_topology(args):
     return 0
 
 
-def _warned_setup(config):
-    """The network and model of a config, after printing its step-size
-    warnings on stderr, so they come before any work that may refuse."""
+def _warned_setup(config, averaged=False):
+    """The network, model and, if `averaged`, averaged system of a config,
+    after printing its step-size warnings on stderr, so they come before any
+    work that may refuse. `averaged_system` refuses no config that warns."""
     topology = build_topology(config)
     model = build_model(config, topology)
-    for warning in step_size_warnings(config, topology, model):
+    system = averaged_system(config, topology, model) if averaged else None
+    for warning in step_size_warnings(config, topology, model, system):
         print(f"warning: {warning}", file=sys.stderr)
-    return topology, model
+    return topology, model, system
 
 
 def _cmd_simulate(args):
     config = _load(args)
     out = _outdir(args)
-    topology, model = _warned_setup(config)
+    topology, model, _ = _warned_setup(config)
     ensemble = run_ensemble(config, topology=topology, model=model)
     global_path = os.path.join(out, "global.csv")
     sensor_path = os.path.join(out, "per_sensor.csv")
@@ -128,8 +130,7 @@ def _cmd_simulate(args):
 def _cmd_predict(args):
     config = _load(args)
     path = os.path.join(_outdir(args), "prediction.csv")
-    topology, model = _warned_setup(config)
-    system = averaged_system(config, topology, model)
+    _, model, system = _warned_setup(config, averaged=True)
     noise = noise_covariances(system, model)
     report = steady_state_solve(system, noise)
     report.to_csv(path)
@@ -145,7 +146,7 @@ def _cmd_predict(args):
 def _cmd_compare(args):
     config = _load(args)
     out = _outdir(args)
-    topology, model = _warned_setup(config)
+    topology, model, _ = _warned_setup(config)
     report = compare_theory(config, tol_db=args.tol_db, topology=topology, model=model)
     comparison_path = os.path.join(out, "comparison.csv")
     report.to_csv(comparison_path)
@@ -162,8 +163,7 @@ def _cmd_compare(args):
 
 def _cmd_stability(args):
     config = _load(args)
-    topology, model = _warned_setup(config)
-    system = averaged_system(config, topology, model)
+    system = _warned_setup(config, averaged=True)[2]
     mean_report = check_mean_stability(system)
     mse_report = check_mse_stability(system)
     print(f"mean-stability bound on c: {system.step_bound:.6g} (config uses c = {config.c})")

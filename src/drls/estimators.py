@@ -11,26 +11,31 @@ realized by initializing the inverse at delta*I before any datum arrives.
 * ``LocalRls`` runs an isolated RLS per sensor (no cooperation).
 * ``DrlsState`` is the single-time-scale distributed RLS: per step each
   sensor absorbs its new datum through a rank-one inverse update, then
-  runs one consensus round: it broadcasts its estimate, updates one
-  price/multiplier per neighbor from the (possibly noise-corrupted)
-  received estimates, exchanges the multipliers, and re-solves for its
-  estimate. O(p^2) per sensor per step.
-* ``AdmomState`` is the augmented-Lagrangian variant: same multiplier
-  recursion, but the estimate update solves a dense p x p system whose
-  matrix carries an extra c*deg_j*I term, O(p^3) per sensor per step.
+  runs one consensus round on the (possibly noise-corrupted) estimates its
+  neighbors broadcast, and re-solves for its estimate. O(p^2) per sensor.
+* ``AdmomState`` is the augmented-Lagrangian variant: the estimate update
+  solves a dense p x p system whose matrix carries an extra c*deg_j*I
+  term, O(p^3) per sensor per step.
 
-Per-link quantities follow the topology's directed-link table: row k of a
-(D, p) array belongs to ``link_owner[k]`` and concerns its neighbor
-``link_peer[k]``. Noise arrays passed to ``step`` use the same layout
-(row k = what owner k actually receives on that link).
+The paper keeps one multiplier v_j^{j'} per directed link, but the
+estimates read them only through each sensor's imbalance b_j = (1/2)
+sum_{j'} (v_j^{j'} - v_{j'}^j), the beta2 of ``analysis``. So the states
+carry b (..., J, p), with L the graph Laplacian and sums over each sensor's
+links k of the noise it hears on the estimates (eta) and on the multiplier
+exchange (eta_bar), flip(k) being link k the other way:
 
-``step`` takes data with any leading shape, such as a runs axis: h
-(..., J, p), x (..., J) and noise (..., D, p). A fresh state holds one
-unbatched copy and takes on the leading shape of its first datum by
-broadcasting, so each run of a batch follows its own recursion.
+    b <- b + (c/2) L s - (c/4) sum_k (eta_k - eta_flip(k))
+    s  = Phi^{-1} (psi - b + (1/2) sum_k eta_bar_k)
+
+``step_inputs`` does the data-only work of data with any leading shape,
+such as a chunk's (n, runs), and ``step`` takes one step of it. A fresh
+state takes on the leading shape of its first datum by broadcasting, and
+each run of a batch follows its own recursion to the bit.
 """
 
 import numpy as np
+
+from .topology import laplacian
 
 
 def _matvec(mats, vecs):
@@ -42,19 +47,19 @@ def _matvec(mats, vecs):
 # rank-one RLS kernel
 # ---------------------------------------------------------------------------
 
-def rls_kernel_step(pinv, psi, h, x, lam):
+def rls_kernel_step(pinv, psi, h, hx, lam):
     """Absorb one datum per kernel through the rank-one inverse update.
 
     Matrix-inversion-lemma form of inverting lam*Phi + h h^T given
     pinv = Phi^{-1}: new_pinv = (pinv - (pinv h)(pinv h)^T / (lam + h^T pinv h)) / lam,
-    and psi <- lam*psi + h*x. `pinv` (..., p, p), `psi` and `h` (..., p)
-    and `x` (...) share any leading shape, e.g. (runs, J); returns the new
-    (pinv, psi).
+    and psi <- lam*psi + hx, where hx = h*x is the regressor times its
+    observation. `pinv` (..., p, p) and `psi`, `h` and `hx` (..., p) share
+    any leading shape, e.g. (runs, J); returns the new (pinv, psi).
     """
     ph = _matvec(pinv, h)
     den = lam + np.einsum("...a,...a->...", h, ph)
     pinv = (pinv - ph[..., :, None] * ph[..., None, :] / den[..., None, None]) / lam
-    return pinv, lam * psi + h * x[..., None]
+    return pinv, lam * psi + hx
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +70,22 @@ def ama_step_flops(p, degree):
     """Per-sensor per-step arithmetic of the single-time-scale AMA variant.
 
     Rank-one inverse update 6p^2 + 2p + 1, correlation update 3p, estimate
-    solve via the stored inverse 2p^2 + 2p, plus 7p per neighbor for the
-    multiplier update and aggregation. O(p^2).
+    solve via the stored inverse 2p^2 + 2p, and, on a sensor with
+    neighbors, the imbalance update: (L s)_j at 2p per neighbor, and 3p to
+    add it and the noise drift to b. O(p^2).
     """
-    return 8 * p * p + 7 * p + 1 + 7 * p * degree
+    return 8 * p * p + 7 * p + 1 + (2 * degree + 3) * p * (degree > 0)
 
 
 def admom_step_flops(p, degree):
     """Per-sensor per-step arithmetic of the augmented-Lagrangian variant.
 
     Data-matrix update 3p^2 + p, correlation update 3p, dense p x p solve
-    (2/3)p^3 + 2p^2, plus 9p per neighbor for the estimate/multiplier
-    sums. O(p^3) because the extra c*deg*I term rules out rank-one
-    inverse updates.
+    (2/3)p^3 + 2p^2, and, with neighbors, the imbalance update of
+    `ama_step_flops` and 5p for c deg_j s_j - (c/2)(L s)_j - b + heard. O(p^3)
+    because the extra c*deg*I term rules out rank-one inverse updates.
     """
-    return (2 * p ** 3) // 3 + 5 * p * p + 4 * p + 9 * p * degree
+    return (2 * p ** 3) // 3 + 5 * p * p + 4 * p + (2 * degree + 8) * p * (degree > 0)
 
 
 def centralized_step_flops(p, j):
@@ -107,35 +113,29 @@ def _check_parameters(lam, c, delta):
 
 
 class _NetworkBase:
-    """Shared plumbing: batched per-sensor arrays plus the link tables."""
+    """Shared plumbing: batched per-sensor arrays, and (c/2) L."""
 
     def __init__(self, topology, p, lam, c, delta):
         _check_parameters(lam, c, delta)
-        self.topology = topology
-        self.p = p
         self.lam = lam
         self.c = c
         self.s = np.zeros((topology.J, p))
-        self.v = np.zeros((topology.n_links, p))
+        self.b = np.zeros((topology.J, p))
+        self._half_cl = 0.5 * c * laplacian(topology)
+        # weight of the noise on the estimates heard in the estimate's right-hand side
+        self._eta_gain = 0.0
 
-    def _exchange(self, eta, eta_bar):
-        """Multiplier recursion from broadcast estimates; returns what each
-        owner aggregates from its own and its neighbors' multipliers."""
-        top = self.topology
-        recv_s = self.s.take(top.link_peer, axis=-2)
-        if eta is not None:
-            recv_s = recv_s + eta
-        v_new = self.v + 0.5 * self.c * (self.s.take(top.link_owner, axis=-2) - recv_s)
-        recv_v = v_new.take(top.link_flip, axis=-2)
-        if eta_bar is not None:
-            recv_v = recv_v + eta_bar
-        return recv_s, v_new, recv_v
-
-    def _persensor_sum(self, per_link):
-        """Sum a (..., D, p) per-link array into (..., J, p) per-owner totals."""
-        if self.topology.n_links == 0:
-            return np.zeros((self.topology.J, self.p))
-        return np.add.reduceat(per_link, self.topology.link_start[:-1], axis=-2)
+    def step_inputs(self, h, x, eta=None, eta_bar=None):
+        """`step`'s arguments from h, x and the link-noise sums of
+        ``SnapshotStream.draws`` (None on ideal links): h, h x, the
+        imbalance's drift (c/4) sum_k (eta_k - eta_flip(k)) and the noise
+        the estimate hears, both zero on ideal links."""
+        hx = h * x[..., None]
+        if eta is None:
+            zero = np.broadcast_to(0.0, hx.shape)
+            return h, hx, zero, zero
+        heard = 0.5 * eta_bar + self._eta_gain * eta[..., 0, :, :]
+        return h, hx, (0.25 * self.c) * eta[..., 1, :, :], heard
 
 
 class DrlsState(_NetworkBase):
@@ -147,24 +147,13 @@ class DrlsState(_NetworkBase):
         self.psi = np.zeros((topology.J, p))
         self.step_flops = sum(ama_step_flops(p, int(d)) for d in topology.degrees)
 
-    def step(self, h, x, eta=None, eta_bar=None):
-        """One time step: absorb datum t+1, then one consensus round.
-
-        `h` (..., J, p) and `x` (..., J) are the new snapshot; `eta` /
-        `eta_bar` are (..., D, p) receiver-noise arrays for the estimate and
-        multiplier exchanges (None = ideal links).
-        """
-        self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, x, self.lam)
-        self._consensus(eta, eta_bar)
+    def step(self, h, hx, drift, heard):
+        """One time step of `step_inputs`: absorb datum t+1, then one
+        consensus round from the time-t estimates."""
+        self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, hx, self.lam)
+        self.b = self.b + self._half_cl @ self.s - drift
+        self.s = _matvec(self.pinv, self.psi - self.b + heard)
         return self
-
-    def _consensus(self, eta=None, eta_bar=None):
-        """Exchange the time-t estimates and multipliers, then re-solve the
-        estimates from the kernel state. The exchange reads neither `pinv`
-        nor `psi`, so it sees the same values before or after a datum."""
-        _, v_new, recv_v = self._exchange(eta, eta_bar)
-        self.s = _matvec(self.pinv, self.psi - 0.5 * self._persensor_sum(v_new - recv_v))
-        self.v = v_new
 
 
 class AdmomState(_NetworkBase):
@@ -172,25 +161,27 @@ class AdmomState(_NetworkBase):
 
     Keeps the weighted data matrix directly; the estimate update inverts
     data_matrix + c*deg_j*I every step, so there is no rank-one shortcut.
+    Its right-hand side also reads the estimates each sensor hears,
+    (A s)_j + sum_k eta_k = deg_j s_j - (L s)_j + sum_k eta_k.
     """
 
     def __init__(self, topology, p, lam, c, delta):
         super().__init__(topology, p, lam, c, delta)
+        self._eta_gain = 0.5 * c
         self.phi = np.broadcast_to(np.eye(p) / delta, (topology.J, p, p)).copy()
         self.psi = np.zeros((topology.J, p))
-        self._ridge = c * self.topology.degrees[:, None, None] * np.eye(p)
+        self._ridge = c * topology.degrees[:, None, None] * np.eye(p)
+        self._c_deg = c * topology.degrees[:, None]
         self.step_flops = sum(admom_step_flops(p, int(d)) for d in topology.degrees)
 
-    def step(self, h, x, eta=None, eta_bar=None):
-        top = self.topology
-        recv_s, v_new, recv_v = self._exchange(eta, eta_bar)
+    def step(self, h, hx, drift, heard):
         self.phi = self.lam * self.phi + h[..., :, None] * h[..., None, :]
-        self.psi = self.lam * self.psi + h * x[..., None]
-        # own estimate plus each received one, summed over neighbors
-        nbr = top.degrees[:, None] * self.s + self._persensor_sum(recv_s)
-        rhs = self.psi + 0.5 * self.c * nbr - 0.5 * self._persensor_sum(v_new - recv_v)
+        self.psi = self.lam * self.psi + hx
+        half_ls = self._half_cl @ self.s
+        self.b = self.b + half_ls - drift
+        # psi + (c/2) (deg s + A s) - b
+        rhs = self.psi + self._c_deg * self.s - half_ls - self.b + heard
         self.s = np.linalg.solve(self.phi + self._ridge, rhs[..., None])[..., 0]
-        self.v = v_new
         return self
 
 
@@ -203,8 +194,8 @@ class LocalRls(DrlsState):
         # the AMA step without neighbors: kernel update and estimate only
         self.step_flops = topology.J * ama_step_flops(p, 0)
 
-    def step(self, h, x, eta=None, eta_bar=None):
-        self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, x, self.lam)
+    def step(self, h, hx, drift, heard):
+        self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, hx, self.lam)
         self.s = _matvec(self.pinv, self.psi)
         return self
 
@@ -227,7 +218,10 @@ class CentralizedRls:
         j_p = (self.topology.J, self.p)
         return np.broadcast_to(self.s_c[..., None, :], self.s_c.shape[:-1] + j_p)
 
-    def step(self, h, x, eta=None, eta_bar=None):
+    def step_inputs(self, h, x, eta=None, eta_bar=None):
+        return h, x
+
+    def step(self, h, x):
         h_t = np.swapaxes(h, -1, -2)
         self.phi = self.lam * self.phi + h_t @ h
         self.psi_c = self.lam * self.psi_c + (h_t @ x[..., None])[..., 0]

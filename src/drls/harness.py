@@ -6,11 +6,11 @@ keys, ``#`` comments). One config pins the topology, the signal scenario,
 the algorithm and its parameters, and the ensemble size; everything a run
 consumes is derived deterministically from ``master_seed``, so the same
 config byte-reproduces the same CSV outputs. All runs of an ensemble step
-through one time loop along a leading runs axis, a draw chunk at a time;
-each run keeps its own seeded streams and metrics are reduced in run order,
-so the results are those of running every run on its own, and the draw
-budget in bytes changes no byte. A config is checked once, when it is
-built, so the functions that take one use it as given.
+through one time loop along a leading runs axis, a draw chunk at a time,
+whose data-only work (``step_inputs``) is done once. Each run keeps its own
+seeded streams and metrics are reduced in run order, so the results are
+those of running every run on its own, and the draw budget changes no byte.
+A config is checked once, when it is built, so functions use it as given.
 
 Recognized keys (defaults in parentheses):
 
@@ -295,9 +295,8 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
             n = len(h)
             traj = np.empty((n + 1,) + h.shape[1:])  # estimates before each step and at the end
             traj[0] = state.s
-            for k in range(n):
-                traj[k + 1] = state.step(h[k], x[k], None if eta is None else eta[k],
-                                         None if eta_bar is None else eta_bar[k]).s
+            for k, inputs in enumerate(zip(*state.step_inputs(h, x, eta, eta_bar)), start=1):
+                traj[k] = state.step(*inputs).s
             post = traj[1:] - model.s0
             per_run = np.stack([
                 np.einsum("...ja,...ja->...j", post, post),
@@ -319,7 +318,7 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
                 deviation[:, start:start + n] = per_run[0].sum(axis=-1).T
             start += n
             # freed before the next chunk is drawn, so two chunks are never alive at once
-            del h, x, eta, eta_bar, traj, post, per_run, finite
+            del h, x, eta, eta_bar, inputs, traj, post, per_run, finite
 
     msd, emse, mse = totals / float(runs)
     return EnsembleResult(
@@ -398,12 +397,13 @@ def averaged_system(config, topology, model):
     return build_averaged_system(topology, model, config.lam, config.c)
 
 
-def step_size_warnings(config, topology, model):
+def step_size_warnings(config, topology, model, system=None):
     """Warnings on the consensus step: one if a drls_ama step is at or above
-    its mean-stability bound. Other algorithms have no such bound."""
+    its mean-stability bound, read off the config's averaged `system` when
+    given. Other algorithms have no such bound."""
     if config.algorithm != "drls_ama":
         return ()
-    bound = mean_stability_bound(topology, model, config.lam)
+    bound = system.step_bound if system else mean_stability_bound(topology, model, config.lam)
     if config.c < bound:
         return ()
     return (f"consensus step c = {config.c} is at or above the mean-stability "

@@ -32,3 +32,10 @@ def bdiag(blocks):
     at = np.arange(k)
     out[at, :, at] = blocks
     return out.reshape(k * p, k * p)
+
+
+def kron_eye(a, p):
+    """a (x) I_p for a (K, K) `a`, by one broadcast product: the bits of
+    ``np.kron(a, np.eye(p))``, signed zeros included, without its bookkeeping."""
+    k = a.shape[0]
+    return (a[:, None, :, None] * np.eye(p)[:, None]).reshape(k * p, k * p)

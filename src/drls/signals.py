@@ -15,7 +15,8 @@ sigma2_eta_j I_p, applied to both the estimate and the multiplier exchange
 (independent draws). Streams are deterministic per seed and keep one child
 generator per noise kind, scaled per sensor after the unit-variance draws,
 so changing one sensor's noise level or disabling a noise source perturbs
-no other draw. Steps are drawn a chunk at a time; the byte budget changes no byte.
+no other draw. Link noise is summed per sensor over its links as it is drawn. Steps
+are drawn a chunk at a time; neither the byte budget nor the block of runs changes a byte.
 """
 
 from dataclasses import dataclass
@@ -240,8 +241,10 @@ class SnapshotStream:
                 self._regressors(n)
 
         self.link_noise_active = bool(np.any(model.sigma2_eta))
-        # what link k carries is heard by its owner
-        self._eta_sigma = np.sqrt(model.sigma2_eta)[topology.link_owner][:, None]
+        # (J, D): link k is heard by its owner, at its sigma_eta, and carries its peer's estimate
+        sensors = np.arange(model.J)[:, None]
+        heard = (topology.link_owner == sensors) * np.sqrt(model.sigma2_eta)[:, None]
+        self._mix = np.concatenate([heard, heard - (topology.link_peer == sensors) * heard.sum(0)])
 
     def _chunks(self, total):
         """Step counts covering `total` steps, DRAW_CHUNK_BYTES per draw array."""
@@ -251,18 +254,20 @@ class SnapshotStream:
             yield min(size, total - start)
 
     def _per_run(self, kind, shape, fill=lambda g, out: g.standard_normal(out=out)):
-        """Draws of `shape` (n, ...) from every run's `kind` generator, as
-        (n, runs, ...): ``fill(generator, out)`` fills one run's slice of one buffer."""
+        """Draws of `shape` (n, ...) from every run's `kind` generator, as an
+        (n, runs, ...) view of one run-major buffer: ``fill(generator, out)``
+        fills one run's slice of it."""
         buf = np.empty((self.runs,) + shape)
         for rngs, out in zip(self._rngs, buf):
             fill(rngs[kind], out)
-        return np.moveaxis(buf, 0, 1).copy()
+        return np.moveaxis(buf, 0, 1)
 
     def _regressors(self, n):
         """Regressors of the next `n` steps, (n, runs, J, p)."""
         m, p = self.model, self.model.p
         if m.ar_rho is None:
-            z = self._per_run(_REG, (n, m.J, p))
+            # copied step-major: einsum takes several times longer on the strided view
+            z = self._per_run(_REG, (n, m.J, p)).copy()
             # copied out: einsum over broadcast factors takes several times longer, same bits
             full = np.broadcast_to(self._chol_rh, z.shape + (p,)).copy()
             return np.einsum("...ab,...b->...a", full, z)
@@ -282,18 +287,21 @@ class SnapshotStream:
         """Draws of the next `n` steps for every run of the block.
 
         Returns regressors h (n, runs, J, p), observations x (n, runs, J),
-        and the receiver noise on the estimate and on the multiplier
-        exchange, each (n, runs, D, p), or None on ideal links. Row k of a
-        noise array is what sensor ``link_owner[k]`` hears on the broadcast
-        from ``link_peer[k]``.
+        and the receiver noise summed over each sensor's links k, or None on
+        ideal links: eta (n, runs, 2, J, p) holds sum_k eta_k and sum_k (eta_k -
+        eta_flip(k)), what the sensor hears less the noise on its broadcasts,
+        and eta_bar (n, runs, J, p) sum_k eta_bar_k. Link k is what
+        ``link_owner[k]`` hears from ``link_peer[k]``; flip(k) is its reverse.
         """
         m = self.model
         h = self._regressors(n)
         x = h @ m.s0 + self._sigma_eps * self._per_run(_EPS, (n, m.J))
         if not self.link_noise_active:
             return h, x, None, None
-        shape = (n, self.topology.n_links, m.p)
-        return h, x, *(self._eta_sigma * self._per_run(kind, shape) for kind in (_ETA, _ETA_BAR))
+        # one product of one shape per run-step: no sum depends on the block or the chunk
+        eta, eta_bar = (np.matmul(mix, self._per_run(kind, (n, self.topology.n_links, m.p)))
+                        for kind, mix in ((_ETA, self._mix), (_ETA_BAR, self._mix[:m.J])))
+        return h, x, eta.reshape(n, self.runs, 2, m.J, m.p), eta_bar
 
     def chunks(self, total):
         """Yield the `draws` of the next `total` steps, one chunk at a time."""

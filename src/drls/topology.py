@@ -2,13 +2,9 @@
 Ad hoc network topologies.
 
 A topology is an undirected, connected graph over sensors 0..J-1 with no
-self-loops. The communication pattern of the estimators is captured by a
-table of *directed links*: every undirected edge {i, j} contributes the two
-entries (i, j) and (j, i). The table is the nonzero entries of the
-adjacency in row-major order, so it is grouped by owner with peers in
-ascending order. Row k of every stacked per-link quantity in the package
-(the estimators' multipliers, the simulated receiver-noise vectors) is
-what ``link_owner[k]`` hears from ``link_peer[k]``.
+self-loops. Every edge {i, j} is also the two entries (i, j) and (j, i) of
+a table of *directed links*, on which the simulation draws its receiver
+noise (see ``Topology``).
 
 Edge-list file format: first line is the sensor count J, then one line
 "i j" per undirected edge with 0 <= i < j < J. Comments and blank lines
@@ -37,10 +33,6 @@ class Topology:
         (D,) directed-link table, ``np.nonzero(adjacency)``: grouped by
         owner with peers ascending, entry k is the link on which
         `link_owner[k]` hears `link_peer[k]`. D = twice the edge count.
-    link_start : ndarray
-        (J+1,) segment offsets of each owner's group in the table.
-    link_flip : ndarray
-        (D,) index of the opposite direction of each entry.
     """
 
     def __init__(self, adjacency, positions=None):
@@ -68,11 +60,8 @@ class Topology:
             raise TopologyError("graph is not connected")
 
         self.degrees = a.sum(axis=1)
-        self.link_owner, self.link_peer = owner, peer = np.nonzero(a)
-        self.link_start = np.concatenate(([0], np.cumsum(self.degrees)))
-        # sorted by (peer, owner), entry k is the link (link_peer[k], link_owner[k])
-        self.link_flip = np.lexsort((owner, peer))
-        self.n_links = owner.size
+        self.link_owner, self.link_peer = np.nonzero(a)
+        self.n_links = self.link_owner.size
 
     def edges(self):
         """Undirected edges as (i, j) pairs with i < j, sorted."""

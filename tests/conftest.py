@@ -253,10 +253,28 @@ def _frozen_consensus(local, top, c, iters):
     p = local.psi.shape[-1]
     state = DrlsState(top, p, 1.0, c, 1.0)
     state.pinv, state.psi, state.s = local.pinv, local.psi, local.s
-    h, x = np.zeros((top.J, p)), np.zeros(top.J)
+    inputs = state.step_inputs(np.zeros((top.J, p)), np.zeros(top.J))
     for _ in range(iters):
-        state.step(h, x)
+        state.step(*inputs)
     return state.s
+
+
+def _fold_link_noise(top, eta, eta_bar):
+    """The per-sensor link-noise sums the estimators read, folded link by
+    link from per-link noise (..., D, p) laid out as the simulation draws it
+    (row k = what link_owner[k] hears from link_peer[k]). Returns the
+    (..., 2, J, p) sums over each sensor's links of eta_k and of eta_k -
+    eta_flip(k), and the (..., J, p) sums of eta_bar_k. Built from the link
+    table alone; the package folds with mix matrices."""
+    lead, p = eta.shape[:-2], eta.shape[-1]
+    heard = np.zeros(lead + (2, top.J, p))
+    heard_bar = np.zeros(lead + (top.J, p))
+    for k, (owner, peer) in enumerate(zip(top.link_owner, top.link_peer)):
+        heard[..., :, owner, :] += eta[..., None, k, :]
+        # link k is the reverse of a link of `peer`: it corrupts peer's broadcast
+        heard[..., 1, peer, :] -= eta[..., k, :]
+        heard_bar[..., owner, :] += eta_bar[..., k, :]
+    return heard, heard_bar
 
 
 @pytest.fixture
@@ -317,3 +335,8 @@ def ewlse_centralized():
 @pytest.fixture
 def frozen_consensus():
     return _frozen_consensus
+
+
+@pytest.fixture
+def fold_link_noise():
+    return _fold_link_noise

@@ -140,7 +140,7 @@ def test_batch_consensus_tracks_the_pooled_estimator(ewlse_centralized, frozen_c
     hs, xs = hs[:, 0], xs[:, 0]
     local = LocalRls(top, p, lam, 0.0, delta)
     for h, x in zip(hs, xs):
-        local.step(h, x)
+        local.step(*local.step_inputs(h, x))
     pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
 
     best = np.inf
@@ -526,7 +526,7 @@ def test_single_sensor_equals_pooled_weighted_ls(ewlse_centralized):
         x = h[0] @ np.ones(2) + 0.1 * rng.standard_normal(1)
         hs.append(h)
         xs.append(x)
-        state.step(h, x)
+        state.step(*state.step_inputs(h, x))
         central.step(h, x)
         batch = ewlse_centralized(np.asarray(hs), np.asarray(xs), lam,
                                   phi0=lam / delta)
@@ -542,8 +542,8 @@ def test_zero_coupling_equals_isolated_rls():
     for _ in range(200):
         h = rng.standard_normal((6, 3))
         x = rng.standard_normal(6)
-        net.step(h, x)
-        solo.step(h, x)
+        net.step(*net.step_inputs(h, x))
+        solo.step(*solo.step_inputs(h, x))
         assert np.abs(net.s - solo.s).max() <= 1e-12
 
 

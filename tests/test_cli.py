@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import drls
+from drls import analysis
 from drls.cli import main
 from drls.topology import from_edges, read_edge_list, write_edge_list
 
@@ -352,6 +353,26 @@ def test_predict_and_stability_warn_before_any_refusal(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(warning) and len(captured.err.splitlines()) == 1
     assert "mean-square stable: false" in captured.out
+
+
+@pytest.mark.parametrize("c, warned", [("0.1", False), ("100", True)])
+def test_predict_and_stability_take_the_coupling_spectrum_once(tmp_path, capsys, monkeypatch,
+                                                               c, warned):
+    """The step-size warning reads the averaged system's bound, so each
+    command takes one symmetric eigensolve; the warning still comes first."""
+    calls = []
+    spectrum = analysis._coupling_spectrum
+    monkeypatch.setattr(analysis, "_coupling_spectrum",
+                        lambda *args: calls.append(1) or spectrum(*args))
+    path = tmp_path / "exp.cfg"
+    path.write_text(SMALL_CONFIG + f"c = {c}\n")
+    for argv in (["predict", "--config", str(path), "--out", str(tmp_path / "out")],
+                 ["stability", "--config", str(path)]):
+        calls.clear()
+        main(argv)
+        assert len(calls) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("warning: consensus step c = ") == warned, err
 
 
 def test_link_noise_key_is_unknown(tmp_path, capsys):

@@ -13,7 +13,7 @@ from drls.estimators import (
     rls_kernel_step,
 )
 from drls.harness import ALGORITHMS
-from drls.signals import SnapshotStream, iid_scenario
+from drls.signals import SnapshotStream, ar_scenario, iid_scenario
 from drls.topology import from_edges, random_geometric
 
 K5_EDGES = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -35,7 +35,7 @@ def test_kernel_init_oracle():
 def test_kernel_single_step_scalar_oracle():
     """p=1, lam=1, delta=100, h=1: the inverse must become 100/101."""
     pinv, psi = rls_kernel_step(np.array([[100.0]]), np.zeros(1), np.array([1.0]),
-                                np.array(2.0), 1.0)
+                                np.array([2.0]), 1.0)
     assert_allclose(pinv, [[100.0 / 101.0]], rtol=1e-14)
     assert_allclose(psi, [2.0])
 
@@ -48,7 +48,7 @@ def test_kernel_tracks_direct_inversion():
     phi = np.eye(p) / delta
     for _ in range(60):
         h = rng.standard_normal(p)
-        pinv, psi = rls_kernel_step(pinv, psi, h, rng.standard_normal(()), lam)
+        pinv, psi = rls_kernel_step(pinv, psi, h, h * rng.standard_normal(()), lam)
         phi = lam * phi + np.outer(h, h)
         assert np.linalg.norm(pinv @ phi - np.eye(p)) < 1e-10
 
@@ -63,12 +63,12 @@ def test_kernel_stays_symmetric_positive_definite_at_the_edges(lam, t_total, p):
     scale = np.sqrt(np.repeat([1.0, 1e-6], 2))[:, None]  # rh_scale per batch row
     pinv = np.broadcast_to(100.0 * np.eye(p), (len(scale), p, p)).copy()
     psi = np.zeros((len(scale), p))
-    x = np.zeros(len(scale))
+    hx = np.zeros((len(scale), p))   # no observation: only the inverse matters here
     every = t_total // 10
     for _ in range(10):
         h = rng.standard_normal((every,) + psi.shape) * scale
         for k in range(every):
-            pinv, psi = rls_kernel_step(pinv, psi, h[k], x, lam)
+            pinv, psi = rls_kernel_step(pinv, psi, h[k], hx, lam)
         assert_array_equal(pinv, np.swapaxes(pinv, -1, -2))
         np.linalg.cholesky(pinv)  # raises LinAlgError unless positive definite
 
@@ -105,7 +105,7 @@ def test_ewlse_matches_recursive_kernel(ewlse_centralized):
         x = rng.standard_normal(())
         hs.append(h)
         xs.append(x)
-        pinv, psi = rls_kernel_step(pinv, psi, h, x, lam)
+        pinv, psi = rls_kernel_step(pinv, psi, h, h * x, lam)
         batch = ewlse_centralized(
             np.asarray(hs)[:, None, :], np.asarray(xs)[:, None],
             lam, phi0=lam / delta,
@@ -121,7 +121,7 @@ def test_centralized_state_matches_pooled_ewlse(ewlse_centralized):
     lam, delta = 0.9, 100.0
     state = CentralizedRls(top, 2, lam, 0.1, delta)
     for t in range(1, 6):
-        state.step(hs[t - 1], xs[t - 1])
+        state.step(*state.step_inputs(hs[t - 1], xs[t - 1]))
         batch = ewlse_centralized(hs[:t], xs[:t], lam, phi0=lam * top.J / delta)
         assert_allclose(state.s_c, batch, atol=1e-10)
         assert state.s.shape == (3, 2)
@@ -129,107 +129,154 @@ def test_centralized_state_matches_pooled_ewlse(ewlse_centralized):
 
 
 # ---------------------------------------------------------------------------
-# network recursions against plain-loop references
+# network recursions against per-link loop references
 # ---------------------------------------------------------------------------
 
-def _reference_ama(top, p, lam, c, delta, steps):
-    """Per-sensor dict-and-loop reading of the single-time-scale recursion,
-    with the inverse recomputed by direct matrix inversion each step."""
-    J = top.J
-    s = {j: np.zeros(p) for j in range(J)}
+def _reverse_links(top):
+    """Index of the opposite direction of each directed link, looked up in
+    the link table."""
+    at = {(int(j), int(q)): k for k, (j, q) in enumerate(zip(top.link_owner, top.link_peer))}
+    return np.array([at[q, j] for j, q in at], dtype=np.int64)
+
+
+def _per_link_multipliers(top, p, lam, c, delta, steps, estimate):
+    """The per-link recursion the paper states, one multiplier per directed
+    link, read by dict and loop with the inverse data matrix recomputed by
+    direct inversion each step. ``estimate(j, phi_j, psi_j, s, agg_j,
+    received_j)`` re-solves sensor j from its multiplier aggregate
+    sum_k (v_k - v_flip(k) - eta_bar_k) and the estimates it received.
+    Returns the estimates after every step and the last multipliers (D, p)."""
+    owner = [int(j) for j in top.link_owner]
+    peer = [int(q) for q in top.link_peer]
+    flip = _reverse_links(top)
+    s = {j: np.zeros(p) for j in range(top.J)}
     v = {k: np.zeros(p) for k in range(top.n_links)}
-    phi = {j: np.eye(p) / delta for j in range(J)}
-    psi = {j: np.zeros(p) for j in range(J)}
+    phi = {j: np.eye(p) / delta for j in range(top.J)}
+    psi = {j: np.zeros(p) for j in range(top.J)}
     out = []
     for h, x, eta, eta_bar in steps:
-        v_new = {}
-        for k in range(top.n_links):
-            j, q = int(top.link_owner[k]), int(top.link_peer[k])
-            received = s[q] + eta[k]
-            v_new[k] = v[k] + 0.5 * c * (s[j] - received)
+        received = {k: s[peer[k]] + eta[k] for k in range(top.n_links)}
+        v_new = {k: v[k] + 0.5 * c * (s[owner[k]] - received[k]) for k in range(top.n_links)}
         s_next = {}
-        for j in range(J):
+        for j in range(top.J):
             phi[j] = lam * phi[j] + np.outer(h[j], h[j])
             psi[j] = lam * psi[j] + h[j] * x[j]
-            agg = np.zeros(p)
-            for k in range(int(top.link_start[j]), int(top.link_start[j + 1])):
-                reverse = v_new[int(top.link_flip[k])] + eta_bar[k]
-                agg += v_new[k] - reverse
-            s_next[j] = np.linalg.inv(phi[j]) @ (psi[j] - 0.5 * agg)
+            mine = [k for k in range(top.n_links) if owner[k] == j]
+            agg = sum((v_new[k] - (v_new[flip[k]] + eta_bar[k]) for k in mine), np.zeros(p))
+            s_next[j] = estimate(j, phi[j], psi[j], s, agg, [received[k] for k in mine])
         s, v = s_next, v_new
-        out.append(np.stack([s[j] for j in range(J)]))
-    return out
+        out.append(np.stack([s[j] for j in range(top.J)]))
+    return out, np.array([v[k] for k in range(top.n_links)]).reshape(top.n_links, p)
+
+
+def _reference_ama(top, p, lam, c, delta, steps):
+    """Per-link reading of the single-time-scale recursion."""
+    return _per_link_multipliers(
+        top, p, lam, c, delta, steps,
+        lambda j, phi, psi, s, agg, received: np.linalg.inv(phi) @ (psi - 0.5 * agg))
 
 
 def _reference_admom(top, p, lam, c, delta, steps):
-    """Loop reading of the augmented-Lagrangian variant."""
-    J = top.J
-    s = {j: np.zeros(p) for j in range(J)}
-    v = {k: np.zeros(p) for k in range(top.n_links)}
-    phi = {j: np.eye(p) / delta for j in range(J)}
-    psi = {j: np.zeros(p) for j in range(J)}
-    out = []
-    for h, x, eta, eta_bar in steps:
-        received = {}
-        v_new = {}
-        for k in range(top.n_links):
-            j, q = int(top.link_owner[k]), int(top.link_peer[k])
-            received[k] = s[q] + eta[k]
-            v_new[k] = v[k] + 0.5 * c * (s[j] - received[k])
-        s_next = {}
-        for j in range(J):
-            phi[j] = lam * phi[j] + np.outer(h[j], h[j])
-            psi[j] = lam * psi[j] + h[j] * x[j]
-            rhs = psi[j].copy()
-            for k in range(int(top.link_start[j]), int(top.link_start[j + 1])):
-                reverse = v_new[int(top.link_flip[k])] + eta_bar[k]
-                rhs += 0.5 * c * (s[j] + received[k]) - 0.5 * (v_new[k] - reverse)
-            deg = float(top.degrees[j])
-            s_next[j] = np.linalg.solve(phi[j] + c * deg * np.eye(p), rhs)
-        s, v = s_next, v_new
-        out.append(np.stack([s[j] for j in range(J)]))
-    return out
+    """Per-link reading of the augmented-Lagrangian variant."""
+    def estimate(j, phi, psi, s, agg, received):
+        rhs = psi + sum((0.5 * c * (s[j] + r) for r in received), np.zeros(p)) - 0.5 * agg
+        return np.linalg.solve(phi + c * len(received) * np.eye(p), rhs)
+    return _per_link_multipliers(top, p, lam, c, delta, steps, estimate)
 
 
-def _noisy_steps(top, p, n, seed):
+def _noisy_steps(top, p, n, seed, scale=0.3):
     rng = np.random.default_rng(seed)
     steps = []
     for _ in range(n):
         steps.append((
             rng.standard_normal((top.J, p)),
             rng.standard_normal(top.J),
-            0.3 * rng.standard_normal((top.n_links, p)),
-            0.3 * rng.standard_normal((top.n_links, p)),
+            scale * rng.standard_normal((top.n_links, p)),
+            scale * rng.standard_normal((top.n_links, p)),
         ))
     return steps
+
+
+def _step(state, top, fold, h, x, eta=None, eta_bar=None):
+    """One step of `state` on per-link noise, folded per sensor by the oracle."""
+    sums = () if eta is None else fold(top, eta, eta_bar)
+    return state.step(*state.step_inputs(h, x, *sums))
+
+
+def _imbalance(top, v):
+    """The oracle's per-sensor multiplier imbalance (1/2) sum_k (v_k - v_flip(k))."""
+    half = 0.5 * (v - v[_reverse_links(top)])
+    return np.stack([half[top.link_owner == j].sum(axis=0) for j in range(top.J)])
 
 
 @pytest.mark.parametrize("state_cls, reference", [
     (DrlsState, _reference_ama),
     (AdmomState, _reference_admom),
 ])
-def test_network_recursion_matches_loop_reference(state_cls, reference):
+def test_network_recursion_matches_loop_reference(state_cls, reference, fold_link_noise):
+    """The per-sensor recursion on the folded noise follows the per-link one
+    step by step, and its state b is the per-link multipliers' imbalance."""
     top = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     p, lam, c, delta = 2, 0.9, 0.3, 50.0
     steps = _noisy_steps(top, p, 8, seed=17)
-    expected = reference(top, p, lam, c, delta, steps)
+    expected, v = reference(top, p, lam, c, delta, steps)
     state = state_cls(top, p, lam, c, delta)
-    for (h, x, eta, eta_bar), want in zip(steps, expected):
-        state.step(h, x, eta=eta, eta_bar=eta_bar)
-        assert_allclose(state.s, want, atol=1e-9)
+    for step, want in zip(steps, expected):
+        assert_allclose(_step(state, top, fold_link_noise, *step).s, want, rtol=1e-12, atol=0)
+    assert_allclose(state.b, _imbalance(top, v), rtol=1e-12, atol=1e-15)
+
+
+def _relative_gap(state, top, fold, steps, expected):
+    """Largest per-step ||s - s_ref|| / ||s_ref|| over a run of `steps`."""
+    gap = 0.0
+    for step, want in zip(steps, expected):
+        s = _step(state, top, fold, *step).s
+        gap = max(gap, np.linalg.norm(s - want) / np.linalg.norm(want))
+    return gap
+
+
+@pytest.mark.parametrize("state_cls, reference", [
+    (DrlsState, _reference_ama),
+    (AdmomState, _reference_admom),
+])
+def test_per_sensor_recursion_holds_the_per_link_one_over_a_long_horizon(
+        state_cls, reference, fold_link_noise):
+    """3000 steps of iid data on noisy links: the per-sensor recursion stays
+    within 1e-12 of the per-link oracle, relative, at every step."""
+    top = random_geometric(6, 0.7, seed=2)
+    model = iid_scenario(top.J, 2, seed=3)
+    h, x, _, _ = SnapshotStream(model, top, [5]).draws(3000)
+    noise = np.sqrt(0.1) * np.random.default_rng(8).standard_normal((2, 3000, top.n_links, 2))
+    steps = list(zip(h[:, 0], x[:, 0], *noise))
+    expected, _ = reference(top, 2, 0.95, 0.3, 0.01, steps)
+    state = state_cls(top, 2, 0.95, 0.3, 0.01)
+    assert _relative_gap(state, top, fold_link_noise, steps, expected) <= 1e-12
+
+
+def test_per_sensor_recursion_holds_the_per_link_one_on_ar_data(fold_link_noise):
+    """AR regressors make the data matrices ill-conditioned; the per-sensor
+    recursion still stays within 1e-10 of the per-link oracle, relative."""
+    top = random_geometric(6, 0.7, seed=2)
+    model = ar_scenario(top.J, seed=3)
+    h, x, _, _ = SnapshotStream(model, top, [5]).draws(4000)
+    noise = np.sqrt(0.1) * np.random.default_rng(9).standard_normal((2, 4000, top.n_links, 4))
+    steps = list(zip(h[:, 0], x[:, 0], *noise))
+    expected, _ = _reference_ama(top, 4, 0.95, 0.2, 100.0, steps)
+    state = DrlsState(top, 4, 0.95, 0.2, 100.0)
+    assert _relative_gap(state, top, fold_link_noise, steps, expected) <= 1e-10
 
 
 @pytest.mark.parametrize("state_cls", [DrlsState, AdmomState, LocalRls, CentralizedRls])
-def test_a_batch_of_runs_steps_each_run_alone(state_cls):
+def test_a_batch_of_runs_steps_each_run_alone(state_cls, fold_link_noise):
     """With a leading runs axis every run gets the bits of its own recursion."""
     top = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     runs = [_noisy_steps(top, 2, 6, seed=s) for s in (1, 2, 3)]
     batch = state_cls(top, 2, 0.9, 0.3, 50.0)
     alone = [state_cls(top, 2, 0.9, 0.3, 50.0) for _ in runs]
     for t in range(6):
-        batch.step(*(np.stack(parts) for parts in zip(*(run[t] for run in runs))))
+        _step(batch, top, fold_link_noise, *(np.stack(parts) for parts in zip(*(run[t] for run in runs))))
         for state, run in zip(alone, runs):
-            state.step(*run[t])
+            _step(state, top, fold_link_noise, *run[t])
     for r, state in enumerate(alone):
         assert_array_equal(batch.s[r], state.s)
 
@@ -248,20 +295,19 @@ def test_every_estimator_refuses_bad_parameters(algorithm, name, value):
 
 
 def test_multiplier_antisymmetry_conserved_on_ideal_links():
+    """In the per-link oracle, a link's multiplier is exactly the negative of
+    its reverse's on ideal links."""
     top = from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    state = DrlsState(top, 2, lam=0.95, c=0.2, delta=100.0)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        state.step(rng.standard_normal((3, 2)), rng.standard_normal(3))
-    assert np.abs(state.v + state.v[top.link_flip]).max() == 0.0
+    steps = [(h, x, 0.0 * eta, 0.0 * eta_bar) for h, x, eta, eta_bar in _noisy_steps(top, 2, 10, 5)]
+    _, v = _reference_ama(top, 2, 0.95, 0.2, 100.0, steps)
+    assert np.abs(v + v[_reverse_links(top)]).max() == 0.0
+    assert np.abs(v).max() > 0.0
 
 
 def test_multiplier_antisymmetry_drifts_under_noise():
     top = from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    state = DrlsState(top, 2, lam=0.95, c=0.2, delta=100.0)
-    for h, x, eta, eta_bar in _noisy_steps(top, 2, 5, seed=8):
-        state.step(h, x, eta=eta, eta_bar=eta_bar)
-    assert np.abs(state.v + state.v[top.link_flip]).max() > 1e-6
+    _, v = _reference_ama(top, 2, 0.95, 0.2, 100.0, _noisy_steps(top, 2, 5, seed=8))
+    assert np.abs(v + v[_reverse_links(top)]).max() > 1e-6
 
 
 def test_zero_consensus_step_reduces_to_local_rls():
@@ -273,8 +319,8 @@ def test_zero_consensus_step_reduces_to_local_rls():
     for _ in range(20):
         h = rng.standard_normal((4, 3))
         x = rng.standard_normal(4)
-        net.step(h, x)
-        solo.step(h, x)
+        net.step(*net.step_inputs(h, x))
+        solo.step(*solo.step_inputs(h, x))
         assert np.abs(net.s - solo.s).max() <= 1e-12
 
 
@@ -286,8 +332,8 @@ def test_single_sensor_network_equals_centralized():
     for _ in range(30):
         h = rng.standard_normal((1, 2))
         x = rng.standard_normal(1)
-        net.step(h, x)
-        central.step(h, x)
+        net.step(*net.step_inputs(h, x))
+        central.step(*central.step_inputs(h, x))
         assert np.abs(net.s - central.s).max() < 1e-10
 
 
@@ -302,9 +348,9 @@ def test_zero_data_step_at_unit_forgetting_leaves_the_kernel_unchanged():
     state = DrlsState(top, 3, lam=1.0, c=0.05, delta=100.0)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        state.step(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        state.step(*state.step_inputs(rng.standard_normal((5, 3)), rng.standard_normal(5)))
     pinv, psi = state.pinv, state.psi
-    state.step(np.zeros((5, 3)), np.zeros(5))
+    state.step(*state.step_inputs(np.zeros((5, 3)), np.zeros(5)))
     assert_array_equal(state.pinv, pinv)
     assert_array_equal(state.psi, psi)
 
@@ -317,7 +363,7 @@ def test_batch_consensus_reaches_the_pooled_solution(ewlse_centralized, frozen_c
     hs, xs = hs[:, 0], xs[:, 0]
     local = LocalRls(top, p, lam, 0.0, delta)
     for h, x in zip(hs, xs):
-        local.step(h, x)
+        local.step(*local.step_inputs(h, x))
     pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
     s = frozen_consensus(local, top, c=0.05, iters=2000)
     rel = np.linalg.norm(s - pooled, axis=1) / np.linalg.norm(pooled)
@@ -339,6 +385,17 @@ def test_flop_model_step_totals():
         assert state.step_flops == count(2, 1) + count(2, 2) + count(2, 1)
 
 
+def test_flop_model_counts_the_per_sensor_recursion():
+    """Hand counts at p = 2: a sensor's own work, and 2p per neighbor for
+    (L s)_j on top of a fixed 3p (AMA) or 8p (AD-MoM) imbalance update."""
+    assert ama_step_flops(2, 0) == 32 + 14 + 1
+    assert ama_step_flops(2, 3) == ama_step_flops(2, 0) + (2 * 3 + 3) * 2
+    assert admom_step_flops(2, 0) == 5 + 20 + 8
+    assert admom_step_flops(2, 3) == admom_step_flops(2, 0) + (2 * 3 + 8) * 2
+    for count in (ama_step_flops, admom_step_flops):
+        assert count(4, 5) - count(4, 4) == 2 * 4
+
+
 def test_baseline_flop_totals():
     """Isolated RLS does the AMA work without neighbors; the pooled
     estimator is charged its fusion-center count."""
@@ -354,12 +411,12 @@ def test_flop_ratio_grows_with_regressor_length():
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
-def test_random_topology_reference_spotcheck():
+def test_random_topology_reference_spotcheck(fold_link_noise):
     top = random_geometric(6, 0.7, seed=9)
     steps = _noisy_steps(top, 3, 5, seed=21)
-    expected = _reference_ama(top, 3, 0.95, 0.15, 100.0, steps)
+    expected, _ = _reference_ama(top, 3, 0.95, 0.15, 100.0, steps)
     state = DrlsState(top, 3, lam=0.95, c=0.15, delta=100.0)
-    for (h, x, eta, eta_bar), want in zip(steps, expected):
-        state.step(h, x, eta=eta, eta_bar=eta_bar)
+    for step in steps:
+        _step(state, top, fold_link_noise, *step)
     assert_allclose(state.s, expected[-1], atol=1e-9)
-    assert_array_equal(state.v.shape, (top.n_links, 3))
+    assert_array_equal(state.b.shape, (top.J, 3))

@@ -29,13 +29,13 @@ master_seed = 5
 CASES = {
     "iid-p1-links-on-drls_ama": (
         "simulate", "scenario.p = 1\nalgorithm = drls_ama\n", {
-            "global.csv": "86991e794d8608cc058cb29a9e65cf31fc40070b0942c9599138c51ce8e90041",
-            "per_sensor.csv": "255c60d7cdfe2f215acf52e69638d55842f628af8e488c876f1ee291b5fbbed2",
+            "global.csv": "5a26ee09908a3cef4f451e44a47ea415c92fa065e6ef9f6444055e107416c802",
+            "per_sensor.csv": "a6e4d68693adc69417c51dac31f4b9301274443ba33acb3a3b6f7dcd72b1eb97",
         }),
     "iid-p5-links-on-drls_ama": (
         "simulate", "scenario.p = 5\nalgorithm = drls_ama\n", {
-            "global.csv": "d2fcaf17538bffd20d7a804e390c53b3435879dabeea2b86f5b21d3d131a23d7",
-            "per_sensor.csv": "80e111908e25be40cf3b0a6f10139aa8d9ccb504b08c5fb636b9f8e011eb104c",
+            "global.csv": "c472483524c8ef84dc4bfd85de2828bcfec6bd5d0a738db4f8e200e4cab6d478",
+            "per_sensor.csv": "92faac108d69be0db422db2b507d88373f75544d91ca284e4edc6ed98bf8f18a",
         }),
     "iid-p5-links-off-local_rls": (
         "simulate", "scenario.p = 5\nalgorithm = local_rls\nscenario.sigma2_eta = 0\n", {
@@ -44,13 +44,13 @@ CASES = {
         }),
     "ar-links-on-drls_ama": (
         "simulate", "scenario.kind = ar\nalgorithm = drls_ama\n", {
-            "global.csv": "767ae9c2130a95948a54cff53752ecb3af13ae2ab1dc4556069755717cc81c73",
-            "per_sensor.csv": "1238412a2b9691545a5c36e3cde5442cc52a9d535852f6beb1bdbb1369b75d4e",
+            "global.csv": "171f77dc256e5665d8115209fcf3901caa7599fdce94da2990c841a5970f9ddd",
+            "per_sensor.csv": "67e8df702971600e26c4106271b5350c5f30f1793a5b98e97255c728a19242fc",
         }),
     "ar-links-off-drls_ama": (
         "simulate", "scenario.kind = ar\nalgorithm = drls_ama\nscenario.sigma2_eta = 0\n", {
-            "global.csv": "5b77e8444677d988ef4257f4df9307f04238d95d6b5cc4f5c1d16e996f53c314",
-            "per_sensor.csv": "1c39af205e7550919ef5a7e84c9383f7b91f627ccca8ba7356ef0ed59d3e1cbe",
+            "global.csv": "893d9bbec71bd5a0422f3cb0cfa0f30665961504002333ad78f14681caa4c44a",
+            "per_sensor.csv": "c4b53d80b70f8096bce9c36440687295151db7eed0d89ff8371db28bcd6311ab",
         }),
     "ar-links-on-local_rls": (
         "simulate", "scenario.kind = ar\nalgorithm = local_rls\n", {
@@ -59,8 +59,8 @@ CASES = {
         }),
     "iid-p2-links-on-drls_admom": (
         "simulate", "scenario.p = 2\nalgorithm = drls_admom\n", {
-            "global.csv": "bd9d8a576fdab53e5d1333670f600f2dff81cf52d92a8e554bcf111dc02d6fb1",
-            "per_sensor.csv": "9bfbe65cd579685d085658f902f0cff2f9c92f2324c935a153a597ab340a2789",
+            "global.csv": "e4d7989fd136427b00c93a73e2ef243f3d8165dad8d06e10199bc729dd227a3a",
+            "per_sensor.csv": "20b9e075e7f0ea6e68fae946cec4be113e8c629eedc54582abe10766f97e19c1",
         }),
     "ar-links-on-centralized": (
         "simulate", "scenario.kind = ar\nalgorithm = centralized\n", {
@@ -86,7 +86,7 @@ CASES = {
     "iid-p2-compare": (
         "compare", "scenario.p = 2\ndelta = 0.01\n", {
             "comparison.csv": "8ad20c031016f5b4c7005d5e8d73ee75046ab5010acf3316444ca14c9cb31921",
-            "global.csv": "d0b389f8f152e0fa19558b5bbc55d351c95372c51a7455f815a988b19f5c8479",
+            "global.csv": "e7cf9efd5fe4fd5b1f72b1e4db47468f681328da001ac475bdc317f506ec2e10",
             "prediction.csv": "883ffc9363abfc88cca3384878759f0c23daeb6b17cd11f46492dc445c20affc",
         }),
 }

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drls.linalg import bdiag, pinv
+from drls.linalg import bdiag, kron_eye, pinv
 
 
 def _rng_matrices(seed, shapes):
@@ -47,3 +48,16 @@ def test_bdiag_layout():
 def test_bdiag_empty_stack():
     # an empty stack, as a network without links has, gives the empty matrix
     assert bdiag(np.zeros((0, 2, 2))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("k, p", [(1, 1), (3, 1), (4, 2), (6, 5)])
+def test_kron_eye_is_numpy_kron_bit_for_bit(k, p):
+    """a (x) I_p by the broadcast product has the bytes of np.kron, on
+    random entries and on signed zeros, infinities and NaN."""
+    rng = np.random.default_rng(k * 10 + p)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -2.5])
+    for a in (rng.standard_normal((k, k)), rng.choice(special, size=(k, k))):
+        with np.errstate(invalid="ignore"):   # inf * 0 is NaN in both
+            got, want = kron_eye(a, p), np.kron(a, np.eye(p))
+        assert got.shape == want.shape == (k * p, k * p)
+        assert got.tobytes() == want.tobytes()

@@ -243,33 +243,56 @@ def test_ar_sample_covariance_matches_stationary_model():
 
 
 def test_link_noise_layout_and_per_receiver_scale():
-    """Row k of the noise is what link_owner[k] hears; its variance is the
-    receiver's, not the transmitter's."""
+    """Each sensor's sums are over the links it hears, at its own variance:
+    deg_j sigma2_eta_j per entry for what it hears, and, less the noise on
+    its broadcasts, sigma2_eta of each neighbour on top."""
     model = replace(iid_scenario(3, 2, seed=0), sigma2_eta=0.05 + 0.2 * np.arange(3))
     top = from_edges(3, [(0, 1), (1, 2)])
-    stream = SnapshotStream(model, top, [4])
-    n = 40_000
-    draws = stream.draws(n)[2][:, 0]
-    for k in range(top.n_links):
-        rx = int(top.link_owner[k])
-        var = draws[:, k, :].var()
-        assert var == pytest.approx(0.05 + 0.2 * rx, rel=0.05)
+    _, _, eta, eta_bar = SnapshotStream(model, top, [4]).draws(40_000)
+    heard = top.degrees * model.sigma2_eta
+    spread = heard + top.adjacency @ model.sigma2_eta
+    for drawn, var in ((eta[:, 0, 0], heard), (eta[:, 0, 1], spread), (eta_bar[:, 0], heard)):
+        assert_allclose(drawn.var(axis=(0, 2)), var, rtol=0.05)
 
 
-def test_link_noise_is_the_unit_draw_scaled_by_the_receiver():
-    """On one seed, the draws at per-receiver variances are sqrt(var) of each
-    row's owner times the draws at variance 1, bit for bit; nothing else moves."""
+def _unit_link_draws(seed, kind, n, top, p):
+    """A run's per-link unit draws of one noise kind, rebuilt from its seed:
+    the kind's child generator draws (n, D, p) in time order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[kind])
+    return rng.standard_normal((n, top.n_links, p))
+
+
+def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise):
+    """The sums are each run's per-link unit draws, scaled by the receiver's
+    sigma_eta and folded link by link; a link's draws follow from its run's
+    seed alone, and the regressors and observations do not see sigma_eta."""
     top = random_geometric(5, 0.8, seed=2)
     var = np.array([0.3, 0.0, 1e-300, 2.5, 0.07])
+    seeds = [[7, r] for r in range(2)]
     for unit in (iid_scenario(5, 3, seed=3, sigma2_eta=1.0),
                  ar_scenario(5, seed=3, sigma2_eta=1.0)):
-        h1, x1, *noise1 = SnapshotStream(unit, top, [[7, r] for r in range(2)]).draws(6)
-        h, x, *noise = SnapshotStream(replace(unit, sigma2_eta=var), top,
-                                      [[7, r] for r in range(2)]).draws(6)
+        h1, x1, _, _ = SnapshotStream(unit, top, seeds).draws(6)
+        h, x, eta, eta_bar = SnapshotStream(replace(unit, sigma2_eta=var), top, seeds).draws(6)
         assert_array_equal(h, h1)
         assert_array_equal(x, x1)
-        for drawn, at_one in zip(noise, noise1):
-            assert_array_equal(drawn, np.sqrt(var)[top.link_owner][:, None] * at_one)
+        scale = np.sqrt(var)[top.link_owner][:, None]
+        for r, seed in enumerate(seeds):
+            want = fold_link_noise(top, *(scale * _unit_link_draws(seed, kind, 6, top, unit.p)
+                                          for kind in (2, 3)))
+            for got, folded in zip((eta[:, r], eta_bar[:, r]), want):
+                assert_allclose(got, folded, rtol=1e-14, atol=1e-14)
+
+
+def test_link_sums_do_not_depend_on_the_block():
+    """A run's sums are the bits it gets alone, wherever it sits in a large block."""
+    top = random_geometric(8, 0.6, seed=4)
+    model = iid_scenario(8, 2, seed=1)
+    seeds = [[3, r] for r in range(40)]
+    block = SnapshotStream(model, top, seeds).draws(4)[2:]
+    for r in (0, 17, 39):
+        alone = SnapshotStream(model, top, [seeds[r]]).draws(4)[2:]
+        for in_block, own in zip(block, alone):
+            assert_array_equal(in_block[:, r:r + 1], own)
 
 
 def test_estimate_and_multiplier_noise_are_independent():
@@ -277,7 +300,7 @@ def test_estimate_and_multiplier_noise_are_independent():
     top = from_edges(2, [(0, 1)])
     stream = SnapshotStream(model, top, [9])
     _, _, eta, eta_bar = stream.draws(50_000)
-    a = eta[:, 0, 0, 0]
+    a = eta[:, 0, 0, 0, 0]
     b = eta_bar[:, 0, 0, 0]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02

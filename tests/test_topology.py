@@ -72,27 +72,27 @@ def test_triangle_link_tables():
     assert_array_equal(top.degrees, [2, 2, 2])
     assert_array_equal(top.link_owner, [0, 0, 1, 1, 2, 2])
     assert_array_equal(top.link_peer, [1, 2, 0, 2, 0, 1])
-    assert_array_equal(top.link_start, [0, 2, 4, 6])
-    assert_array_equal(top.link_flip, [2, 4, 0, 5, 1, 3])
 
 
 def test_link_flip_is_an_involution():
+    """Every directed link has its reverse in the table: sorted by (peer,
+    owner), entry k is the link (link_peer[k], link_owner[k]), and taking
+    the reverse twice is the identity."""
     top = random_geometric(8, 0.6, seed=3)
-    flip = top.link_flip
+    flip = np.lexsort((top.link_owner, top.link_peer))
     assert_array_equal(flip[flip], np.arange(top.n_links))
     assert_array_equal(top.link_owner[flip], top.link_peer)
     assert_array_equal(top.link_peer[flip], top.link_owner)
 
 
 def test_neighbors_sorted_and_consistent_with_links():
-    """Each owner's segment of the link table lists its neighbors in the
-    adjacency, ascending, and the degrees count them."""
+    """The link table is grouped by owner, each owner's group lists its
+    neighbors in the adjacency, ascending, and the degrees count them."""
     top = random_geometric(7, 0.7, seed=5)
+    assert (np.diff(top.link_owner) >= 0).all()
     for j in range(top.J):
         nbrs = [k for k in range(top.J) if top.adjacency[j, k]]
-        lo, hi = top.link_start[j], top.link_start[j + 1]
-        assert_array_equal(top.link_peer[lo:hi], nbrs)
-        assert (top.link_owner[lo:hi] == j).all()
+        assert_array_equal(top.link_peer[top.link_owner == j], nbrs)
         assert top.degrees[j] == len(nbrs)
 
 
