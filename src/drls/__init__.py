@@ -69,7 +69,6 @@ from .topology import (
     Topology,
     algebraic_connectivity,
     from_edges,
-    from_positions,
     laplacian,
     random_geometric,
     read_edge_list,

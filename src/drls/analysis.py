@@ -455,13 +455,16 @@ class NoiseCovariances:
 
 
 def noise_covariances(system, model):
-    """Assemble the noise second moments for one model on one system."""
+    """Assemble the noise second moments for one model on one system. The
+    model may change the noise levels, but its rh must be the system's."""
     top = system.topology
     if model.J != top.J or model.p != system.p:
         raise ModelError(
             f"model has J = {model.J}, p = {model.p} but the averaged system has "
             f"J = {top.J}, p = {system.p}"
         )
+    if not np.array_equal(model.rh, system.rh):
+        raise ModelError("model's rh is not the rh the averaged system was built from")
     lam, r = system.lam, system.rh_lam_inv
     r_eps_inf = bdiag(model.rh * model.sigma2_eps[:, None, None]) / (1.0 - lam * lam)
     sigma2_eta = model.sigma2_eta

@@ -78,12 +78,20 @@ def _outdir(args):
     return args.out
 
 
+def _write(path, write, *args):
+    """``write(*args, path)``; an output it cannot write is refused by name."""
+    try:
+        write(*args, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_gen_topology(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     path = os.path.join(_outdir(args), "topology.txt")
     top = random_geometric(args.j, args.radius, args.seed)
-    write_edge_list(top, path)
+    _write(path, write_edge_list, top)
     print(f"sensors: {top.J}")
     print(f"undirected links: {len(top.edges())}")
     if top.J > 1:  # one sensor has no second Laplacian eigenvalue
@@ -111,8 +119,8 @@ def _cmd_simulate(args):
     ensemble = run_ensemble(config, topology=topology, model=model)
     global_path = os.path.join(out, "global.csv")
     sensor_path = os.path.join(out, "per_sensor.csv")
-    write_global_csv(ensemble.series, global_path)
-    write_per_sensor_csv(ensemble.series, sensor_path)
+    _write(global_path, write_global_csv, ensemble.series)
+    _write(sensor_path, write_per_sensor_csv, ensemble.series)
     window = config.t_samples - config.resolved_burn_in
     print(f"algorithm: {config.algorithm}")
     print(f"runs: {config.runs}, samples per run: {config.t_samples}")
@@ -133,7 +141,7 @@ def _cmd_predict(args):
     _, model, system = _warned_setup(config, averaged=True)
     noise = noise_covariances(system, model)
     report = steady_state_solve(system, noise)
-    report.to_csv(path)
+    _write(path, report.to_csv)
     print(f"fluctuation spectral radius: {report.rho:.6f}")
     print(f"mean-stability bound on c: {system.step_bound:.6g} (config uses c = {config.c})")
     print(f"steady-state MSD:  {to_db(report.msd_global):.3f} dB")
@@ -149,9 +157,9 @@ def _cmd_compare(args):
     topology, model, _ = _warned_setup(config)
     report = compare_theory(config, tol_db=args.tol_db, topology=topology, model=model)
     comparison_path = os.path.join(out, "comparison.csv")
-    report.to_csv(comparison_path)
-    report.prediction.to_csv(os.path.join(out, "prediction.csv"))
-    write_global_csv(report.ensemble.series, os.path.join(out, "global.csv"))
+    _write(comparison_path, report.to_csv)
+    _write(os.path.join(out, "prediction.csv"), report.prediction.to_csv)
+    _write(os.path.join(out, "global.csv"), write_global_csv, report.ensemble.series)
     print("metric  scope   predicted_db  empirical_db  delta_db  pass")
     for row in report.global_rows:
         print(f"{row.metric:<7} {row.scope:<7} {row.predicted_db:>12.3f}  "

@@ -48,7 +48,8 @@ def ar_stationary_covariance(rho, beta, sigma2_omega, p):
 
 
 def _check_spd(m, name):
-    if not np.allclose(m, m.T, atol=1e-12):
+    # a few ulps of the largest entry: Cholesky reads one triangle, the analysis all of m
+    if np.abs(m - m.T).max() > 16 * np.finfo(np.float64).eps * np.abs(m).max():
         raise ModelError(f"{name} must be symmetric")
     try:
         np.linalg.cholesky(m)
@@ -221,12 +222,20 @@ class SnapshotStream:
     def __init__(self, model, topology, seeds):
         model.check_topology(topology)
         self.model = model
-        self.topology = topology
         self._rngs = [
             [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
             for seed in seeds
         ]
         self.runs = len(self._rngs)
+
+        self._link_noise_active = bool(np.any(model.sigma2_eta))
+        # the D directed links, grouped by owner with peers ascending: link k is
+        # heard by its owner, at its sigma_eta, and carries its peer's estimate
+        owner, peer = np.nonzero(topology.adjacency)
+        sensors = np.arange(model.J)[:, None]
+        heard = (owner == sensors) * np.sqrt(model.sigma2_eta)[:, None]
+        # (2J, D): the first J rows also fold eta_bar
+        self._mix = np.concatenate([heard, heard - (peer == sensors) * heard.sum(0)])
 
         self._sigma_eps = np.sqrt(model.sigma2_eps)
         if model.ar_rho is None:
@@ -240,15 +249,9 @@ class SnapshotStream:
             for n in self._chunks(max(AR_WARMUP_STEPS, model.p)):
                 self._regressors(n)
 
-        self.link_noise_active = bool(np.any(model.sigma2_eta))
-        # (J, D): link k is heard by its owner, at its sigma_eta, and carries its peer's estimate
-        sensors = np.arange(model.J)[:, None]
-        heard = (topology.link_owner == sensors) * np.sqrt(model.sigma2_eta)[:, None]
-        self._mix = np.concatenate([heard, heard - (topology.link_peer == sensors) * heard.sum(0)])
-
     def _chunks(self, total):
         """Step counts covering `total` steps, DRAW_CHUNK_BYTES per draw array."""
-        row = 8 * self.runs * self.model.p * max(self.model.J, self.topology.n_links)
+        row = 8 * self.runs * self.model.p * max(self.model.J, self._mix.shape[1])
         size = max(1, DRAW_CHUNK_BYTES // row)
         for start in range(0, total, size):
             yield min(size, total - start)
@@ -290,16 +293,17 @@ class SnapshotStream:
         and the receiver noise summed over each sensor's links k, or None on
         ideal links: eta (n, runs, 2, J, p) holds sum_k eta_k and sum_k (eta_k -
         eta_flip(k)), what the sensor hears less the noise on its broadcasts,
-        and eta_bar (n, runs, J, p) sum_k eta_bar_k. Link k is what
-        ``link_owner[k]`` hears from ``link_peer[k]``; flip(k) is its reverse.
+        and eta_bar (n, runs, J, p) sum_k eta_bar_k. Link k is the k-th
+        directed link (owner, peer) of ``np.nonzero(adjacency)``, what the
+        owner hears of the peer; flip(k) is its reverse.
         """
         m = self.model
         h = self._regressors(n)
         x = h @ m.s0 + self._sigma_eps * self._per_run(_EPS, (n, m.J))
-        if not self.link_noise_active:
+        if not self._link_noise_active:
             return h, x, None, None
         # one product of one shape per run-step: no sum depends on the block or the chunk
-        eta, eta_bar = (np.matmul(mix, self._per_run(kind, (n, self.topology.n_links, m.p)))
+        eta, eta_bar = (np.matmul(mix, self._per_run(kind, (n, self._mix.shape[1], m.p)))
                         for kind, mix in ((_ETA, self._mix), (_ETA_BAR, self._mix[:m.J])))
         return h, x, eta.reshape(n, self.runs, 2, m.J, m.p), eta_bar
 

@@ -2,9 +2,7 @@
 Ad hoc network topologies.
 
 A topology is an undirected, connected graph over sensors 0..J-1 with no
-self-loops. Every edge {i, j} is also the two entries (i, j) and (j, i) of
-a table of *directed links*, on which the simulation draws its receiver
-noise (see ``Topology``).
+self-loops: each sensor exchanges only with its one-hop neighbours.
 
 Edge-list file format: first line is the sensor count J, then one line
 "i j" per undirected edge with 0 <= i < j < J. Comments and blank lines
@@ -19,23 +17,17 @@ from .errors import TopologyError
 
 
 class Topology:
-    """Undirected connected sensor graph plus derived link tables.
+    """Undirected connected sensor graph.
 
     Attributes
     ----------
     adjacency : ndarray
         (J, J) symmetric 0/1 matrix with zero diagonal.
-    positions : ndarray or None
-        (J, 2) unit-square coordinates when geometric, else None.
     degrees : ndarray
         (J,) neighbor counts.
-    link_owner, link_peer : ndarray
-        (D,) directed-link table, ``np.nonzero(adjacency)``: grouped by
-        owner with peers ascending, entry k is the link on which
-        `link_owner[k]` hears `link_peer[k]`. D = twice the edge count.
     """
 
-    def __init__(self, adjacency, positions=None):
+    def __init__(self, adjacency):
         a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise TopologyError(f"adjacency must be square, got shape {a.shape}")
@@ -50,7 +42,6 @@ class Topology:
             raise TopologyError("self-loops are not allowed")
         self.adjacency = a
         self.J = a.shape[0]
-        self.positions = None if positions is None else np.asarray(positions, dtype=np.float64)
 
         # sensors reachable from sensor 0, grown one hop at a time
         reach, grown = None, np.arange(self.J) == 0
@@ -60,52 +51,41 @@ class Topology:
             raise TopologyError("graph is not connected")
 
         self.degrees = a.sum(axis=1)
-        self.link_owner, self.link_peer = np.nonzero(a)
-        self.n_links = self.link_owner.size
 
     def edges(self):
         """Undirected edges as (i, j) pairs with i < j, sorted."""
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(self.adjacency)))]
 
 
-def from_positions(positions, radius):
-    """Topology whose edges join points within `radius` (Euclidean)."""
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise TopologyError(f"positions must be (J, 2), got {pos.shape}")
-    if not np.isfinite(pos).all():
-        raise TopologyError("positions must be finite")
-    if not radius > 0:
-        raise TopologyError(f"radius must be positive, got {radius}")
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    adj = (d <= radius).astype(np.int64)
-    np.fill_diagonal(adj, 0)
-    return Topology(adj, positions=pos)
+#: point draws `random_geometric` makes before it gives up on a connected graph
+GEOMETRIC_ATTEMPTS = 1000
 
 
-def random_geometric(j, radius, seed, max_attempts=1000):
+def random_geometric(j, radius, seed):
     """Connected random geometric graph on the unit square.
 
-    Draws J points uniformly and connects pairs within `radius`, resampling
-    until the graph is connected. Deterministic for a given seed.
+    Draws J points uniformly and connects pairs within `radius` (Euclidean),
+    resampling until the graph is connected. Deterministic for a given seed.
 
     Raises TopologyError when no connected graph is found within
-    `max_attempts` draws.
+    GEOMETRIC_ATTEMPTS draws.
     """
     if j < 1:
         raise TopologyError(f"need at least one sensor, got J={j}")
-    # refused here as well as in from_positions: the loop retries on any TopologyError
     if not radius > 0:
         raise TopologyError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(GEOMETRIC_ATTEMPTS):
         pos = rng.uniform(0.0, 1.0, size=(j, 2))
+        adj = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2) <= radius
+        np.fill_diagonal(adj, False)
         try:
-            return from_positions(pos, radius)
+            return Topology(adj)
         except TopologyError:
+            # the only refusal drawn points can meet: the graph is not connected
             continue
     raise TopologyError(
-        f"no connected geometric graph after {max_attempts} attempts "
+        f"no connected geometric graph after {GEOMETRIC_ATTEMPTS} attempts "
         f"(J={j}, radius={radius})"
     )
 

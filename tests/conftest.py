@@ -152,20 +152,26 @@ def _general_mean_stability_bound(topology, model, lam):
     return 4.0 / ((1.0 - lam) * float(np.max(np.abs(np.linalg.eigvals(coupling)))))
 
 
+def _directed_links(top):
+    """The (D,) directed links (owner, peer) in the order the simulation
+    draws their noise: link k is what sensor owner[k] hears from peer[k],
+    grouped by owner with peers ascending. D is twice the edge count."""
+    return np.nonzero(top.adjacency)
+
+
 def _dense_link_mix(top, p, c):
-    """(Jp, Dp) map from the link noise, stacked over the directed-link table
-    as the simulation draws it (row k = what link_owner[k] hears from
-    link_peer[k]), to each sensor's aggregate: c/4 times every corruption of
-    its own broadcast, less everything it hears. Built link by link; the
-    package builds the aggregate's covariance as a weighted (J, J) Laplacian."""
-    mix = np.zeros((top.J * p, top.n_links * p))
-    for k in range(top.n_links):
+    """(Jp, Dp) map from the link noise, stacked over the directed links as
+    the simulation draws it (row k = what owner[k] hears from peer[k]), to
+    each sensor's aggregate: c/4 times every corruption of its own
+    broadcast, less everything it hears. Built link by link; the package
+    builds the aggregate's covariance as a weighted (J, J) Laplacian."""
+    owner, peer = _directed_links(top)
+    mix = np.zeros((top.J * p, owner.size * p))
+    for k, (mine, own) in enumerate(zip(owner, peer)):
         cols = slice(k * p, (k + 1) * p)
-        # a corruption of sensor link_peer[k]'s broadcast
-        own = top.link_peer[k]
+        # a corruption of sensor peer[k]'s broadcast
         mix[own * p:(own + 1) * p, cols] += c / 4.0 * np.eye(p)
-        # what sensor link_owner[k] hears
-        mine = top.link_owner[k]
+        # what sensor owner[k] hears
         mix[mine * p:(mine + 1) * p, cols] -= c / 4.0 * np.eye(p)
     return mix
 
@@ -262,14 +268,14 @@ def _frozen_consensus(local, top, c, iters):
 def _fold_link_noise(top, eta, eta_bar):
     """The per-sensor link-noise sums the estimators read, folded link by
     link from per-link noise (..., D, p) laid out as the simulation draws it
-    (row k = what link_owner[k] hears from link_peer[k]). Returns the
-    (..., 2, J, p) sums over each sensor's links of eta_k and of eta_k -
-    eta_flip(k), and the (..., J, p) sums of eta_bar_k. Built from the link
-    table alone; the package folds with mix matrices."""
+    (row k = what owner[k] hears from peer[k] of ``_directed_links``).
+    Returns the (..., 2, J, p) sums over each sensor's links of eta_k and of
+    eta_k - eta_flip(k), and the (..., J, p) sums of eta_bar_k. Built link
+    by link; the package folds with mix matrices."""
     lead, p = eta.shape[:-2], eta.shape[-1]
     heard = np.zeros(lead + (2, top.J, p))
     heard_bar = np.zeros(lead + (top.J, p))
-    for k, (owner, peer) in enumerate(zip(top.link_owner, top.link_peer)):
+    for k, (owner, peer) in enumerate(zip(*_directed_links(top))):
         heard[..., :, owner, :] += eta[..., None, k, :]
         # link k is the reverse of a link of `peer`: it corrupts peer's broadcast
         heard[..., 1, peer, :] -= eta[..., k, :]
@@ -315,6 +321,11 @@ def full_mean_stability():
 @pytest.fixture
 def general_mean_stability_bound():
     return _general_mean_stability_bound
+
+
+@pytest.fixture
+def directed_links():
+    return _directed_links
 
 
 @pytest.fixture

@@ -249,7 +249,7 @@ def test_core_eigensolves_match_the_full_transitions(full_radius, full_mean_stab
         assert abs(rho - core.max_other_modulus) <= 1e-12
         bound = mean_stability_bound(top, model, lam)
         assert (rho < 1.0) == (c < bound)
-        if top.n_links:
+        if top.edges():
             reference = general_mean_stability_bound(top, model, lam)
             assert abs(bound - reference) <= 1e-12 * reference
 
@@ -306,7 +306,7 @@ def _heterogeneous_link_noise_cases():
     return cases + [(top, iid_scenario(top.J, 2, seed=8, sigma2_eta=0.0))]
 
 
-def test_link_noise_covariances_match_the_dense_oracle(dense_link_mix):
+def test_link_noise_covariances_match_the_dense_oracle(dense_link_mix, directed_links):
     """r_eta_mix, r_eta_lam and feedthrough, built from the (J, J) weighted
     Laplacian W, equal their forms through the dense (Jp, Dp) map of every
     directed link's noise, with each link's receiver variance, and a
@@ -316,7 +316,7 @@ def test_link_noise_covariances_match_the_dense_oracle(dense_link_mix):
         system = build_averaged_system(top, model, 0.95, c)
         noise = noise_covariances(system, model)
         mix = dense_link_mix(top, p, c)
-        r_eta = np.repeat(model.sigma2_eta[top.link_owner], p)
+        r_eta = np.repeat(model.sigma2_eta[directed_links(top)[0]], p)
         r = system.rh_lam_inv
         link_input = np.vstack([-r @ mix, np.linalg.pinv(system.lap_scaled) @ mix])
         dense_mix = (mix * r_eta) @ mix.T

@@ -117,38 +117,40 @@ def test_intertwining_identity():
         assert np.abs(left - right).max() < 1e-10
 
 
-def test_mixing_maps_agree_with_per_receiver_sums(dense_link_mix):
+def test_mixing_maps_agree_with_per_receiver_sums(dense_link_mix, directed_links):
     """The dense oracle map reproduces loop-computed noise aggregates of the
-    noise rows as the simulation draws them (row k = what link_owner[k]
-    hears from link_peer[k]): every corruption of a sensor's own broadcast,
-    less everything it hears, so owner and peer are told apart. r_eta_mix
+    noise rows as the simulation draws them (row k = what owner[k] hears
+    from peer[k] of the directed links): every corruption of a sensor's own
+    broadcast, less everything it hears, so owner and peer are told apart. r_eta_mix
     is the covariance of those aggregates, summed link by link with each
     row's receiver variance."""
     top = random_geometric(7, 0.6, seed=4)
     p, c = 2, 0.4
     model = replace(iid_scenario(top.J, p, seed=0), sigma2_eta=0.05 * np.arange(1, top.J + 1))
     system = build_averaged_system(top, model, 0.95, c)
+    owner, peer = directed_links(top)
+    d = owner.size
     rng = np.random.default_rng(0)
-    eta = rng.standard_normal((top.n_links, p))
+    eta = rng.standard_normal((d, p))
 
     def aggregate(eta):
         out = np.zeros((top.J, p))
         for j in range(top.J):
             # everything sensor j hears
-            mine = [k for k in range(top.n_links) if top.link_owner[k] == j]
+            mine = [k for k in range(d) if owner[k] == j]
             # every corruption of sensor j's own broadcast
-            own = [k for k in range(top.n_links) if top.link_peer[k] == j]
+            own = [k for k in range(d) if peer[k] == j]
             out[j] = c / 4.0 * (eta[own].sum(axis=0) - eta[mine].sum(axis=0))
         return out.reshape(-1)
 
     assert_allclose(dense_link_mix(top, p, c) @ eta.reshape(-1), aggregate(eta), atol=1e-12)
     expected = np.zeros((top.J * p, top.J * p))
-    for k in range(top.n_links):
+    for k in range(d):
         for i in range(p):
-            unit = np.zeros((top.n_links, p))
+            unit = np.zeros((d, p))
             unit[k, i] = 1.0
             a = aggregate(unit)
-            expected += model.sigma2_eta[top.link_owner[k]] * np.outer(a, a)
+            expected += model.sigma2_eta[owner[k]] * np.outer(a, a)
     assert_allclose(noise_covariances(system, model).r_eta_mix, expected, rtol=1e-13, atol=1e-17)
 
 
@@ -194,6 +196,20 @@ def test_noise_covariances_refuse_a_mismatched_model():
         with pytest.raises(ModelError) as info:
             noise_covariances(system, model)
         assert str(info.value) == f"model has {got} but the averaged system has J = 2, p = 1"
+
+
+def test_noise_covariances_refuse_a_model_with_another_rh():
+    """EMSE reads the system's R_h and the data noise the model's, so a
+    model with another rh is refused; other noise levels are the model's to
+    change."""
+    top = random_geometric(6, 0.7, seed=2)
+    model = iid_scenario(6, 2, seed=3)
+    system = build_averaged_system(top, model, 0.95, 0.1)
+    with pytest.raises(ModelError, match="model's rh is not the rh the averaged system "
+                                         "was built from"):
+        noise_covariances(system, replace(model, rh=4.0 * model.rh))
+    quiet = replace(model, sigma2_eps=2.0 * model.sigma2_eps, sigma2_eta=np.zeros(6))
+    assert noise_covariances(system, quiet).r_eta_bar.max() == 0.0
 
 
 def test_noise_covariances_use_receiver_profiles():

@@ -100,6 +100,24 @@ def test_python_m_drls_runs_the_cli(tmp_path):
     assert proc.returncode == 0 and "sensors: 10" in proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("command, name", [
+    ("gen-topology", "topology.txt"), ("simulate", "global.csv"), ("simulate", "per_sensor.csv"),
+    ("predict", "prediction.csv"), ("compare", "comparison.csv"), ("compare", "global.csv"),
+])
+def test_an_unwritable_output_exits_one_naming_it(tmp_path, config_path, command, name):
+    """An output the command cannot write is refused like any other input:
+    exit 1, the file named, no traceback."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    configured = [] if command == "gen-topology" else ["--config", config_path]
+    src = os.path.dirname(os.path.dirname(drls.__file__))
+    proc = subprocess.run([sys.executable, "-m", "drls", command, *configured, "--out", str(out)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: cannot write {out / name}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_writes_learning_curves(tmp_path, config_path, capsys):
     out = tmp_path / "run"
     code = main(["simulate", "--config", config_path, "--out", str(out)])

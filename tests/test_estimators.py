@@ -132,67 +132,69 @@ def test_centralized_state_matches_pooled_ewlse(ewlse_centralized):
 # network recursions against per-link loop references
 # ---------------------------------------------------------------------------
 
-def _reverse_links(top):
-    """Index of the opposite direction of each directed link, looked up in
-    the link table."""
-    at = {(int(j), int(q)): k for k, (j, q) in enumerate(zip(top.link_owner, top.link_peer))}
+def _reverse_links(links):
+    """Index of the opposite direction of each directed link (owner, peer),
+    looked up among `links`."""
+    at = {(int(j), int(q)): k for k, (j, q) in enumerate(zip(*links))}
     return np.array([at[q, j] for j, q in at], dtype=np.int64)
 
 
-def _per_link_multipliers(top, p, lam, c, delta, steps, estimate):
+def _per_link_multipliers(top, links, p, lam, c, delta, steps, estimate):
     """The per-link recursion the paper states, one multiplier per directed
     link, read by dict and loop with the inverse data matrix recomputed by
     direct inversion each step. ``estimate(j, phi_j, psi_j, s, agg_j,
     received_j)`` re-solves sensor j from its multiplier aggregate
     sum_k (v_k - v_flip(k) - eta_bar_k) and the estimates it received.
     Returns the estimates after every step and the last multipliers (D, p)."""
-    owner = [int(j) for j in top.link_owner]
-    peer = [int(q) for q in top.link_peer]
-    flip = _reverse_links(top)
+    owner = [int(j) for j in links[0]]
+    peer = [int(q) for q in links[1]]
+    flip = _reverse_links(links)
+    d = len(owner)
     s = {j: np.zeros(p) for j in range(top.J)}
-    v = {k: np.zeros(p) for k in range(top.n_links)}
+    v = {k: np.zeros(p) for k in range(d)}
     phi = {j: np.eye(p) / delta for j in range(top.J)}
     psi = {j: np.zeros(p) for j in range(top.J)}
     out = []
     for h, x, eta, eta_bar in steps:
-        received = {k: s[peer[k]] + eta[k] for k in range(top.n_links)}
-        v_new = {k: v[k] + 0.5 * c * (s[owner[k]] - received[k]) for k in range(top.n_links)}
+        received = {k: s[peer[k]] + eta[k] for k in range(d)}
+        v_new = {k: v[k] + 0.5 * c * (s[owner[k]] - received[k]) for k in range(d)}
         s_next = {}
         for j in range(top.J):
             phi[j] = lam * phi[j] + np.outer(h[j], h[j])
             psi[j] = lam * psi[j] + h[j] * x[j]
-            mine = [k for k in range(top.n_links) if owner[k] == j]
+            mine = [k for k in range(d) if owner[k] == j]
             agg = sum((v_new[k] - (v_new[flip[k]] + eta_bar[k]) for k in mine), np.zeros(p))
             s_next[j] = estimate(j, phi[j], psi[j], s, agg, [received[k] for k in mine])
         s, v = s_next, v_new
         out.append(np.stack([s[j] for j in range(top.J)]))
-    return out, np.array([v[k] for k in range(top.n_links)]).reshape(top.n_links, p)
+    return out, np.array([v[k] for k in range(d)]).reshape(d, p)
 
 
-def _reference_ama(top, p, lam, c, delta, steps):
+def _reference_ama(top, links, p, lam, c, delta, steps):
     """Per-link reading of the single-time-scale recursion."""
     return _per_link_multipliers(
-        top, p, lam, c, delta, steps,
+        top, links, p, lam, c, delta, steps,
         lambda j, phi, psi, s, agg, received: np.linalg.inv(phi) @ (psi - 0.5 * agg))
 
 
-def _reference_admom(top, p, lam, c, delta, steps):
+def _reference_admom(top, links, p, lam, c, delta, steps):
     """Per-link reading of the augmented-Lagrangian variant."""
     def estimate(j, phi, psi, s, agg, received):
         rhs = psi + sum((0.5 * c * (s[j] + r) for r in received), np.zeros(p)) - 0.5 * agg
         return np.linalg.solve(phi + c * len(received) * np.eye(p), rhs)
-    return _per_link_multipliers(top, p, lam, c, delta, steps, estimate)
+    return _per_link_multipliers(top, links, p, lam, c, delta, steps, estimate)
 
 
 def _noisy_steps(top, p, n, seed, scale=0.3):
     rng = np.random.default_rng(seed)
+    d = top.degrees.sum()
     steps = []
     for _ in range(n):
         steps.append((
             rng.standard_normal((top.J, p)),
             rng.standard_normal(top.J),
-            scale * rng.standard_normal((top.n_links, p)),
-            scale * rng.standard_normal((top.n_links, p)),
+            scale * rng.standard_normal((d, p)),
+            scale * rng.standard_normal((d, p)),
         ))
     return steps
 
@@ -203,27 +205,29 @@ def _step(state, top, fold, h, x, eta=None, eta_bar=None):
     return state.step(*state.step_inputs(h, x, *sums))
 
 
-def _imbalance(top, v):
+def _imbalance(top, links, v):
     """The oracle's per-sensor multiplier imbalance (1/2) sum_k (v_k - v_flip(k))."""
-    half = 0.5 * (v - v[_reverse_links(top)])
-    return np.stack([half[top.link_owner == j].sum(axis=0) for j in range(top.J)])
+    half = 0.5 * (v - v[_reverse_links(links)])
+    return np.stack([half[links[0] == j].sum(axis=0) for j in range(top.J)])
 
 
 @pytest.mark.parametrize("state_cls, reference", [
     (DrlsState, _reference_ama),
     (AdmomState, _reference_admom),
 ])
-def test_network_recursion_matches_loop_reference(state_cls, reference, fold_link_noise):
+def test_network_recursion_matches_loop_reference(state_cls, reference, fold_link_noise,
+                                                  directed_links):
     """The per-sensor recursion on the folded noise follows the per-link one
     step by step, and its state b is the per-link multipliers' imbalance."""
     top = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     p, lam, c, delta = 2, 0.9, 0.3, 50.0
     steps = _noisy_steps(top, p, 8, seed=17)
-    expected, v = reference(top, p, lam, c, delta, steps)
+    links = directed_links(top)
+    expected, v = reference(top, links, p, lam, c, delta, steps)
     state = state_cls(top, p, lam, c, delta)
     for step, want in zip(steps, expected):
         assert_allclose(_step(state, top, fold_link_noise, *step).s, want, rtol=1e-12, atol=0)
-    assert_allclose(state.b, _imbalance(top, v), rtol=1e-12, atol=1e-15)
+    assert_allclose(state.b, _imbalance(top, links, v), rtol=1e-12, atol=1e-15)
 
 
 def _relative_gap(state, top, fold, steps, expected):
@@ -240,28 +244,28 @@ def _relative_gap(state, top, fold, steps, expected):
     (AdmomState, _reference_admom),
 ])
 def test_per_sensor_recursion_holds_the_per_link_one_over_a_long_horizon(
-        state_cls, reference, fold_link_noise):
+        state_cls, reference, fold_link_noise, directed_links):
     """3000 steps of iid data on noisy links: the per-sensor recursion stays
     within 1e-12 of the per-link oracle, relative, at every step."""
     top = random_geometric(6, 0.7, seed=2)
     model = iid_scenario(top.J, 2, seed=3)
     h, x, _, _ = SnapshotStream(model, top, [5]).draws(3000)
-    noise = np.sqrt(0.1) * np.random.default_rng(8).standard_normal((2, 3000, top.n_links, 2))
+    noise = np.sqrt(0.1) * np.random.default_rng(8).standard_normal((2, 3000, top.degrees.sum(), 2))
     steps = list(zip(h[:, 0], x[:, 0], *noise))
-    expected, _ = reference(top, 2, 0.95, 0.3, 0.01, steps)
+    expected, _ = reference(top, directed_links(top), 2, 0.95, 0.3, 0.01, steps)
     state = state_cls(top, 2, 0.95, 0.3, 0.01)
     assert _relative_gap(state, top, fold_link_noise, steps, expected) <= 1e-12
 
 
-def test_per_sensor_recursion_holds_the_per_link_one_on_ar_data(fold_link_noise):
+def test_per_sensor_recursion_holds_the_per_link_one_on_ar_data(fold_link_noise, directed_links):
     """AR regressors make the data matrices ill-conditioned; the per-sensor
     recursion still stays within 1e-10 of the per-link oracle, relative."""
     top = random_geometric(6, 0.7, seed=2)
     model = ar_scenario(top.J, seed=3)
     h, x, _, _ = SnapshotStream(model, top, [5]).draws(4000)
-    noise = np.sqrt(0.1) * np.random.default_rng(9).standard_normal((2, 4000, top.n_links, 4))
+    noise = np.sqrt(0.1) * np.random.default_rng(9).standard_normal((2, 4000, top.degrees.sum(), 4))
     steps = list(zip(h[:, 0], x[:, 0], *noise))
-    expected, _ = _reference_ama(top, 4, 0.95, 0.2, 100.0, steps)
+    expected, _ = _reference_ama(top, directed_links(top), 4, 0.95, 0.2, 100.0, steps)
     state = DrlsState(top, 4, 0.95, 0.2, 100.0)
     assert _relative_gap(state, top, fold_link_noise, steps, expected) <= 1e-10
 
@@ -294,20 +298,22 @@ def test_every_estimator_refuses_bad_parameters(algorithm, name, value):
         ALGORITHMS[algorithm](from_edges(2, [(0, 1)]), 2, **params)
 
 
-def test_multiplier_antisymmetry_conserved_on_ideal_links():
+def test_multiplier_antisymmetry_conserved_on_ideal_links(directed_links):
     """In the per-link oracle, a link's multiplier is exactly the negative of
     its reverse's on ideal links."""
     top = from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    links = directed_links(top)
     steps = [(h, x, 0.0 * eta, 0.0 * eta_bar) for h, x, eta, eta_bar in _noisy_steps(top, 2, 10, 5)]
-    _, v = _reference_ama(top, 2, 0.95, 0.2, 100.0, steps)
-    assert np.abs(v + v[_reverse_links(top)]).max() == 0.0
+    _, v = _reference_ama(top, links, 2, 0.95, 0.2, 100.0, steps)
+    assert np.abs(v + v[_reverse_links(links)]).max() == 0.0
     assert np.abs(v).max() > 0.0
 
 
-def test_multiplier_antisymmetry_drifts_under_noise():
+def test_multiplier_antisymmetry_drifts_under_noise(directed_links):
     top = from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    _, v = _reference_ama(top, 2, 0.95, 0.2, 100.0, _noisy_steps(top, 2, 5, seed=8))
-    assert np.abs(v + v[_reverse_links(top)]).max() > 1e-6
+    links = directed_links(top)
+    _, v = _reference_ama(top, links, 2, 0.95, 0.2, 100.0, _noisy_steps(top, 2, 5, seed=8))
+    assert np.abs(v + v[_reverse_links(links)]).max() > 1e-6
 
 
 def test_zero_consensus_step_reduces_to_local_rls():
@@ -355,7 +361,8 @@ def test_zero_data_step_at_unit_forgetting_leaves_the_kernel_unchanged():
     assert_array_equal(state.psi, psi)
 
 
-def test_batch_consensus_reaches_the_pooled_solution(ewlse_centralized, frozen_consensus):
+def test_batch_consensus_reaches_the_pooled_solution(ewlse_centralized, frozen_consensus,
+                                                     directed_links):
     top = from_edges(5, K5_EDGES)
     lam, delta, p = 0.95, 100.0, 3
     model = iid_scenario(top.J, p, seed=4, sigma2_eta=0.0)
@@ -368,7 +375,8 @@ def test_batch_consensus_reaches_the_pooled_solution(ewlse_centralized, frozen_c
     s = frozen_consensus(local, top, c=0.05, iters=2000)
     rel = np.linalg.norm(s - pooled, axis=1) / np.linalg.norm(pooled)
     assert rel.max() < 1e-6
-    disagreement = np.linalg.norm(s[top.link_owner] - s[top.link_peer], axis=1)
+    owner, peer = directed_links(top)
+    disagreement = np.linalg.norm(s[owner] - s[peer], axis=1)
     assert disagreement.max() < 1e-6
 
 
@@ -411,10 +419,10 @@ def test_flop_ratio_grows_with_regressor_length():
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
-def test_random_topology_reference_spotcheck(fold_link_noise):
+def test_random_topology_reference_spotcheck(fold_link_noise, directed_links):
     top = random_geometric(6, 0.7, seed=9)
     steps = _noisy_steps(top, 3, 5, seed=21)
-    expected, _ = _reference_ama(top, 3, 0.95, 0.15, 100.0, steps)
+    expected, _ = _reference_ama(top, directed_links(top), 3, 0.95, 0.15, 100.0, steps)
     state = DrlsState(top, 3, lam=0.95, c=0.15, delta=100.0)
     for step in steps:
         _step(state, top, fold_link_noise, *step)

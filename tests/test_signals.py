@@ -120,6 +120,21 @@ def test_model_validation():
         _tiny_model(**{**ar, "ar_sigma2_omega": np.ones(5)})
 
 
+def test_rh_symmetry_is_held_to_a_few_ulps():
+    """The stream's Cholesky reads one triangle of R_h and the analysis all
+    of it, so an asymmetry above round-off of the largest entry is refused
+    at every scale, and the round-off of an ill-conditioned Q D Q^T is not."""
+    skewed = np.array([[1.0, 0.5 + 2e-6], [0.5, 1.0]])
+    tiny = 1e-14 * np.array([[1.0, 0.6], [0.5, 1.0]])
+    for rh in (skewed, tiny):
+        with pytest.raises(ModelError, match=r"rh\[0\] must be symmetric"):
+            _tiny_model(rh=np.broadcast_to(rh, (3, 2, 2)).copy())
+    rotations = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 2, 2)))[0]
+    rh = (rotations * [1e-4, 1e4]) @ rotations.transpose(0, 2, 1)
+    assert (rh != rh.transpose(0, 2, 1)).any()
+    _tiny_model(rh=rh)
+
+
 def test_ar_model_refuses_a_covariance_that_is_not_its_own():
     """An AR model's rh is the stationary covariance of its AR parameters,
     exactly: the identity, a changed parameter or a rounding step is refused."""
@@ -202,9 +217,7 @@ def test_stream_rejects_mismatched_sizes():
 def test_ideal_links_return_none():
     top = from_edges(2, [(0, 1)])
     model = iid_scenario(2, 2, seed=0, sigma2_eta=0.0)
-    stream = SnapshotStream(model, top, [0])
-    assert not stream.link_noise_active
-    _, _, eta, eta_bar = stream.draws(1)
+    _, _, eta, eta_bar = SnapshotStream(model, top, [0]).draws(1)
     assert eta is None
     assert eta_bar is None
 
@@ -259,10 +272,10 @@ def _unit_link_draws(seed, kind, n, top, p):
     """A run's per-link unit draws of one noise kind, rebuilt from its seed:
     the kind's child generator draws (n, D, p) in time order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[kind])
-    return rng.standard_normal((n, top.n_links, p))
+    return rng.standard_normal((n, top.degrees.sum(), p))
 
 
-def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise):
+def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise, directed_links):
     """The sums are each run's per-link unit draws, scaled by the receiver's
     sigma_eta and folded link by link; a link's draws follow from its run's
     seed alone, and the regressors and observations do not see sigma_eta."""
@@ -275,7 +288,7 @@ def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise):
         h, x, eta, eta_bar = SnapshotStream(replace(unit, sigma2_eta=var), top, seeds).draws(6)
         assert_array_equal(h, h1)
         assert_array_equal(x, x1)
-        scale = np.sqrt(var)[top.link_owner][:, None]
+        scale = np.sqrt(var)[directed_links(top)[0]][:, None]
         for r, seed in enumerate(seeds):
             want = fold_link_noise(top, *(scale * _unit_link_draws(seed, kind, 6, top, unit.p)
                                           for kind in (2, 3)))

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drls.errors import TopologyError
 from drls.topology import (
+    GEOMETRIC_ATTEMPTS,
     Topology,
     algebraic_connectivity,
     from_edges,
-    from_positions,
     laplacian,
     random_geometric,
     read_edge_list,
@@ -54,7 +56,7 @@ def test_connectivity_follows_a_path_of_any_length():
     off the path is found unreached."""
     order = [0, 7, 3, 6, 1, 5, 2, 4]
     top = from_edges(8, [tuple(sorted(pair)) for pair in zip(order, order[1:])])
-    assert top.n_links == 14
+    assert len(top.edges()) == 7
     with pytest.raises(TopologyError, match="not connected"):
         from_edges(9, [tuple(sorted(pair)) for pair in zip(order, order[1:])])
 
@@ -62,38 +64,7 @@ def test_connectivity_follows_a_path_of_any_length():
 def test_single_sensor_is_a_valid_network():
     top = from_edges(1, [])
     assert top.J == 1
-    assert top.n_links == 0
     assert top.edges() == []
-
-
-def test_triangle_link_tables():
-    """The directed-link table of K_3, fully enumerated."""
-    top = from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    assert_array_equal(top.degrees, [2, 2, 2])
-    assert_array_equal(top.link_owner, [0, 0, 1, 1, 2, 2])
-    assert_array_equal(top.link_peer, [1, 2, 0, 2, 0, 1])
-
-
-def test_link_flip_is_an_involution():
-    """Every directed link has its reverse in the table: sorted by (peer,
-    owner), entry k is the link (link_peer[k], link_owner[k]), and taking
-    the reverse twice is the identity."""
-    top = random_geometric(8, 0.6, seed=3)
-    flip = np.lexsort((top.link_owner, top.link_peer))
-    assert_array_equal(flip[flip], np.arange(top.n_links))
-    assert_array_equal(top.link_owner[flip], top.link_peer)
-    assert_array_equal(top.link_peer[flip], top.link_owner)
-
-
-def test_neighbors_sorted_and_consistent_with_links():
-    """The link table is grouped by owner, each owner's group lists its
-    neighbors in the adjacency, ascending, and the degrees count them."""
-    top = random_geometric(7, 0.7, seed=5)
-    assert (np.diff(top.link_owner) >= 0).all()
-    for j in range(top.J):
-        nbrs = [k for k in range(top.J) if top.adjacency[j, k]]
-        assert_array_equal(top.link_peer[top.link_owner == j], nbrs)
-        assert top.degrees[j] == len(nbrs)
 
 
 def test_path_laplacian_oracle():
@@ -114,39 +85,23 @@ def test_algebraic_connectivity_needs_two_sensors():
         algebraic_connectivity(from_edges(1, []))
 
 
-def test_from_positions_validates_shape():
-    with pytest.raises(TopologyError, match=r"\(J, 2\)"):
-        from_positions(np.zeros((3, 3)), 0.5)
-
-
-@pytest.mark.parametrize("positions, radius, fragment", [
-    ([[0.0, 0.0], [0.3, 0.0]], 0.0, "radius must be positive, got 0.0"),
-    ([[0.0, 0.0], [0.3, 0.0]], -1.0, "radius must be positive, got -1.0"),
-    ([[0.0, 0.0], [0.3, 0.0]], np.nan, "radius must be positive, got nan"),
-    ([[0.0, 0.0], [np.nan, 0.0]], 0.5, "positions must be finite"),
-    ([[0.0, np.inf], [0.3, 0.0]], 0.5, "positions must be finite"),
-    ([[np.nan, 0.0]], 0.5, "positions must be finite"),
-])
-def test_from_positions_refuses_bad_input(positions, radius, fragment):
-    """A bad radius or position is named as such, not as a disconnected
-    graph, and a lone sensor cannot store a NaN position."""
-    with pytest.raises(TopologyError, match=fragment):
-        from_positions(np.array(positions), radius)
-
-
-def test_from_positions_radius_rule():
-    pos = np.array([[0.0, 0.0], [0.3, 0.0], [1.0, 0.0]])
-    top = from_positions(pos, 0.7)
-    assert top.edges() == [(0, 1), (1, 2)]
+def test_random_geometric_radius_rule():
+    """A connected first draw is kept: its points, rebuilt from the seed,
+    are joined exactly when they lie within the radius."""
+    j, radius, seed = 6, 0.5, 3
+    pos = np.random.default_rng(seed).uniform(0.0, 1.0, size=(j, 2))
+    expected = [(a, b) for a in range(j) for b in range(a + 1, j)
+                if math.dist(pos[a], pos[b]) <= radius]
+    assert 0 < len(expected) < j * (j - 1) // 2
+    assert random_geometric(j, radius, seed).edges() == expected
 
 
 def test_random_geometric_deterministic():
     a = random_geometric(9, 0.5, seed=42)
     b = random_geometric(9, 0.5, seed=42)
     assert_array_equal(a.adjacency, b.adjacency)
-    assert_allclose(a.positions, b.positions)
     c = random_geometric(9, 0.5, seed=43)
-    assert not np.array_equal(a.positions, c.positions)
+    assert not np.array_equal(a.adjacency, c.adjacency)
 
 
 def test_random_geometric_full_radius_gives_complete_graph():
@@ -156,8 +111,8 @@ def test_random_geometric_full_radius_gives_complete_graph():
 
 def test_random_geometric_gives_up_eventually():
     # radius too small for 10 sensors to ever connect
-    with pytest.raises(TopologyError, match="attempts"):
-        random_geometric(10, 1e-6, seed=0, max_attempts=5)
+    with pytest.raises(TopologyError, match=f"after {GEOMETRIC_ATTEMPTS} attempts"):
+        random_geometric(10, 1e-6, seed=0)
 
 
 def test_random_geometric_parameter_validation():
@@ -165,6 +120,8 @@ def test_random_geometric_parameter_validation():
         random_geometric(0, 0.5, seed=0)
     with pytest.raises(TopologyError):
         random_geometric(3, -1.0, seed=0)
+    with pytest.raises(TopologyError, match="radius must be positive, got 0.0"):
+        random_geometric(3, 0.0, seed=0)
     with pytest.raises(TopologyError, match="radius must be positive"):
         random_geometric(3, float("nan"), seed=0)
 
@@ -187,7 +144,6 @@ def test_edge_list_roundtrip(tmp_path):
     write_edge_list(top, path)
     back = read_edge_list(path)
     assert_array_equal(back.adjacency, top.adjacency)
-    assert back.positions is None
 
 
 def test_edge_list_accepts_comments_and_blanks(tmp_path):
