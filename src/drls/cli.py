@@ -17,6 +17,7 @@ Subcommands:
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -78,12 +79,30 @@ def _outdir(args):
     return args.out
 
 
+def _unwritable(path, exc):
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write(path, write, *args):
     """``write(*args, path)``; an output it cannot write is refused by name."""
     try:
         write(*args, path)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _unwritable(path, exc) from exc
+
+
+def _check_writable(*paths):
+    """Refuse, as `_write` would, an output that cannot be written, before
+    the work that makes it: an existing file is opened for writing without
+    truncation, and a new one needs a writable directory. No file is made."""
+    for path in paths:
+        try:
+            if os.path.exists(path):
+                os.close(os.open(path, os.O_WRONLY))
+            elif not os.access(os.path.dirname(path), os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
 
 
 def _cmd_gen_topology(args):
@@ -116,9 +135,10 @@ def _cmd_simulate(args):
     config = _load(args)
     out = _outdir(args)
     topology, model, _ = _warned_setup(config)
-    ensemble = run_ensemble(config, topology=topology, model=model)
     global_path = os.path.join(out, "global.csv")
     sensor_path = os.path.join(out, "per_sensor.csv")
+    _check_writable(global_path, sensor_path)
+    ensemble = run_ensemble(config, topology=topology, model=model)
     _write(global_path, write_global_csv, ensemble.series)
     _write(sensor_path, write_per_sensor_csv, ensemble.series)
     window = config.t_samples - config.resolved_burn_in
@@ -154,12 +174,15 @@ def _cmd_predict(args):
 def _cmd_compare(args):
     config = _load(args)
     out = _outdir(args)
-    topology, model, _ = _warned_setup(config)
-    report = compare_theory(config, tol_db=args.tol_db, topology=topology, model=model)
-    comparison_path = os.path.join(out, "comparison.csv")
+    topology, model, system = _warned_setup(config, averaged=True)
+    comparison_path, prediction_path, global_path = (
+        os.path.join(out, name) for name in ("comparison.csv", "prediction.csv", "global.csv"))
+    _check_writable(comparison_path, prediction_path, global_path)
+    report = compare_theory(config, tol_db=args.tol_db, topology=topology, model=model,
+                            system=system)
     _write(comparison_path, report.to_csv)
-    _write(os.path.join(out, "prediction.csv"), report.prediction.to_csv)
-    _write(os.path.join(out, "global.csv"), write_global_csv, report.ensemble.series)
+    _write(prediction_path, report.prediction.to_csv)
+    _write(global_path, write_global_csv, report.ensemble.series)
     print("metric  scope   predicted_db  empirical_db  delta_db  pass")
     for row in report.global_rows:
         print(f"{row.metric:<7} {row.scope:<7} {row.predicted_db:>12.3f}  "

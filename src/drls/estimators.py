@@ -28,38 +28,53 @@ exchange (eta_bar), flip(k) being link k the other way:
     s  = Phi^{-1} (psi - b + (1/2) sum_k eta_bar_k)
 
 ``step_inputs`` does the data-only work of data with any leading shape,
-such as a chunk's (n, runs), and ``step`` takes one step of it. A fresh
-state takes on the leading shape of its first datum by broadcasting, and
-each run of a batch follows its own recursion to the bit.
+such as a chunk's (n, runs), and ``advance`` steps through the n steps of
+its leading axis in one call. It returns the (n + 1, ..., J, p)
+trajectory of the estimates: row 0 before the chunk, row k after step k.
+A fresh state takes on the leading shape of its first chunk, once, and
+then steps in place on state arrays and temporaries it reuses; each run of
+a batch follows its own recursion to the bit, and a chunk of n steps gives
+the bits of n one-step chunks.
 """
 
 import numpy as np
 
 from .topology import laplacian
 
-
-def _matvec(mats, vecs):
-    """Batched matrix-vector product: (..., p, p) @ (..., p) -> (..., p)."""
-    return np.einsum("...ab,...b->...a", mats, vecs)
+_MATVEC = "...ab,...b->...a"   # batched (..., p, p) @ (..., p) -> (..., p)
 
 
 # ---------------------------------------------------------------------------
 # rank-one RLS kernel
 # ---------------------------------------------------------------------------
 
-def rls_kernel_step(pinv, psi, h, hx, lam):
-    """Absorb one datum per kernel through the rank-one inverse update.
+def kernel_buffers(pinv_shape):
+    """Temporaries of `rls_kernel_step` for kernels of `pinv_shape`: p h,
+    its denominator and the outer product, with the views the update reads."""
+    ph, den = np.empty(pinv_shape[:-1]), np.empty(pinv_shape[:-2])
+    return ph, den, np.empty(pinv_shape), ph[..., :, None], ph[..., None, :], den[..., None, None]
+
+
+def rls_kernel_step(pinv, psi, h, hx, lam, work=None):
+    """Absorb one datum per kernel through the rank-one inverse update, in place.
 
     Matrix-inversion-lemma form of inverting lam*Phi + h h^T given
-    pinv = Phi^{-1}: new_pinv = (pinv - (pinv h)(pinv h)^T / (lam + h^T pinv h)) / lam,
+    pinv = Phi^{-1}: pinv <- (pinv - (pinv h)(pinv h)^T / (lam + h^T pinv h)) / lam,
     and psi <- lam*psi + hx, where hx = h*x is the regressor times its
-    observation. `pinv` (..., p, p) and `psi`, `h` and `hx` (..., p) share
-    any leading shape, e.g. (runs, J); returns the new (pinv, psi).
+    observation. `pinv` (..., p, p) and `psi` (..., p) are overwritten;
+    `h` and `hx` (..., p) broadcast against them. `work` is the
+    `kernel_buffers(pinv.shape)` to reuse; without it they are allocated.
     """
-    ph = _matvec(pinv, h)
-    den = lam + np.einsum("...a,...a->...", h, ph)
-    pinv = (pinv - ph[..., :, None] * ph[..., None, :] / den[..., None, None]) / lam
-    return pinv, lam * psi + hx
+    ph, den, outer, ph_col, ph_row, den_b = work or kernel_buffers(pinv.shape)
+    np.einsum(_MATVEC, pinv, h, out=ph)
+    np.einsum("...a,...a->...", h, ph, out=den)
+    den += lam
+    np.multiply(ph_col, ph_row, out=outer)
+    outer /= den_b
+    pinv -= outer
+    pinv /= lam
+    psi *= lam
+    psi += hx
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +128,11 @@ def _check_parameters(lam, c, delta):
 
 
 class _NetworkBase:
-    """Shared plumbing: batched per-sensor arrays, and (c/2) L."""
+    """Shared plumbing: batched per-sensor arrays, (c/2) L, and the sizing
+    of the state and its temporaries to the data's leading shape."""
+
+    #: the state arrays `_start` sizes, each with no leading axes until then
+    _state = ("s", "b", "psi")
 
     def __init__(self, topology, p, lam, c, delta):
         _check_parameters(lam, c, delta)
@@ -121,12 +140,14 @@ class _NetworkBase:
         self.c = c
         self.s = np.zeros((topology.J, p))
         self.b = np.zeros((topology.J, p))
+        self.psi = np.zeros((topology.J, p))
         self._half_cl = 0.5 * c * laplacian(topology)
         # weight of the noise on the estimates heard in the estimate's right-hand side
         self._eta_gain = 0.0
+        self._lead = None     # leading shape the state and temporaries are sized to
 
     def step_inputs(self, h, x, eta=None, eta_bar=None):
-        """`step`'s arguments from h, x and the link-noise sums of
+        """`advance`'s arguments from h, x and the link-noise sums of
         ``SnapshotStream.draws`` (None on ideal links): h, h x, the
         imbalance's drift (c/4) sum_k (eta_k - eta_flip(k)) and the noise
         the estimate hears, both zero on ideal links."""
@@ -137,23 +158,58 @@ class _NetworkBase:
         heard = 0.5 * eta_bar + self._eta_gain * eta[..., 0, :, :]
         return h, hx, (0.25 * self.c) * eta[..., 1, :, :], heard
 
+    def _start(self, h):
+        """The trajectory of a chunk of regressors `h` (n, ..., J, p), row 0
+        holding the estimates before it. On the first chunk the state takes
+        on its leading shape and the temporaries are made."""
+        lead = h.shape[1:-2]
+        if lead != self._lead:
+            old = len(self._lead or ())
+            for name in self._state:
+                value = getattr(self, name)
+                setattr(self, name, np.broadcast_to(value, lead + value.shape[old:]).copy())
+            self._lead = lead
+            self._make_buffers()
+        traj = np.empty((len(h) + 1,) + self.s.shape)
+        traj[0] = self.s
+        return traj
+
+    def _finish(self, traj):
+        """`traj`, after keeping its last estimates as the state's own copy."""
+        self.s[...] = traj[-1]
+        return traj
+
 
 class DrlsState(_NetworkBase):
     """Single-time-scale distributed RLS (one consensus round per datum)."""
 
+    _state = _NetworkBase._state + ("pinv",)
+
     def __init__(self, topology, p, lam, c, delta):
         super().__init__(topology, p, lam, c, delta)
         self.pinv = np.broadcast_to(delta * np.eye(p), (topology.J, p, p)).copy()
-        self.psi = np.zeros((topology.J, p))
         self.step_flops = sum(ama_step_flops(p, int(d)) for d in topology.degrees)
 
-    def step(self, h, hx, drift, heard):
-        """One time step of `step_inputs`: absorb datum t+1, then one
-        consensus round from the time-t estimates."""
-        self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, hx, self.lam)
-        self.b = self.b + self._half_cl @ self.s - drift
-        self.s = _matvec(self.pinv, self.psi - self.b + heard)
-        return self
+    def _make_buffers(self):
+        self._work = kernel_buffers(self.pinv.shape)
+        self._ls = np.empty(self.s.shape)
+        self._rhs = np.empty(self.s.shape)
+
+    def advance(self, h, hx, drift, heard):
+        """Step through a chunk of `step_inputs`; each step absorbs datum
+        t+1, then runs one consensus round from the time-t estimates."""
+        traj = self._start(h)
+        pinv, psi, b, ls, rhs = self.pinv, self.psi, self.b, self._ls, self._rhs
+        for h_k, hx_k, drift_k, heard_k, s, s_next in zip(h, hx, drift, heard,
+                                                          traj[:-1], traj[1:]):
+            rls_kernel_step(pinv, psi, h_k, hx_k, self.lam, self._work)
+            np.matmul(self._half_cl, s, out=ls)
+            b += ls
+            b -= drift_k
+            np.subtract(psi, b, out=rhs)
+            rhs += heard_k
+            np.einsum(_MATVEC, pinv, rhs, out=s_next)
+        return self._finish(traj)
 
 
 class AdmomState(_NetworkBase):
@@ -165,24 +221,42 @@ class AdmomState(_NetworkBase):
     (A s)_j + sum_k eta_k = deg_j s_j - (L s)_j + sum_k eta_k.
     """
 
+    _state = _NetworkBase._state + ("phi",)
+
     def __init__(self, topology, p, lam, c, delta):
         super().__init__(topology, p, lam, c, delta)
         self._eta_gain = 0.5 * c
         self.phi = np.broadcast_to(np.eye(p) / delta, (topology.J, p, p)).copy()
-        self.psi = np.zeros((topology.J, p))
         self._ridge = c * topology.degrees[:, None, None] * np.eye(p)
         self._c_deg = c * topology.degrees[:, None]
         self.step_flops = sum(admom_step_flops(p, int(d)) for d in topology.degrees)
 
-    def step(self, h, hx, drift, heard):
-        self.phi = self.lam * self.phi + h[..., :, None] * h[..., None, :]
-        self.psi = self.lam * self.psi + hx
-        half_ls = self._half_cl @ self.s
-        self.b = self.b + half_ls - drift
-        # psi + (c/2) (deg s + A s) - b
-        rhs = self.psi + self._c_deg * self.s - half_ls - self.b + heard
-        self.s = np.linalg.solve(self.phi + self._ridge, rhs[..., None])[..., 0]
-        return self
+    def _make_buffers(self):
+        self._outer = np.empty(self.phi.shape)
+        self._ls = np.empty(self.s.shape)
+        self._rhs = np.empty(self.s.shape)
+
+    def advance(self, h, hx, drift, heard):
+        traj = self._start(h)
+        phi, psi, b, ls, rhs, outer = self.phi, self.psi, self.b, self._ls, self._rhs, self._outer
+        for h_k, hx_k, drift_k, heard_k, s, s_next in zip(h, hx, drift, heard,
+                                                          traj[:-1], traj[1:]):
+            np.multiply(h_k[..., :, None], h_k[..., None, :], out=outer)
+            phi *= self.lam
+            phi += outer
+            psi *= self.lam
+            psi += hx_k
+            np.matmul(self._half_cl, s, out=ls)
+            b += ls
+            b -= drift_k
+            # psi + (c/2) (deg s + A s) - b
+            np.multiply(self._c_deg, s, out=rhs)
+            np.add(psi, rhs, out=rhs)
+            rhs -= ls
+            rhs -= b
+            rhs += heard_k
+            s_next[...] = np.linalg.solve(phi + self._ridge, rhs[..., None])[..., 0]
+        return self._finish(traj)
 
 
 class LocalRls(DrlsState):
@@ -194,10 +268,12 @@ class LocalRls(DrlsState):
         # the AMA step without neighbors: kernel update and estimate only
         self.step_flops = topology.J * ama_step_flops(p, 0)
 
-    def step(self, h, hx, drift, heard):
-        self.pinv, self.psi = rls_kernel_step(self.pinv, self.psi, h, hx, self.lam)
-        self.s = _matvec(self.pinv, self.psi)
-        return self
+    def advance(self, h, hx, drift, heard):
+        traj = self._start(h)
+        for h_k, hx_k, s_next in zip(h, hx, traj[1:]):
+            rls_kernel_step(self.pinv, self.psi, h_k, hx_k, self.lam, self._work)
+            np.einsum(_MATVEC, self.pinv, self.psi, out=s_next)
+        return self._finish(traj)
 
 
 class CentralizedRls:
@@ -221,9 +297,15 @@ class CentralizedRls:
     def step_inputs(self, h, x, eta=None, eta_bar=None):
         return h, x
 
-    def step(self, h, x):
-        h_t = np.swapaxes(h, -1, -2)
-        self.phi = self.lam * self.phi + h_t @ h
-        self.psi_c = self.lam * self.psi_c + (h_t @ x[..., None])[..., 0]
-        self.s_c = np.linalg.solve(self.phi, self.psi_c[..., None])[..., 0]
-        return self
+    def advance(self, h, x):
+        """Step through a chunk of pooled data; returns the trajectory of
+        the common estimate, held at every sensor."""
+        traj = np.empty((len(h) + 1,) + h.shape[1:])
+        traj[0] = self.s
+        for h_k, x_k, s_next in zip(h, x, traj[1:]):
+            h_t = np.swapaxes(h_k, -1, -2)
+            self.phi = self.lam * self.phi + h_t @ h_k
+            self.psi_c = self.lam * self.psi_c + (h_t @ x_k[..., None])[..., 0]
+            self.s_c = np.linalg.solve(self.phi, self.psi_c[..., None])[..., 0]
+            s_next[...] = self.s
+        return traj

@@ -6,10 +6,12 @@ keys, ``#`` comments). One config pins the topology, the signal scenario,
 the algorithm and its parameters, and the ensemble size; everything a run
 consumes is derived deterministically from ``master_seed``, so the same
 config byte-reproduces the same CSV outputs. All runs of an ensemble step
-through one time loop along a leading runs axis, a draw chunk at a time,
-whose data-only work (``step_inputs``) is done once. Each run keeps its own
-seeded streams and metrics are reduced in run order, so the results are
-those of running every run on its own, and the draw budget changes no byte.
+through one time loop along a leading runs axis, a draw chunk at a time:
+the estimator does the chunk's data-only work (``step_inputs``) once and
+steps through the chunk in one ``advance`` call, whose trajectory the
+chunk's metrics are taken from. Each run keeps its own seeded streams and
+metrics are reduced in run order, so the results are those of running
+every run on its own, and the draw budget changes no byte.
 A config is checked once, when it is built, so functions use it as given.
 
 Recognized keys (defaults in parentheses):
@@ -266,11 +268,29 @@ def _run_sum(values, axis=0):
     return np.add.accumulate(values, axis=axis).take(-1, axis=axis) + 0.0
 
 
+def _refuse_non_finite(traj, per_run, start):
+    """Raise RunFailure if a chunk starting after step `start` has a
+    non-finite estimate (`traj`, (n + 1, runs, J, p)) or metric (`per_run`,
+    (3, n, runs, J)), naming the earliest step, then the lowest run, its
+    first sensor and the first quantity there."""
+    finite = np.empty(per_run.shape[1:] + (4,), dtype=bool)  # (step, run, sensor, quantity)
+    np.isfinite(traj[1:]).all(axis=-1, out=finite[..., 0])
+    np.isfinite(per_run, out=np.moveaxis(finite[..., 1:], -1, 0))
+    if not finite.all():
+        step, run, sensor, what = np.argwhere(~finite)[0]
+        raise RunFailure(
+            f"run {run} produced a non-finite "
+            f"{('estimate', 'MSD', 'EMSE', 'MSE')[what]} at step "
+            f"{start + step + 1}, first at sensor {sensor}: the recursion diverged"
+        )
+
+
 def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     """Average `config.runs` independent runs into learning curves.
 
     Every run steps through one time loop along a leading runs axis, a draw
-    chunk at a time; a chunk's metrics are taken once its steps are done. Run
+    chunk at a time; the estimator's ``advance`` steps through a chunk, and
+    the chunk's metrics are taken from the trajectory it returns. Run
     r draws from streams seeded with (master_seed, r) and metrics are summed
     over runs in run order, so each run's results are those it gives on its
     own. Any run whose estimate or metrics lose finiteness aborts the
@@ -293,32 +313,25 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     with np.errstate(over="ignore", invalid="ignore"):
         for h, x, eta, eta_bar in stream.chunks(t_total):
             n = len(h)
-            traj = np.empty((n + 1,) + h.shape[1:])  # estimates before each step and at the end
-            traj[0] = state.s
-            for k, inputs in enumerate(zip(*state.step_inputs(h, x, eta, eta_bar)), start=1):
-                traj[k] = state.step(*inputs).s
-            post = traj[1:] - model.s0
-            per_run = np.stack([
-                np.einsum("...ja,...ja->...j", post, post),
-                np.einsum("...ja,...ja->...j", h, traj[:-1] - model.s0) ** 2,
-                (x - np.einsum("...ja,...ja->...j", h, traj[:-1])) ** 2,
-            ])
-            # (step, run, sensor, quantity), so the first is the earliest step
-            finite = np.stack([np.isfinite(traj[1:]).all(axis=-1), *np.isfinite(per_run)],
-                              axis=-1)
-            if not finite.all():
-                step, run, sensor, what = np.argwhere(~finite)[0]
-                raise RunFailure(
-                    f"run {run} produced a non-finite "
-                    f"{('estimate', 'MSD', 'EMSE', 'MSE')[what]} at step "
-                    f"{start + step + 1}, first at sensor {sensor}: the recursion diverged"
-                )
+            # estimates before each step of the chunk and after its last
+            traj = state.advance(*state.step_inputs(h, x, eta, eta_bar))
+            error = traj - model.s0
+            per_run = np.empty((3,) + x.shape)   # msd, emse, mse of each (step, run, sensor)
+            np.einsum("...ja,...ja->...j", error[1:], error[1:], out=per_run[0])
+            np.einsum("...ja,...ja->...j", h, error[:-1], out=per_run[1])
+            np.einsum("...ja,...ja->...j", h, traj[:-1], out=per_run[2])
+            np.subtract(x, per_run[2], out=per_run[2])
+            np.square(per_run[1:], out=per_run[1:])
+            # every metric is a square, so >= 0 unless NaN: a finite total means
+            # each is finite, and so is each estimate, or its MSD would not be
+            if not np.isfinite(per_run.sum()):
+                _refuse_non_finite(traj, per_run, start)
             totals[:, start:start + n] = _run_sum(per_run, axis=2)
             if collect_deviation:
                 deviation[:, start:start + n] = per_run[0].sum(axis=-1).T
             start += n
             # freed before the next chunk is drawn, so two chunks are never alive at once
-            del h, x, eta, eta_bar, inputs, traj, post, per_run, finite
+            del h, x, eta, eta_bar, traj, error, per_run
 
     msd, emse, mse = totals / float(runs)
     return EnsembleResult(
@@ -411,7 +424,7 @@ def step_size_warnings(config, topology, model, system=None):
 
 
 def compare_theory(config, tol_db=1.0, topology=None, model=None,
-                   ensemble=None):
+                   ensemble=None, system=None):
     """Predict steady-state metrics and measure them from an ensemble.
 
     Only the single-time-scale AMA recursion has a matching analytical
@@ -420,7 +433,8 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
     NaN tolerance, and every row passes an infinite one. Prediction
     instabilities raise StabilityError before any simulation runs. A step
     past the mean-stability bound is the caller's to report
-    (`step_size_warnings`).
+    (`step_size_warnings`). `system`, when given, is the config's
+    `averaged_system`.
     """
     if not (np.isfinite(tol_db) and tol_db >= 0.0):
         raise ConfigError(f"comparison tolerance must be a finite number of dB >= 0, got {tol_db}")
@@ -429,7 +443,8 @@ def compare_theory(config, tol_db=1.0, topology=None, model=None,
     if model is None:
         model = build_model(config, topology)
 
-    system = averaged_system(config, topology, model)
+    if system is None:
+        system = averaged_system(config, topology, model)
     noise = noise_covariances(system, model)
     prediction = steady_state_solve(system, noise)
 

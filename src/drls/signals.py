@@ -263,7 +263,7 @@ class SnapshotStream:
         buf = np.empty((self.runs,) + shape)
         for rngs, out in zip(self._rngs, buf):
             fill(rngs[kind], out)
-        return np.moveaxis(buf, 0, 1)
+        return buf.swapaxes(0, 1)
 
     def _regressors(self, n):
         """Regressors of the next `n` steps, (n, runs, J, p)."""
@@ -274,11 +274,14 @@ class SnapshotStream:
             # copied out: einsum over broadcast factors takes several times longer, same bits
             full = np.broadcast_to(self._chol_rh, z.shape + (p,)).copy()
             return np.einsum("...ab,...b->...a", full, z)
-        omega = self._ar_sigma * self._per_run(_REG, (n, m.J), lambda g, out: np.copyto(
+        drive = self._per_run(_REG, (n, m.J), lambda g, out: np.copyto(
             out, g.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=out.shape)))
+        drive *= self._ar_sigma    # omega,
+        drive *= self._ar_gain     # then sqrt(rho) omega
         s = np.concatenate([self._tail, np.empty((n, self.runs, m.J))])
         for k in range(p, p + n):
-            s[k] = self._ar_a * s[k - 1] + self._ar_gain * omega[k - p]
+            np.multiply(self._ar_a, s[k - 1], out=s[k])
+            s[k] += drive[k - p]
         self._tail = s[n:]
         # entry i of step k's regressor is the series i steps before step k
         h = np.empty((n, self.runs, m.J, p))

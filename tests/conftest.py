@@ -251,6 +251,14 @@ def _ewlse_centralized(regressors, observations, lam, phi0):
     return np.linalg.solve(phi, b)
 
 
+def _advance_one(state, h, x, eta=None, eta_bar=None):
+    """`state` after one step on datum (h, x) and its per-sensor link-noise
+    sums (None on ideal links), taken as a one-step chunk of ``advance``."""
+    chunk = (None if v is None else np.asarray(v)[None] for v in (h, x, eta, eta_bar))
+    state.advance(*state.step_inputs(*chunk))
+    return state
+
+
 def _frozen_consensus(local, top, c, iters):
     """Estimates after `iters` consensus rounds on the kernels of `local`
     held still: multipliers start at zero and the estimates at the local
@@ -258,10 +266,9 @@ def _frozen_consensus(local, top, c, iters):
     are, so each ``DrlsState`` step is one consensus round alone."""
     p = local.psi.shape[-1]
     state = DrlsState(top, p, 1.0, c, 1.0)
-    state.pinv, state.psi, state.s = local.pinv, local.psi, local.s
-    inputs = state.step_inputs(np.zeros((top.J, p)), np.zeros(top.J))
+    state.pinv, state.psi, state.s = local.pinv.copy(), local.psi.copy(), local.s.copy()
     for _ in range(iters):
-        state.step(*inputs)
+        _advance_one(state, np.zeros((top.J, p)), np.zeros(top.J))
     return state.s
 
 
@@ -341,6 +348,11 @@ def iterated_lyapunov():
 @pytest.fixture
 def ewlse_centralized():
     return _ewlse_centralized
+
+
+@pytest.fixture
+def advance_one():
+    return _advance_one
 
 
 @pytest.fixture

@@ -129,7 +129,8 @@ def _tail_emse_db(ensemble, window):
 # 1. batch consensus reaches the pooled solution
 # ---------------------------------------------------------------------------
 
-def test_batch_consensus_tracks_the_pooled_estimator(ewlse_centralized, frozen_consensus):
+def test_batch_consensus_tracks_the_pooled_estimator(ewlse_centralized, frozen_consensus,
+                                                     advance_one):
     """Frozen-data consensus converges to the pooled weighted LS solution
     on a complete 5-sensor network for at least one swept step size."""
     start = time.monotonic()
@@ -140,7 +141,7 @@ def test_batch_consensus_tracks_the_pooled_estimator(ewlse_centralized, frozen_c
     hs, xs = hs[:, 0], xs[:, 0]
     local = LocalRls(top, p, lam, 0.0, delta)
     for h, x in zip(hs, xs):
-        local.step(*local.step_inputs(h, x))
+        advance_one(local, h, x)
     pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
 
     best = np.inf
@@ -169,7 +170,7 @@ def test_kernel_inverse_matches_weighted_data_matrix():
         phi = np.eye(p) / delta       # the lam^t/delta regularizer at t=0
         for _ in range(100):
             h = rng.standard_normal(p)
-            pinv, psi = rls_kernel_step(pinv, psi, h, rng.standard_normal(()), lam)
+            rls_kernel_step(pinv, psi, h, rng.standard_normal(()), lam)
             phi = lam * phi + np.outer(h, h)
             worst = max(worst, float(np.linalg.norm(pinv @ phi - np.eye(p))))
     assert worst < 1e-8
@@ -514,7 +515,7 @@ def test_ensemble_mean_bias_stays_small():
 # 9. degenerate setups collapse to the classical estimators
 # ---------------------------------------------------------------------------
 
-def test_single_sensor_equals_pooled_weighted_ls(ewlse_centralized):
+def test_single_sensor_equals_pooled_weighted_ls(ewlse_centralized, advance_one):
     top = from_edges(1, [])
     lam, delta = 0.95, 100.0
     state = DrlsState(top, 2, lam, c=0.1, delta=delta)
@@ -526,15 +527,15 @@ def test_single_sensor_equals_pooled_weighted_ls(ewlse_centralized):
         x = h[0] @ np.ones(2) + 0.1 * rng.standard_normal(1)
         hs.append(h)
         xs.append(x)
-        state.step(*state.step_inputs(h, x))
-        central.step(h, x)
+        advance_one(state, h, x)
+        advance_one(central, h, x)
         batch = ewlse_centralized(np.asarray(hs), np.asarray(xs), lam,
                                   phi0=lam / delta)
         assert np.abs(state.s[0] - batch).max() < 1e-10
         assert np.abs(state.s - central.s).max() < 1e-10
 
 
-def test_zero_coupling_equals_isolated_rls():
+def test_zero_coupling_equals_isolated_rls(advance_one):
     top = random_geometric(6, 0.7, seed=12)
     net = DrlsState(top, 3, lam=0.95, c=0.0, delta=100.0)
     solo = LocalRls(top, 3, lam=0.95, c=0.0, delta=100.0)
@@ -542,8 +543,8 @@ def test_zero_coupling_equals_isolated_rls():
     for _ in range(200):
         h = rng.standard_normal((6, 3))
         x = rng.standard_normal(6)
-        net.step(*net.step_inputs(h, x))
-        solo.step(*solo.step_inputs(h, x))
+        advance_one(net, h, x)
+        advance_one(solo, h, x)
         assert np.abs(net.s - solo.s).max() <= 1e-12
 
 

@@ -118,6 +118,31 @@ def test_an_unwritable_output_exits_one_naming_it(tmp_path, config_path, command
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "global.csv"), ("simulate", "per_sensor.csv"), ("compare", "comparison.csv"),
+    ("compare", "prediction.csv"), ("compare", "global.csv"),
+])
+def test_an_unwritable_output_is_refused_before_the_ensemble(tmp_path, config_path, capsys,
+                                                             monkeypatch, command, name):
+    """simulate and compare check every output before any ensemble step,
+    and leave the outputs they could write as they were."""
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the outputs were checked")
+
+    monkeypatch.setattr("drls.cli.run_ensemble", no_ensemble)
+    monkeypatch.setattr("drls.cli.compare_theory", no_ensemble)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    others = {"simulate": ["global.csv", "per_sensor.csv"],
+              "compare": ["comparison.csv", "prediction.csv", "global.csv"]}[command]
+    others.remove(name)
+    (out / others[0]).write_text("kept\n")
+    assert main([command, "--config", config_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out / name}: Is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, others[0]])
+    assert (out / others[0]).read_text() == "kept\n"
+
+
 def test_simulate_writes_learning_curves(tmp_path, config_path, capsys):
     out = tmp_path / "run"
     code = main(["simulate", "--config", config_path, "--out", str(out)])
@@ -376,8 +401,9 @@ def test_predict_and_stability_warn_before_any_refusal(tmp_path, capsys):
 @pytest.mark.parametrize("c, warned", [("0.1", False), ("100", True)])
 def test_predict_and_stability_take_the_coupling_spectrum_once(tmp_path, capsys, monkeypatch,
                                                                c, warned):
-    """The step-size warning reads the averaged system's bound, so each
-    command takes one symmetric eigensolve; the warning still comes first."""
+    """The step-size warning reads the averaged system's bound, so predict,
+    stability and compare each take one symmetric eigensolve; the warning
+    still comes first."""
     calls = []
     spectrum = analysis._coupling_spectrum
     monkeypatch.setattr(analysis, "_coupling_spectrum",
@@ -385,7 +411,8 @@ def test_predict_and_stability_take_the_coupling_spectrum_once(tmp_path, capsys,
     path = tmp_path / "exp.cfg"
     path.write_text(SMALL_CONFIG + f"c = {c}\n")
     for argv in (["predict", "--config", str(path), "--out", str(tmp_path / "out")],
-                 ["stability", "--config", str(path)]):
+                 ["stability", "--config", str(path)],
+                 ["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]):
         calls.clear()
         main(argv)
         assert len(calls) == 1, argv[0]

@@ -34,8 +34,8 @@ def test_kernel_init_oracle():
 
 def test_kernel_single_step_scalar_oracle():
     """p=1, lam=1, delta=100, h=1: the inverse must become 100/101."""
-    pinv, psi = rls_kernel_step(np.array([[100.0]]), np.zeros(1), np.array([1.0]),
-                                np.array([2.0]), 1.0)
+    pinv, psi = np.array([[100.0]]), np.zeros(1)
+    rls_kernel_step(pinv, psi, np.array([1.0]), np.array([2.0]), 1.0)
     assert_allclose(pinv, [[100.0 / 101.0]], rtol=1e-14)
     assert_allclose(psi, [2.0])
 
@@ -48,7 +48,7 @@ def test_kernel_tracks_direct_inversion():
     phi = np.eye(p) / delta
     for _ in range(60):
         h = rng.standard_normal(p)
-        pinv, psi = rls_kernel_step(pinv, psi, h, h * rng.standard_normal(()), lam)
+        rls_kernel_step(pinv, psi, h, h * rng.standard_normal(()), lam)
         phi = lam * phi + np.outer(h, h)
         assert np.linalg.norm(pinv @ phi - np.eye(p)) < 1e-10
 
@@ -68,7 +68,7 @@ def test_kernel_stays_symmetric_positive_definite_at_the_edges(lam, t_total, p):
     for _ in range(10):
         h = rng.standard_normal((every,) + psi.shape) * scale
         for k in range(every):
-            pinv, psi = rls_kernel_step(pinv, psi, h[k], hx, lam)
+            rls_kernel_step(pinv, psi, h[k], hx, lam)
         assert_array_equal(pinv, np.swapaxes(pinv, -1, -2))
         np.linalg.cholesky(pinv)  # raises LinAlgError unless positive definite
 
@@ -105,7 +105,7 @@ def test_ewlse_matches_recursive_kernel(ewlse_centralized):
         x = rng.standard_normal(())
         hs.append(h)
         xs.append(x)
-        pinv, psi = rls_kernel_step(pinv, psi, h, h * x, lam)
+        rls_kernel_step(pinv, psi, h, h * x, lam)
         batch = ewlse_centralized(
             np.asarray(hs)[:, None, :], np.asarray(xs)[:, None],
             lam, phi0=lam / delta,
@@ -113,7 +113,7 @@ def test_ewlse_matches_recursive_kernel(ewlse_centralized):
         assert_allclose(pinv @ psi, batch, atol=1e-10)
 
 
-def test_centralized_state_matches_pooled_ewlse(ewlse_centralized):
+def test_centralized_state_matches_pooled_ewlse(ewlse_centralized, advance_one):
     top = from_edges(3, [(0, 1), (1, 2)])
     model = iid_scenario(3, 2, seed=1, sigma2_eta=0.0)
     hs, xs, _, _ = SnapshotStream(model, top, [2]).draws(5)
@@ -121,7 +121,7 @@ def test_centralized_state_matches_pooled_ewlse(ewlse_centralized):
     lam, delta = 0.9, 100.0
     state = CentralizedRls(top, 2, lam, 0.1, delta)
     for t in range(1, 6):
-        state.step(*state.step_inputs(hs[t - 1], xs[t - 1]))
+        advance_one(state, hs[t - 1], xs[t - 1])
         batch = ewlse_centralized(hs[:t], xs[:t], lam, phi0=lam * top.J / delta)
         assert_allclose(state.s_c, batch, atol=1e-10)
         assert state.s.shape == (3, 2)
@@ -199,10 +199,10 @@ def _noisy_steps(top, p, n, seed, scale=0.3):
     return steps
 
 
-def _step(state, top, fold, h, x, eta=None, eta_bar=None):
+def _step(advance_one, state, top, fold, h, x, eta=None, eta_bar=None):
     """One step of `state` on per-link noise, folded per sensor by the oracle."""
     sums = () if eta is None else fold(top, eta, eta_bar)
-    return state.step(*state.step_inputs(h, x, *sums))
+    return advance_one(state, h, x, *sums)
 
 
 def _imbalance(top, links, v):
@@ -216,7 +216,7 @@ def _imbalance(top, links, v):
     (AdmomState, _reference_admom),
 ])
 def test_network_recursion_matches_loop_reference(state_cls, reference, fold_link_noise,
-                                                  directed_links):
+                                                  directed_links, advance_one):
     """The per-sensor recursion on the folded noise follows the per-link one
     step by step, and its state b is the per-link multipliers' imbalance."""
     top = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -226,15 +226,16 @@ def test_network_recursion_matches_loop_reference(state_cls, reference, fold_lin
     expected, v = reference(top, links, p, lam, c, delta, steps)
     state = state_cls(top, p, lam, c, delta)
     for step, want in zip(steps, expected):
-        assert_allclose(_step(state, top, fold_link_noise, *step).s, want, rtol=1e-12, atol=0)
+        assert_allclose(_step(advance_one, state, top, fold_link_noise, *step).s, want,
+                        rtol=1e-12, atol=0)
     assert_allclose(state.b, _imbalance(top, links, v), rtol=1e-12, atol=1e-15)
 
 
-def _relative_gap(state, top, fold, steps, expected):
+def _relative_gap(advance_one, state, top, fold, steps, expected):
     """Largest per-step ||s - s_ref|| / ||s_ref|| over a run of `steps`."""
     gap = 0.0
     for step, want in zip(steps, expected):
-        s = _step(state, top, fold, *step).s
+        s = _step(advance_one, state, top, fold, *step).s
         gap = max(gap, np.linalg.norm(s - want) / np.linalg.norm(want))
     return gap
 
@@ -244,7 +245,7 @@ def _relative_gap(state, top, fold, steps, expected):
     (AdmomState, _reference_admom),
 ])
 def test_per_sensor_recursion_holds_the_per_link_one_over_a_long_horizon(
-        state_cls, reference, fold_link_noise, directed_links):
+        state_cls, reference, fold_link_noise, directed_links, advance_one):
     """3000 steps of iid data on noisy links: the per-sensor recursion stays
     within 1e-12 of the per-link oracle, relative, at every step."""
     top = random_geometric(6, 0.7, seed=2)
@@ -254,10 +255,11 @@ def test_per_sensor_recursion_holds_the_per_link_one_over_a_long_horizon(
     steps = list(zip(h[:, 0], x[:, 0], *noise))
     expected, _ = reference(top, directed_links(top), 2, 0.95, 0.3, 0.01, steps)
     state = state_cls(top, 2, 0.95, 0.3, 0.01)
-    assert _relative_gap(state, top, fold_link_noise, steps, expected) <= 1e-12
+    assert _relative_gap(advance_one, state, top, fold_link_noise, steps, expected) <= 1e-12
 
 
-def test_per_sensor_recursion_holds_the_per_link_one_on_ar_data(fold_link_noise, directed_links):
+def test_per_sensor_recursion_holds_the_per_link_one_on_ar_data(fold_link_noise, directed_links,
+                                                                advance_one):
     """AR regressors make the data matrices ill-conditioned; the per-sensor
     recursion still stays within 1e-10 of the per-link oracle, relative."""
     top = random_geometric(6, 0.7, seed=2)
@@ -267,22 +269,52 @@ def test_per_sensor_recursion_holds_the_per_link_one_on_ar_data(fold_link_noise,
     steps = list(zip(h[:, 0], x[:, 0], *noise))
     expected, _ = _reference_ama(top, directed_links(top), 4, 0.95, 0.2, 100.0, steps)
     state = DrlsState(top, 4, 0.95, 0.2, 100.0)
-    assert _relative_gap(state, top, fold_link_noise, steps, expected) <= 1e-10
+    assert _relative_gap(advance_one, state, top, fold_link_noise, steps, expected) <= 1e-10
 
 
 @pytest.mark.parametrize("state_cls", [DrlsState, AdmomState, LocalRls, CentralizedRls])
-def test_a_batch_of_runs_steps_each_run_alone(state_cls, fold_link_noise):
+def test_a_batch_of_runs_steps_each_run_alone(state_cls, fold_link_noise, advance_one):
     """With a leading runs axis every run gets the bits of its own recursion."""
     top = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     runs = [_noisy_steps(top, 2, 6, seed=s) for s in (1, 2, 3)]
     batch = state_cls(top, 2, 0.9, 0.3, 50.0)
     alone = [state_cls(top, 2, 0.9, 0.3, 50.0) for _ in runs]
     for t in range(6):
-        _step(batch, top, fold_link_noise, *(np.stack(parts) for parts in zip(*(run[t] for run in runs))))
+        _step(advance_one, batch, top, fold_link_noise,
+              *(np.stack(parts) for parts in zip(*(run[t] for run in runs))))
         for state, run in zip(alone, runs):
-            _step(state, top, fold_link_noise, *run[t])
+            _step(advance_one, state, top, fold_link_noise, *run[t])
     for r, state in enumerate(alone):
         assert_array_equal(batch.s[r], state.s)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("sigma2_eta", [0.0, 0.1])
+@pytest.mark.parametrize("runs", [None, 3])
+def test_advance_over_a_chunk_is_its_one_step_chunks_bit_for_bit(algorithm, sigma2_eta, runs):
+    """An n-step chunk gives the trajectory, and leaves the state, of n
+    one-step chunks, to the bit: on a bare (J, p) state and on a batch of
+    runs, on ideal and noisy links. The state keeps its own estimates."""
+    top = random_geometric(6, 0.7, seed=2)
+    model = iid_scenario(top.J, 3, seed=3, sigma2_eta=sigma2_eta)
+    draws = SnapshotStream(model, top, [[5, r] for r in range(runs or 1)]).draws(12)
+    if runs is None:
+        draws = tuple(None if d is None else d[:, 0] for d in draws)
+    whole, stepped = (ALGORITHMS[algorithm](top, 3, 0.95, 0.2, 10.0) for _ in range(2))
+    traj = whole.advance(*whole.step_inputs(*draws))
+    rows = [np.broadcast_to(stepped.s, traj.shape[1:]).copy()]
+    for k in range(12):
+        one = stepped.advance(*stepped.step_inputs(*(None if d is None else d[k:k + 1]
+                                                     for d in draws)))
+        assert_array_equal(one[0], rows[-1])
+        rows.append(one[1])
+    assert_array_equal(traj, np.stack(rows))
+    assert_array_equal(whole.s, stepped.s)
+    assert_array_equal(whole.s, traj[-1])
+    assert not np.shares_memory(whole.s, traj)
+    kept = whole.s.copy()
+    traj[...] = np.nan
+    assert_array_equal(whole.s, kept)
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -316,7 +348,7 @@ def test_multiplier_antisymmetry_drifts_under_noise(directed_links):
     assert np.abs(v + v[_reverse_links(links)]).max() > 1e-6
 
 
-def test_zero_consensus_step_reduces_to_local_rls():
+def test_zero_consensus_step_reduces_to_local_rls(advance_one):
     """c=0 with ideal links must follow the exact same arithmetic path."""
     top = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     net = DrlsState(top, 3, lam=0.9, c=0.0, delta=100.0)
@@ -325,12 +357,12 @@ def test_zero_consensus_step_reduces_to_local_rls():
     for _ in range(20):
         h = rng.standard_normal((4, 3))
         x = rng.standard_normal(4)
-        net.step(*net.step_inputs(h, x))
-        solo.step(*solo.step_inputs(h, x))
+        advance_one(net, h, x)
+        advance_one(solo, h, x)
         assert np.abs(net.s - solo.s).max() <= 1e-12
 
 
-def test_single_sensor_network_equals_centralized():
+def test_single_sensor_network_equals_centralized(advance_one):
     top = from_edges(1, [])
     net = DrlsState(top, 2, lam=0.95, c=0.1, delta=100.0)
     central = CentralizedRls(top, 2, lam=0.95, c=0.1, delta=100.0)
@@ -338,8 +370,8 @@ def test_single_sensor_network_equals_centralized():
     for _ in range(30):
         h = rng.standard_normal((1, 2))
         x = rng.standard_normal(1)
-        net.step(*net.step_inputs(h, x))
-        central.step(*central.step_inputs(h, x))
+        advance_one(net, h, x)
+        advance_one(central, h, x)
         assert np.abs(net.s - central.s).max() < 1e-10
 
 
@@ -347,22 +379,22 @@ def test_single_sensor_network_equals_centralized():
 # frozen-data consensus
 # ---------------------------------------------------------------------------
 
-def test_zero_data_step_at_unit_forgetting_leaves_the_kernel_unchanged():
+def test_zero_data_step_at_unit_forgetting_leaves_the_kernel_unchanged(advance_one):
     """At lam = 1 a datum h = 0, x = 0 adds nothing to the data matrix, so
     the kernel keeps every bit and the step is one consensus round alone."""
     top = from_edges(5, K5_EDGES)
     state = DrlsState(top, 3, lam=1.0, c=0.05, delta=100.0)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        state.step(*state.step_inputs(rng.standard_normal((5, 3)), rng.standard_normal(5)))
-    pinv, psi = state.pinv, state.psi
-    state.step(*state.step_inputs(np.zeros((5, 3)), np.zeros(5)))
+        advance_one(state, rng.standard_normal((5, 3)), rng.standard_normal(5))
+    pinv, psi = state.pinv.copy(), state.psi.copy()
+    advance_one(state, np.zeros((5, 3)), np.zeros(5))
     assert_array_equal(state.pinv, pinv)
     assert_array_equal(state.psi, psi)
 
 
 def test_batch_consensus_reaches_the_pooled_solution(ewlse_centralized, frozen_consensus,
-                                                     directed_links):
+                                                     directed_links, advance_one):
     top = from_edges(5, K5_EDGES)
     lam, delta, p = 0.95, 100.0, 3
     model = iid_scenario(top.J, p, seed=4, sigma2_eta=0.0)
@@ -370,7 +402,7 @@ def test_batch_consensus_reaches_the_pooled_solution(ewlse_centralized, frozen_c
     hs, xs = hs[:, 0], xs[:, 0]
     local = LocalRls(top, p, lam, 0.0, delta)
     for h, x in zip(hs, xs):
-        local.step(*local.step_inputs(h, x))
+        advance_one(local, h, x)
     pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
     s = frozen_consensus(local, top, c=0.05, iters=2000)
     rel = np.linalg.norm(s - pooled, axis=1) / np.linalg.norm(pooled)
@@ -419,12 +451,12 @@ def test_flop_ratio_grows_with_regressor_length():
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
-def test_random_topology_reference_spotcheck(fold_link_noise, directed_links):
+def test_random_topology_reference_spotcheck(fold_link_noise, directed_links, advance_one):
     top = random_geometric(6, 0.7, seed=9)
     steps = _noisy_steps(top, 3, 5, seed=21)
     expected, _ = _reference_ama(top, directed_links(top), 3, 0.95, 0.15, 100.0, steps)
     state = DrlsState(top, 3, lam=0.95, c=0.15, delta=100.0)
     for step in steps:
-        _step(state, top, fold_link_noise, *step)
+        _step(advance_one, state, top, fold_link_noise, *step)
     assert_allclose(state.s, expected[-1], atol=1e-9)
     assert_array_equal(state.b.shape, (top.J, 3))
