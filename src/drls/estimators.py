@@ -27,14 +27,14 @@ exchange (eta_bar), flip(k) being link k the other way:
     b <- b + (c/2) L s - (c/4) sum_k (eta_k - eta_flip(k))
     s  = Phi^{-1} (psi - b + (1/2) sum_k eta_bar_k)
 
-``step_inputs`` does the data-only work of data with any leading shape,
-such as a chunk's (n, runs), and ``advance`` steps through the n steps of
-its leading axis in one call. It returns the (n + 1, ..., J, p)
+Every estimator steps by one call, ``advance(h, x, eta=None, eta_bar=None)``,
+on a chunk of n steps, with the link-noise sums as ``SnapshotStream.draws``
+gives them (None on ideal links). It returns the (n + 1, ..., J, p)
 trajectory of the estimates: row 0 before the chunk, row k after step k.
-A fresh state takes on the leading shape of its first chunk, once, and
-then steps in place on state arrays and temporaries it reuses; each run of
-a batch follows its own recursion to the bit, and a chunk of n steps gives
-the bits of n one-step chunks.
+A state is sized once, to the leading shape of its first chunk (such as
+(runs,)), refuses a chunk of another with ValueError, and steps in place;
+each run of a batch follows its own recursion to the bit, and a chunk of n
+steps gives the bits of n one-step chunks.
 """
 
 import numpy as np
@@ -117,67 +117,70 @@ def centralized_step_flops(p, j):
 # network estimators
 # ---------------------------------------------------------------------------
 
-def _check_parameters(lam, c, delta):
-    """Refuse the parameters no estimator can run with (NaN included)."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
-    if not c >= 0:
-        raise ValueError(f"consensus step c must be >= 0, got {c}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+class _Estimator:
+    """An estimator's state, sized once, to the leading shape of its first chunk."""
 
+    _lead = None     # leading shape the state and temporaries are sized to
 
-class _NetworkBase:
-    """Shared plumbing: batched per-sensor arrays, (c/2) L, and the sizing
-    of the state and its temporaries to the data's leading shape."""
-
-    #: the state arrays `_start` sizes, each with no leading axes until then
-    _state = ("s", "b", "psi")
-
-    def __init__(self, topology, p, lam, c, delta):
-        _check_parameters(lam, c, delta)
+    def __init__(self, lam, c, delta):
+        """Refuse the parameters no estimator can run with (NaN included)."""
+        if not 0.0 < lam <= 1.0:
+            raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
+        if not c >= 0:
+            raise ValueError(f"consensus step c must be >= 0, got {c}")
+        if not delta > 0:
+            raise ValueError(f"delta must be positive, got {delta}")
         self.lam = lam
-        self.c = c
-        self.s = np.zeros((topology.J, p))
-        self.b = np.zeros((topology.J, p))
-        self.psi = np.zeros((topology.J, p))
-        self._half_cl = 0.5 * c * laplacian(topology)
-        # weight of the noise on the estimates heard in the estimate's right-hand side
-        self._eta_gain = 0.0
-        self._lead = None     # leading shape the state and temporaries are sized to
-
-    def step_inputs(self, h, x, eta=None, eta_bar=None):
-        """`advance`'s arguments from h, x and the link-noise sums of
-        ``SnapshotStream.draws`` (None on ideal links): h, h x, the
-        imbalance's drift (c/4) sum_k (eta_k - eta_flip(k)) and the noise
-        the estimate hears, both zero on ideal links."""
-        hx = h * x[..., None]
-        if eta is None:
-            zero = np.broadcast_to(0.0, hx.shape)
-            return h, hx, zero, zero
-        heard = 0.5 * eta_bar + self._eta_gain * eta[..., 0, :, :]
-        return h, hx, (0.25 * self.c) * eta[..., 1, :, :], heard
 
     def _start(self, h):
         """The trajectory of a chunk of regressors `h` (n, ..., J, p), row 0
-        holding the estimates before it. On the first chunk the state takes
-        on its leading shape and the temporaries are made."""
+        holding the estimates before it. The first chunk sizes the state
+        arrays `_state` to its leading shape and makes the temporaries; a
+        chunk of another leading shape is refused."""
         lead = h.shape[1:-2]
-        if lead != self._lead:
-            old = len(self._lead or ())
+        if self._lead is None:
             for name in self._state:
                 value = getattr(self, name)
-                setattr(self, name, np.broadcast_to(value, lead + value.shape[old:]).copy())
+                setattr(self, name, np.broadcast_to(value, lead + value.shape).copy())
             self._lead = lead
             self._make_buffers()
+        elif lead != self._lead:
+            raise ValueError(f"{type(self).__name__} is sized to leading shape "
+                             f"{self._lead}, got a chunk of leading shape {lead}")
         traj = np.empty((len(h) + 1,) + self.s.shape)
         traj[0] = self.s
         return traj
+
+    def _make_buffers(self):
+        """Make the temporaries, once the state is sized."""
 
     def _finish(self, traj):
         """`traj`, after keeping its last estimates as the state's own copy."""
         self.s[...] = traj[-1]
         return traj
+
+
+class _NetworkBase(_Estimator):
+    """Shared plumbing of the consensus recursions: (c/2) L and the link terms."""
+
+    #: the state arrays `_start` sizes, each with no leading axes until then
+    _state = ("s", "b", "psi")
+
+    def __init__(self, topology, p, lam, c, delta):
+        super().__init__(lam, c, delta)
+        self.c = c
+        self.s = np.zeros((topology.J, p))
+        self.b = np.zeros((topology.J, p))
+        self.psi = np.zeros((topology.J, p))
+        self._half_cl = 0.5 * c * laplacian(topology)
+
+    def _link_terms(self, h, eta, eta_bar):
+        """The imbalance's drift (c/4) sum_k (eta_k - eta_flip(k)) and the
+        heard (1/2) sum_k eta_bar_k; on ideal links (None), zeros of h's shape."""
+        if eta is None:
+            zero = np.broadcast_to(0.0, h.shape)
+            return zero, zero
+        return (0.25 * self.c) * eta[..., 1, :, :], 0.5 * eta_bar
 
 
 class DrlsState(_NetworkBase):
@@ -195,12 +198,13 @@ class DrlsState(_NetworkBase):
         self._ls = np.empty(self.s.shape)
         self._rhs = np.empty(self.s.shape)
 
-    def advance(self, h, hx, drift, heard):
-        """Step through a chunk of `step_inputs`; each step absorbs datum
-        t+1, then runs one consensus round from the time-t estimates."""
+    def advance(self, h, x, eta=None, eta_bar=None):
+        """Step through a chunk of data and link-noise sums; each step absorbs
+        datum t+1, then runs one consensus round from the time-t estimates."""
         traj = self._start(h)
+        drift, heard = self._link_terms(h, eta, eta_bar)
         pinv, psi, b, ls, rhs = self.pinv, self.psi, self.b, self._ls, self._rhs
-        for h_k, hx_k, drift_k, heard_k, s, s_next in zip(h, hx, drift, heard,
+        for h_k, hx_k, drift_k, heard_k, s, s_next in zip(h, h * x[..., None], drift, heard,
                                                           traj[:-1], traj[1:]):
             rls_kernel_step(pinv, psi, h_k, hx_k, self.lam, self._work)
             np.matmul(self._half_cl, s, out=ls)
@@ -225,7 +229,6 @@ class AdmomState(_NetworkBase):
 
     def __init__(self, topology, p, lam, c, delta):
         super().__init__(topology, p, lam, c, delta)
-        self._eta_gain = 0.5 * c
         self.phi = np.broadcast_to(np.eye(p) / delta, (topology.J, p, p)).copy()
         self._ridge = c * topology.degrees[:, None, None] * np.eye(p)
         self._c_deg = c * topology.degrees[:, None]
@@ -236,10 +239,13 @@ class AdmomState(_NetworkBase):
         self._ls = np.empty(self.s.shape)
         self._rhs = np.empty(self.s.shape)
 
-    def advance(self, h, hx, drift, heard):
+    def advance(self, h, x, eta=None, eta_bar=None):
         traj = self._start(h)
+        drift, heard = self._link_terms(h, eta, eta_bar)
+        if eta is not None:
+            heard = heard + (0.5 * self.c) * eta[..., 0, :, :]
         phi, psi, b, ls, rhs, outer = self.phi, self.psi, self.b, self._ls, self._rhs, self._outer
-        for h_k, hx_k, drift_k, heard_k, s, s_next in zip(h, hx, drift, heard,
+        for h_k, hx_k, drift_k, heard_k, s, s_next in zip(h, h * x[..., None], drift, heard,
                                                           traj[:-1], traj[1:]):
             np.multiply(h_k[..., :, None], h_k[..., None, :], out=outer)
             phi *= self.lam
@@ -268,44 +274,34 @@ class LocalRls(DrlsState):
         # the AMA step without neighbors: kernel update and estimate only
         self.step_flops = topology.J * ama_step_flops(p, 0)
 
-    def advance(self, h, hx, drift, heard):
+    def advance(self, h, x, eta=None, eta_bar=None):
         traj = self._start(h)
-        for h_k, hx_k, s_next in zip(h, hx, traj[1:]):
+        for h_k, hx_k, s_next in zip(h, h * x[..., None], traj[1:]):
             rls_kernel_step(self.pinv, self.psi, h_k, hx_k, self.lam, self._work)
             np.einsum(_MATVEC, self.pinv, self.psi, out=s_next)
         return self._finish(traj)
 
 
-class CentralizedRls:
-    """All data pooled each step; the consensus benchmark trajectory."""
+class CentralizedRls(_Estimator):
+    """All data pooled each step; the consensus benchmark trajectory. Every
+    sensor holds the common estimate, so `s` repeats it along the sensor axis."""
+
+    _state = ("phi", "psi_c", "s")
 
     def __init__(self, topology, p, lam, c, delta):
-        _check_parameters(lam, c, delta)
-        self.topology = topology
-        self.p = p
-        self.lam = lam
+        super().__init__(lam, c, delta)
         self.phi = (topology.J / delta) * np.eye(p)
         self.psi_c = np.zeros(p)
-        self.s_c = np.zeros(p)
+        self.s = np.zeros((topology.J, p))
         self.step_flops = centralized_step_flops(p, topology.J)
 
-    @property
-    def s(self):
-        j_p = (self.topology.J, self.p)
-        return np.broadcast_to(self.s_c[..., None, :], self.s_c.shape[:-1] + j_p)
-
-    def step_inputs(self, h, x, eta=None, eta_bar=None):
-        return h, x
-
-    def advance(self, h, x):
-        """Step through a chunk of pooled data; returns the trajectory of
-        the common estimate, held at every sensor."""
-        traj = np.empty((len(h) + 1,) + h.shape[1:])
-        traj[0] = self.s
+    def advance(self, h, x, eta=None, eta_bar=None):
+        """Step through a chunk of pooled data, which the links do not touch;
+        returns the trajectory of the common estimate, held at every sensor."""
+        traj = self._start(h)
         for h_k, x_k, s_next in zip(h, x, traj[1:]):
             h_t = np.swapaxes(h_k, -1, -2)
             self.phi = self.lam * self.phi + h_t @ h_k
             self.psi_c = self.lam * self.psi_c + (h_t @ x_k[..., None])[..., 0]
-            self.s_c = np.linalg.solve(self.phi, self.psi_c[..., None])[..., 0]
-            s_next[...] = self.s
-        return traj
+            s_next[...] = np.linalg.solve(self.phi, self.psi_c[..., None])[..., None, :, 0]
+        return self._finish(traj)

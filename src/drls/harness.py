@@ -7,11 +7,11 @@ the algorithm and its parameters, and the ensemble size; everything a run
 consumes is derived deterministically from ``master_seed``, so the same
 config byte-reproduces the same CSV outputs. All runs of an ensemble step
 through one time loop along a leading runs axis, a draw chunk at a time:
-the estimator does the chunk's data-only work (``step_inputs``) once and
-steps through the chunk in one ``advance`` call, whose trajectory the
-chunk's metrics are taken from. Each run keeps its own seeded streams and
-metrics are reduced in run order, so the results are those of running
-every run on its own, and the draw budget changes no byte.
+the estimator steps through each chunk of the stream's draws, as drawn, in
+one ``advance`` call, whose trajectory the chunk's metrics are taken from.
+Each run keeps its own seeded streams and metrics are reduced in run order,
+so the results are those of running every run on its own, and the draw
+budget changes no byte.
 A config is checked once, when it is built, so functions use it as given.
 
 Recognized keys (defaults in parentheses):
@@ -314,7 +314,7 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
         for h, x, eta, eta_bar in stream.chunks(t_total):
             n = len(h)
             # estimates before each step of the chunk and after its last
-            traj = state.advance(*state.step_inputs(h, x, eta, eta_bar))
+            traj = state.advance(h, x, eta, eta_bar)
             error = traj - model.s0
             per_run = np.empty((3,) + x.shape)   # msd, emse, mse of each (step, run, sensor)
             np.einsum("...ja,...ja->...j", error[1:], error[1:], out=per_run[0])

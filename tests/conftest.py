@@ -255,7 +255,7 @@ def _advance_one(state, h, x, eta=None, eta_bar=None):
     """`state` after one step on datum (h, x) and its per-sensor link-noise
     sums (None on ideal links), taken as a one-step chunk of ``advance``."""
     chunk = (None if v is None else np.asarray(v)[None] for v in (h, x, eta, eta_bar))
-    state.advance(*state.step_inputs(*chunk))
+    state.advance(*chunk)
     return state
 
 

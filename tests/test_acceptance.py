@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from drls.analysis import (
     build_averaged_system,
@@ -545,7 +546,7 @@ def test_zero_coupling_equals_isolated_rls(advance_one):
         x = rng.standard_normal(6)
         advance_one(net, h, x)
         advance_one(solo, h, x)
-        assert np.abs(net.s - solo.s).max() <= 1e-12
+        assert_array_equal(net.s, solo.s)
 
 
 # ---------------------------------------------------------------------------

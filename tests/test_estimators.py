@@ -123,7 +123,7 @@ def test_centralized_state_matches_pooled_ewlse(ewlse_centralized, advance_one):
     for t in range(1, 6):
         advance_one(state, hs[t - 1], xs[t - 1])
         batch = ewlse_centralized(hs[:t], xs[:t], lam, phi0=lam * top.J / delta)
-        assert_allclose(state.s_c, batch, atol=1e-10)
+        assert_allclose(state.s[0], batch, atol=1e-10)
         assert state.s.shape == (3, 2)
         assert_allclose(state.s[0], state.s[2])
 
@@ -272,6 +272,7 @@ def test_per_sensor_recursion_holds_the_per_link_one_on_ar_data(fold_link_noise,
     assert _relative_gap(advance_one, state, top, fold_link_noise, steps, expected) <= 1e-10
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("state_cls", [DrlsState, AdmomState, LocalRls, CentralizedRls])
 def test_a_batch_of_runs_steps_each_run_alone(state_cls, fold_link_noise, advance_one):
     """With a leading runs axis every run gets the bits of its own recursion."""
@@ -288,6 +289,7 @@ def test_a_batch_of_runs_steps_each_run_alone(state_cls, fold_link_noise, advanc
         assert_array_equal(batch.s[r], state.s)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("sigma2_eta", [0.0, 0.1])
 @pytest.mark.parametrize("runs", [None, 3])
@@ -301,11 +303,10 @@ def test_advance_over_a_chunk_is_its_one_step_chunks_bit_for_bit(algorithm, sigm
     if runs is None:
         draws = tuple(None if d is None else d[:, 0] for d in draws)
     whole, stepped = (ALGORITHMS[algorithm](top, 3, 0.95, 0.2, 10.0) for _ in range(2))
-    traj = whole.advance(*whole.step_inputs(*draws))
+    traj = whole.advance(*draws)
     rows = [np.broadcast_to(stepped.s, traj.shape[1:]).copy()]
     for k in range(12):
-        one = stepped.advance(*stepped.step_inputs(*(None if d is None else d[k:k + 1]
-                                                     for d in draws)))
+        one = stepped.advance(*(None if d is None else d[k:k + 1] for d in draws))
         assert_array_equal(one[0], rows[-1])
         rows.append(one[1])
     assert_array_equal(traj, np.stack(rows))
@@ -315,6 +316,26 @@ def test_advance_over_a_chunk_is_its_one_step_chunks_bit_for_bit(algorithm, sigm
     kept = whole.s.copy()
     traj[...] = np.nan
     assert_array_equal(whole.s, kept)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_a_state_is_sized_once_and_refuses_a_chunk_of_another_leading_shape(algorithm):
+    """The first chunk fixes the state's leading shape. A chunk of another
+    is refused by name before it touches the state: a bare state is not
+    re-broadcast into a batch of runs, nor a batch cut to fewer runs."""
+    top = random_geometric(6, 0.7, seed=2)
+    model = iid_scenario(top.J, 3, seed=3, sigma2_eta=0.1)
+    draws = SnapshotStream(model, top, [[5, r] for r in range(3)]).draws(2)
+    name = ALGORITHMS[algorithm].__name__
+    for first, then, sized, got in [(0, slice(None), r"\(\)", r"\(3,\)"),
+                                     (slice(None), slice(0, 2), r"\(3,\)", r"\(2,\)")]:
+        state = ALGORITHMS[algorithm](top, 3, 0.95, 0.2, 10.0)
+        state.advance(*(d[:, first] for d in draws))
+        kept = state.s.copy()
+        with pytest.raises(ValueError, match=rf"{name} is sized to leading shape {sized}, "
+                                             rf"got a chunk of leading shape {got}"):
+            state.advance(*(d[:, then] for d in draws))
+        assert_array_equal(state.s, kept)
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -359,7 +380,7 @@ def test_zero_consensus_step_reduces_to_local_rls(advance_one):
         x = rng.standard_normal(4)
         advance_one(net, h, x)
         advance_one(solo, h, x)
-        assert np.abs(net.s - solo.s).max() <= 1e-12
+        assert_array_equal(net.s, solo.s)
 
 
 def test_single_sensor_network_equals_centralized(advance_one):

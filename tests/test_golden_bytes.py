@@ -15,6 +15,8 @@ import pytest
 
 from drls.cli import main
 
+pytestmark = pytest.mark.bitwise
+
 BASE = """
 topology.j = 6
 topology.radius = 0.7

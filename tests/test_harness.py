@@ -247,6 +247,7 @@ def test_ensemble_seed_changes_results():
     assert not np.array_equal(a.series.msd, b.series.msd)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("scenario_kind, p", [("iid", 2), ("ar", None), ("iid", 3)])
 def test_draw_chunk_does_not_change_the_bytes(tmp_path, monkeypatch, scenario_kind, p):
     """One step per draw chunk writes the same CSVs, deviations and final
@@ -288,6 +289,7 @@ def test_each_chunk_is_freed_before_the_next_is_drawn(monkeypatch):
     assert len(previous) == 4 and len(calls) > 1
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_each_run_is_independent_of_its_block(algorithm):
     """Run r of a larger ensemble follows exactly the run it is on its own."""

@@ -180,6 +180,7 @@ def test_ar_scenario_profile():
                                                           model.ar_sigma2_omega, 4))
 
 
+@pytest.mark.bitwise
 def test_stream_determinism_and_seed_sensitivity():
     """Each run's draws follow from its own seed, whatever block it is in."""
     top = random_geometric(4, 0.9, seed=0)
@@ -195,6 +196,7 @@ def test_stream_determinism_and_seed_sensitivity():
         assert not np.allclose(a[0], c[0])
 
 
+@pytest.mark.bitwise
 def test_draws_do_not_depend_on_the_chunking(monkeypatch):
     monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", 1)   # one step per chunk
     top = random_geometric(5, 0.8, seed=2)
@@ -296,6 +298,7 @@ def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise, dir
                 assert_allclose(got, folded, rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.bitwise
 def test_link_sums_do_not_depend_on_the_block():
     """A run's sums are the bits it gets alone, wherever it sits in a large block."""
     top = random_geometric(8, 0.6, seed=4)
