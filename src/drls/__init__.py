@@ -37,7 +37,6 @@ from .estimators import (
     AdmomState,
     CentralizedRls,
     DrlsState,
-    LocalRls,
     admom_step_flops,
     ama_step_flops,
     rls_kernel_step,

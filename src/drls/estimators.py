@@ -7,12 +7,13 @@ matrix after n steps is sum_{tau=1..n} lam^(n-tau) h h^T + lam^n/delta I,
 realized by initializing the inverse at delta*I before any datum arrives.
 
 * ``CentralizedRls`` pools every sensor's datum each step (the benchmark
-  the distributed schemes try to match).
-* ``LocalRls`` runs an isolated RLS per sensor (no cooperation).
+  the distributed schemes try to match); it reads neither c nor the links.
 * ``DrlsState`` is the single-time-scale distributed RLS: per step each
   sensor absorbs its new datum through a rank-one inverse update, then
   runs one consensus round on the (possibly noise-corrupted) estimates its
   neighbors broadcast, and re-solves for its estimate. O(p^2) per sensor.
+  At c = 0 on ideal links it is an isolated RLS per sensor, the
+  no-cooperation baseline.
 * ``AdmomState`` is the augmented-Lagrangian variant: the estimate update
   solves a dense p x p system whose matrix carries an extra c*deg_j*I
   term, O(p^3) per sensor per step.
@@ -262,23 +263,6 @@ class AdmomState(_NetworkBase):
             rhs -= b
             rhs += heard_k
             s_next[...] = np.linalg.solve(phi + self._ridge, rhs[..., None])[..., 0]
-        return self._finish(traj)
-
-
-class LocalRls(DrlsState):
-    """Isolated per-sensor RLS (the no-cooperation baseline): the kernel of
-    ``DrlsState`` with no exchange, whatever the links carry."""
-
-    def __init__(self, topology, p, lam, c, delta):
-        super().__init__(topology, p, lam, c, delta)
-        # the AMA step without neighbors: kernel update and estimate only
-        self.step_flops = topology.J * ama_step_flops(p, 0)
-
-    def advance(self, h, x, eta=None, eta_bar=None):
-        traj = self._start(h)
-        for h_k, hx_k, s_next in zip(h, h * x[..., None], traj[1:]):
-            rls_kernel_step(self.pinv, self.psi, h_k, hx_k, self.lam, self._work)
-            np.einsum(_MATVEC, self.pinv, self.psi, out=s_next)
         return self._finish(traj)
 
 

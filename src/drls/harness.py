@@ -24,12 +24,12 @@ topology.path      edge-list file, edgelist only
 scenario.kind      iid | ar (iid)
 scenario.p         regressor length >= 1, iid only; ar is fixed at 4 (2)
 scenario.seed      spatial-profile seed (master_seed)
-scenario.sigma2_eta link-noise variance at every receiver; 0 = ideal links (0.1)
+scenario.sigma2_eta link-noise variance at every receiver, 0 = ideal links; not the baselines' (0.1)
 scenario.rh_scale  positive scale of the identity regressor covariance, iid only (1.0)
 scenario.eps_scale multiplies the drawn observation-noise profile, >= 0 (1.0)
-algorithm          drls_ama | drls_admom | local_rls | centralized (drls_ama)
+algorithm          drls_ama | drls_admom | local_rls (D-RLS at c = 0) | centralized (drls_ama)
 lambda             forgetting factor in (0, 1] (0.95)
-c                  consensus step size (0.1)
+c                  consensus step size; the baselines ignore it (0.1)
 delta              inverse-data-matrix init scale (100.0)
 T                  samples per run (2000)
 runs               Monte Carlo runs (100)
@@ -52,16 +52,20 @@ from .analysis import (
     write_metrics_csv,
 )
 from .errors import ConfigError, RunFailure
-from .estimators import AdmomState, CentralizedRls, DrlsState, LocalRls
+from .estimators import AdmomState, CentralizedRls, DrlsState
 from .signals import SnapshotStream, ar_scenario, iid_scenario
 from .topology import content_lines, random_geometric, read_edge_list, read_text
 
+#: each algorithm's estimator, built from (topology, p, lam, c, delta)
 ALGORITHMS = {
     "drls_ama": DrlsState,
     "drls_admom": AdmomState,
-    "local_rls": LocalRls,
+    # no cooperation: D-RLS with the consensus step switched off
+    "local_rls": lambda topology, p, lam, c, delta: DrlsState(topology, p, lam, 0.0, delta),
     "centralized": CentralizedRls,
 }
+#: the baselines exchange nothing over the links, so they run on ideal ones
+_BASELINES = ("local_rls", "centralized")
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +297,18 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     the chunk's metrics are taken from the trajectory it returns. Run
     r draws from streams seeded with (master_seed, r) and metrics are summed
     over runs in run order, so each run's results are those it gives on its
-    own. Any run whose estimate or metrics lose finiteness aborts the
-    ensemble with RunFailure naming the step, the lowest such run, its first
-    non-finite sensor and what went non-finite there.
+    own. The baselines read no link noise, so their streams draw none. Any
+    run whose estimate or metrics lose finiteness aborts the ensemble with
+    RunFailure naming the step, the lowest such run, its first non-finite
+    sensor and what went non-finite there.
     """
     if topology is None:
         topology = build_topology(config)
     if model is None:
         model = build_model(config, topology)
 
+    if config.algorithm in _BASELINES:
+        model = replace(model, sigma2_eta=np.zeros(model.J))
     runs, t_total = config.runs, config.t_samples
     stream = SnapshotStream(model, topology, [[config.master_seed, r] for r in range(runs)])
     state = ALGORITHMS[config.algorithm](topology, model.p, config.lam, config.c, config.delta)

@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
 
 from drls.analysis import (
     build_averaged_system,
@@ -30,7 +29,6 @@ from drls.errors import RunFailure
 from drls.estimators import (
     CentralizedRls,
     DrlsState,
-    LocalRls,
     admom_step_flops,
     ama_step_flops,
     rls_kernel_step,
@@ -140,7 +138,7 @@ def test_batch_consensus_tracks_the_pooled_estimator(ewlse_centralized, frozen_c
     model = iid_scenario(5, p, seed=50, sigma2_eta=0.0)
     hs, xs, _, _ = SnapshotStream(model, top, [50]).draws(horizon)
     hs, xs = hs[:, 0], xs[:, 0]
-    local = LocalRls(top, p, lam, 0.0, delta)
+    local = DrlsState(top, p, lam, 0.0, delta)
     for h, x in zip(hs, xs):
         advance_one(local, h, x)
     pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
@@ -536,17 +534,20 @@ def test_single_sensor_equals_pooled_weighted_ls(ewlse_centralized, advance_one)
         assert np.abs(state.s - central.s).max() < 1e-10
 
 
-def test_zero_coupling_equals_isolated_rls(advance_one):
+def test_zero_coupling_equals_isolated_rls(ewlse_centralized, advance_one):
+    """At c = 0 on ideal links each sensor solves its own weighted LS
+    problem: the no-cooperation baseline that local_rls runs."""
     top = random_geometric(6, 0.7, seed=12)
-    net = DrlsState(top, 3, lam=0.95, c=0.0, delta=100.0)
-    solo = LocalRls(top, 3, lam=0.95, c=0.0, delta=100.0)
+    lam, delta = 0.95, 100.0
+    net = DrlsState(top, 3, lam, c=0.0, delta=delta)
     rng = np.random.default_rng(12)
-    for _ in range(200):
-        h = rng.standard_normal((6, 3))
-        x = rng.standard_normal(6)
+    hs, xs = rng.standard_normal((200, 6, 3)), rng.standard_normal((200, 6))
+    for t, (h, x) in enumerate(zip(hs, xs)):
         advance_one(net, h, x)
-        advance_one(solo, h, x)
-        assert_array_equal(net.s, solo.s)
+        for j in range(top.J):
+            alone = ewlse_centralized(hs[:t + 1, j:j + 1], xs[:t + 1, j:j + 1], lam,
+                                      phi0=lam / delta)
+            assert np.abs(net.s[j] - alone).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------

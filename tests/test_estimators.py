@@ -6,7 +6,6 @@ from drls.estimators import (
     AdmomState,
     CentralizedRls,
     DrlsState,
-    LocalRls,
     admom_step_flops,
     ama_step_flops,
     centralized_step_flops,
@@ -26,10 +25,9 @@ K5_EDGES = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 def test_kernel_init_oracle():
     """A fresh kernel holds pinv = delta * I (no data absorbed yet), psi = 0."""
     top = from_edges(2, [(0, 1)])
-    for state_cls in (DrlsState, LocalRls):
-        state = state_cls(top, 2, lam=0.95, c=0.1, delta=100.0)
-        assert_allclose(state.pinv, np.broadcast_to(100.0 * np.eye(2), (2, 2, 2)))
-        assert_allclose(state.psi, 0.0)
+    state = DrlsState(top, 2, lam=0.95, c=0.1, delta=100.0)
+    assert_allclose(state.pinv, np.broadcast_to(100.0 * np.eye(2), (2, 2, 2)))
+    assert_allclose(state.psi, 0.0)
 
 
 def test_kernel_single_step_scalar_oracle():
@@ -273,7 +271,7 @@ def test_per_sensor_recursion_holds_the_per_link_one_on_ar_data(fold_link_noise,
 
 
 @pytest.mark.bitwise
-@pytest.mark.parametrize("state_cls", [DrlsState, AdmomState, LocalRls, CentralizedRls])
+@pytest.mark.parametrize("state_cls", [DrlsState, AdmomState, CentralizedRls])
 def test_a_batch_of_runs_steps_each_run_alone(state_cls, fold_link_noise, advance_one):
     """With a leading runs axis every run gets the bits of its own recursion."""
     top = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -326,22 +324,23 @@ def test_a_state_is_sized_once_and_refuses_a_chunk_of_another_leading_shape(algo
     top = random_geometric(6, 0.7, seed=2)
     model = iid_scenario(top.J, 3, seed=3, sigma2_eta=0.1)
     draws = SnapshotStream(model, top, [[5, r] for r in range(3)]).draws(2)
-    name = ALGORITHMS[algorithm].__name__
     for first, then, sized, got in [(0, slice(None), r"\(\)", r"\(3,\)"),
                                      (slice(None), slice(0, 2), r"\(3,\)", r"\(2,\)")]:
         state = ALGORITHMS[algorithm](top, 3, 0.95, 0.2, 10.0)
         state.advance(*(d[:, first] for d in draws))
-        kept = state.s.copy()
+        kept, name = state.s.copy(), type(state).__name__
         with pytest.raises(ValueError, match=rf"{name} is sized to leading shape {sized}, "
                                              rf"got a chunk of leading shape {got}"):
             state.advance(*(d[:, then] for d in draws))
         assert_array_equal(state.s, kept)
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-@pytest.mark.parametrize("name, value", [
-    ("lam", 0.0), ("lam", 1.5), ("lam", np.nan), ("delta", 0.0), ("delta", -1.0),
-    ("delta", np.nan), ("c", -1.0), ("c", np.nan),
+# local_rls is D-RLS at c = 0, whatever c is given, so it has no c to refuse
+@pytest.mark.parametrize("name, value, algorithm", [
+    (name, value, algorithm) for algorithm in sorted(ALGORITHMS) for name, value in [
+        ("lam", 0.0), ("lam", 1.5), ("lam", np.nan), ("delta", 0.0), ("delta", -1.0),
+        ("delta", np.nan), ("c", -1.0), ("c", np.nan),
+    ] if not (name == "c" and algorithm == "local_rls")
 ])
 def test_every_estimator_refuses_bad_parameters(algorithm, name, value):
     reason = {"lam": "forgetting factor", "c": "consensus step c",
@@ -367,20 +366,6 @@ def test_multiplier_antisymmetry_drifts_under_noise(directed_links):
     links = directed_links(top)
     _, v = _reference_ama(top, links, 2, 0.95, 0.2, 100.0, _noisy_steps(top, 2, 5, seed=8))
     assert np.abs(v + v[_reverse_links(links)]).max() > 1e-6
-
-
-def test_zero_consensus_step_reduces_to_local_rls(advance_one):
-    """c=0 with ideal links must follow the exact same arithmetic path."""
-    top = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    net = DrlsState(top, 3, lam=0.9, c=0.0, delta=100.0)
-    solo = LocalRls(top, 3, lam=0.9, c=0.0, delta=100.0)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        h = rng.standard_normal((4, 3))
-        x = rng.standard_normal(4)
-        advance_one(net, h, x)
-        advance_one(solo, h, x)
-        assert_array_equal(net.s, solo.s)
 
 
 def test_single_sensor_network_equals_centralized(advance_one):
@@ -421,7 +406,7 @@ def test_batch_consensus_reaches_the_pooled_solution(ewlse_centralized, frozen_c
     model = iid_scenario(top.J, p, seed=4, sigma2_eta=0.0)
     hs, xs, _, _ = SnapshotStream(model, top, [4]).draws(10)
     hs, xs = hs[:, 0], xs[:, 0]
-    local = LocalRls(top, p, lam, 0.0, delta)
+    local = DrlsState(top, p, lam, 0.0, delta)
     for h, x in zip(hs, xs):
         advance_one(local, h, x)
     pooled = ewlse_centralized(hs, xs, lam, phi0=lam * top.J / delta)
@@ -458,12 +443,9 @@ def test_flop_model_counts_the_per_sensor_recursion():
 
 
 def test_baseline_flop_totals():
-    """Isolated RLS does the AMA work without neighbors; the pooled
-    estimator is charged its fusion-center count."""
+    """The pooled estimator is charged its fusion-center count."""
     top = from_edges(3, [(0, 1), (1, 2)])
-    local = LocalRls(top, 2, lam=0.9, c=0.1, delta=10.0)
     central = CentralizedRls(top, 2, lam=0.9, c=0.1, delta=10.0)
-    assert local.step_flops == 3 * ama_step_flops(2, 0)
     assert central.step_flops == centralized_step_flops(2, 3)
 
 

@@ -298,6 +298,25 @@ def test_each_run_is_independent_of_its_block(algorithm):
     assert_array_equal(block.network_deviation[:1], alone.network_deviation)
 
 
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_only_the_consensus_recursions_draw_link_noise(monkeypatch, algorithm):
+    """On noisy links the baselines exchange nothing, so their streams draw
+    no link noise; the consensus recursions get it with every chunk."""
+    ideal = []
+
+    class Recorded(signals.SnapshotStream):
+        def draws(self, n):
+            out = super().draws(n)
+            ideal.append(out[2] is None and out[3] is None)
+            return out
+
+    monkeypatch.setattr(harness, "SnapshotStream", Recorded)
+    monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", 4000)
+    run_ensemble(_small_config(algorithm=algorithm, scenario_sigma2_eta=0.1))
+    assert len(ideal) > 1
+    assert set(ideal) == {algorithm in ("local_rls", "centralized")}
+
+
 def test_ensemble_metric_shapes_and_deviation():
     config = _small_config(t_samples=30, runs=2)
     result = run_ensemble(config, collect_deviation=True)
