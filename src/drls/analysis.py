@@ -575,7 +575,7 @@ def steady_state_solve(system, noise):
             if not np.isfinite(total_norm):
                 raise DivergenceError(
                     f"doubling solve lost finiteness after {squarings} squarings "
-                    f"(spectral radius {rho:.6f})"
+                    f"(spectral radius {rho:.6f})", squarings, rho
                 )
             if np.linalg.norm(added) <= np.finfo(np.float64).eps * total_norm:
                 break
@@ -583,7 +583,7 @@ def steady_state_solve(system, noise):
         else:
             raise DivergenceError(
                 f"doubling solve did not converge in {DOUBLING_MAX_SQUARINGS} "
-                f"squarings (spectral radius {rho:.6f})"
+                f"squarings (spectral radius {rho:.6f})", DOUBLING_MAX_SQUARINGS, rho
             )
         cross = u1 @ x @ r
         r_y1 = u1 @ (q + s) @ u1.T + data + cross + cross.T

@@ -34,8 +34,20 @@ class StabilityError(Exception):
 
 
 class DivergenceError(Exception):
-    """An iteration grew without bound instead of converging."""
+    """An iteration grew without bound instead of converging: the doubling
+    solve gave up after `squarings` squarings at spectral radius `rho`."""
+
+    def __init__(self, message, squarings, rho):
+        super().__init__(message)
+        self.squarings, self.rho = squarings, rho
 
 
 class RunFailure(Exception):
-    """A Monte Carlo run produced non-finite state."""
+    """A Monte Carlo run produced non-finite state: run `run` first lost
+    finiteness at step `step` (from 1), at sensor `sensor`, in `quantity`
+    ('estimate', 'MSD', 'EMSE' or 'MSE')."""
+
+    def __init__(self, run, step, sensor, quantity):
+        super().__init__(f"run {run} produced a non-finite {quantity} at step {step}, "
+                         f"first at sensor {sensor}: the recursion diverged")
+        self.run, self.step, self.sensor, self.quantity = run, step, sensor, quantity

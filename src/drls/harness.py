@@ -281,12 +281,8 @@ def _refuse_non_finite(traj, per_run, start):
     np.isfinite(traj[1:]).all(axis=-1, out=finite[..., 0])
     np.isfinite(per_run, out=np.moveaxis(finite[..., 1:], -1, 0))
     if not finite.all():
-        step, run, sensor, what = np.argwhere(~finite)[0]
-        raise RunFailure(
-            f"run {run} produced a non-finite "
-            f"{('estimate', 'MSD', 'EMSE', 'MSE')[what]} at step "
-            f"{start + step + 1}, first at sensor {sensor}: the recursion diverged"
-        )
+        step, run, sensor, what = np.argwhere(~finite)[0].tolist()
+        raise RunFailure(run, start + step + 1, sensor, ('estimate', 'MSD', 'EMSE', 'MSE')[what])
 
 
 def run_ensemble(config, topology=None, model=None, collect_deviation=False):

@@ -11,12 +11,12 @@ driving noise of variance sigma2_omega_j, and R_hj must be its exact
 stationary (Toeplitz) covariance, so the analysis reads the drawn process.
 
 Inter-sensor links add receiver-side noise with per-receiver covariance
-sigma2_eta_j I_p, applied to both the estimate and the multiplier exchange
-(independent draws). Streams are deterministic per seed and keep one child
-generator per noise kind, scaled per sensor after the unit-variance draws,
-so changing one sensor's noise level or disabling a noise source perturbs
-no other draw. Link noise is summed per sensor over its links as it is drawn. Steps
-are drawn a chunk at a time; neither the byte budget nor the block of runs changes a byte.
+sigma2_eta_j I_p on the estimate exchange, drawn per link and summed per sensor,
+and on the multiplier exchange, drawn as each sensor's sum from its law (independent
+draws). Streams are deterministic per seed and keep one child generator per noise
+kind, scaled per sensor after the unit-variance draws, so changing one sensor's
+noise level or disabling a noise source perturbs no other draw. Steps are drawn a
+chunk at a time; neither the byte budget nor the block of runs changes a byte.
 """
 
 from dataclasses import dataclass
@@ -200,8 +200,8 @@ def ar_scenario(j, seed, sigma2_eta=0.1):
     )
 
 
-#: bytes of one draw array (regressors or one link-noise kind) per chunk:
-#: bounds the draw buffers and changes no draw
+#: bytes of one draw array per chunk, the widest being the per-link eta on
+#: noisy links: bounds the draw buffers and changes no draw
 DRAW_CHUNK_BYTES = 128 * 1024
 
 # each run's child generators, in spawn order
@@ -234,8 +234,8 @@ class SnapshotStream:
         owner, peer = np.nonzero(topology.adjacency)
         sensors = np.arange(model.J)[:, None]
         heard = (owner == sensors) * np.sqrt(model.sigma2_eta)[:, None]
-        # (2J, D): the first J rows also fold eta_bar
         self._mix = np.concatenate([heard, heard - (peer == sensors) * heard.sum(0)])
+        self._sigma_eta_bar = np.sqrt(topology.degrees * model.sigma2_eta)[:, None]
 
         self._sigma_eps = np.sqrt(model.sigma2_eps)
         if model.ar_rho is None:
@@ -251,8 +251,8 @@ class SnapshotStream:
 
     def _chunks(self, total):
         """Step counts covering `total` steps, DRAW_CHUNK_BYTES per draw array."""
-        row = 8 * self.runs * self.model.p * max(self.model.J, self._mix.shape[1])
-        size = max(1, DRAW_CHUNK_BYTES // row)
+        widest = max(self.model.J, self._link_noise_active * self._mix.shape[1])
+        size = max(1, DRAW_CHUNK_BYTES // (8 * self.runs * self.model.p * widest))
         for start in range(0, total, size):
             yield min(size, total - start)
 
@@ -296,9 +296,9 @@ class SnapshotStream:
         and the receiver noise summed over each sensor's links k, or None on
         ideal links: eta (n, runs, 2, J, p) holds sum_k eta_k and sum_k (eta_k -
         eta_flip(k)), what the sensor hears less the noise on its broadcasts,
-        and eta_bar (n, runs, J, p) sum_k eta_bar_k. Link k is the k-th
-        directed link (owner, peer) of ``np.nonzero(adjacency)``, what the
-        owner hears of the peer; flip(k) is its reverse.
+        and eta_bar (n, runs, J, p) sum_k eta_bar_k, each sensor's sum, drawn
+        from its law. Link k is the k-th directed link (owner, peer) of
+        ``np.nonzero(adjacency)``, what the owner hears of the peer; flip(k) is its reverse.
         """
         m = self.model
         h = self._regressors(n)
@@ -306,11 +306,11 @@ class SnapshotStream:
         if not self._link_noise_active:
             return h, x, None, None
         # one product of one shape per run-step: no sum depends on the block or the chunk
-        eta, eta_bar = (np.matmul(mix, self._per_run(kind, (n, self._mix.shape[1], m.p)))
-                        for kind, mix in ((_ETA, self._mix), (_ETA_BAR, self._mix[:m.J])))
+        eta = np.matmul(self._mix, self._per_run(_ETA, (n, self._mix.shape[1], m.p)))
+        eta_bar = self._per_run(_ETA_BAR, (n, m.J, m.p))
+        eta_bar *= self._sigma_eta_bar
         return h, x, eta.reshape(n, self.runs, 2, m.J, m.p), eta_bar
 
     def chunks(self, total):
         """Yield the `draws` of the next `total` steps, one chunk at a time."""
-        for n in self._chunks(total):
-            yield self.draws(n)
+        yield from map(self.draws, self._chunks(total))

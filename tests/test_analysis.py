@@ -363,8 +363,9 @@ def test_steady_state_raises_when_doubling_does_not_converge(monkeypatch):
     noise = noise_covariances(system, model)
     slow = _with_core(system, 0.99 * np.eye(2))
     monkeypatch.setattr(analysis, "DOUBLING_MAX_SQUARINGS", 2)
-    with pytest.raises(DivergenceError, match="did not converge in 2 squarings"):
+    with pytest.raises(DivergenceError, match="did not converge in 2 squarings") as info:
         steady_state_solve(slow, noise)
+    assert (info.value.squarings, info.value.rho) == (2, check_mse_stability(slow).rho)
 
 
 def test_steady_state_raises_on_non_finite_covariance():
@@ -374,8 +375,9 @@ def test_steady_state_raises_on_non_finite_covariance():
     noise = noise_covariances(system, model)
     core = np.zeros((2, 2))
     core[0, 1] = 1e200
-    with pytest.raises(DivergenceError, match="lost finiteness after 0 squarings"):
+    with pytest.raises(DivergenceError, match="lost finiteness after 0 squarings") as info:
         steady_state_solve(_with_core(system, core), noise)
+    assert (info.value.squarings, info.value.rho) == (0, check_mse_stability(system).rho)
 
 
 def test_link_noise_raises_the_prediction():

@@ -31,13 +31,13 @@ master_seed = 5
 CASES = {
     "iid-p1-links-on-drls_ama": (
         "simulate", "scenario.p = 1\nalgorithm = drls_ama\n", {
-            "global.csv": "5a26ee09908a3cef4f451e44a47ea415c92fa065e6ef9f6444055e107416c802",
-            "per_sensor.csv": "a6e4d68693adc69417c51dac31f4b9301274443ba33acb3a3b6f7dcd72b1eb97",
+            "global.csv": "2e9fa41ad899fc8ef1a323e8a49250a1d52e4279f83e6c4b231f46235f25ca5d",
+            "per_sensor.csv": "93475f0edde77f23d7782a3e06badc9f629428a58cb738d6ae76e255330784cb",
         }),
     "iid-p5-links-on-drls_ama": (
         "simulate", "scenario.p = 5\nalgorithm = drls_ama\n", {
-            "global.csv": "c472483524c8ef84dc4bfd85de2828bcfec6bd5d0a738db4f8e200e4cab6d478",
-            "per_sensor.csv": "92faac108d69be0db422db2b507d88373f75544d91ca284e4edc6ed98bf8f18a",
+            "global.csv": "8950dc2fb0138e2e40f5bddcd8b40d9c3786c4c5480739381a5f342d42624402",
+            "per_sensor.csv": "a7e0efaa00f80eb9b876f87a6946b9d343384d1e4f8c793433e50161fdc7f433",
         }),
     "iid-p5-links-off-local_rls": (
         "simulate", "scenario.p = 5\nalgorithm = local_rls\nscenario.sigma2_eta = 0\n", {
@@ -46,8 +46,8 @@ CASES = {
         }),
     "ar-links-on-drls_ama": (
         "simulate", "scenario.kind = ar\nalgorithm = drls_ama\n", {
-            "global.csv": "171f77dc256e5665d8115209fcf3901caa7599fdce94da2990c841a5970f9ddd",
-            "per_sensor.csv": "67e8df702971600e26c4106271b5350c5f30f1793a5b98e97255c728a19242fc",
+            "global.csv": "869a95e0ef24b968a614e4012b4e893f8dbb6cc51c981ba5a133e48d4863520c",
+            "per_sensor.csv": "7c60d152beb09c16e731537d0c0759946c8743745a818c063f2862601b3eab70",
         }),
     "ar-links-off-drls_ama": (
         "simulate", "scenario.kind = ar\nalgorithm = drls_ama\nscenario.sigma2_eta = 0\n", {
@@ -61,8 +61,8 @@ CASES = {
         }),
     "iid-p2-links-on-drls_admom": (
         "simulate", "scenario.p = 2\nalgorithm = drls_admom\n", {
-            "global.csv": "e4d7989fd136427b00c93a73e2ef243f3d8165dad8d06e10199bc729dd227a3a",
-            "per_sensor.csv": "20b9e075e7f0ea6e68fae946cec4be113e8c629eedc54582abe10766f97e19c1",
+            "global.csv": "3c03858cb0c896723810a2cf6aecbe8ea51a67dccb99ef5c104e4dfe247ebaa9",
+            "per_sensor.csv": "7755446cad9077b6954b9ba40bca720efa4ec84162c30fb170ee6bf571ff22b6",
         }),
     "ar-links-on-centralized": (
         "simulate", "scenario.kind = ar\nalgorithm = centralized\n", {
@@ -87,8 +87,8 @@ CASES = {
         }),
     "iid-p2-compare": (
         "compare", "scenario.p = 2\ndelta = 0.01\n", {
-            "comparison.csv": "8ad20c031016f5b4c7005d5e8d73ee75046ab5010acf3316444ca14c9cb31921",
-            "global.csv": "e7cf9efd5fe4fd5b1f72b1e4db47468f681328da001ac475bdc317f506ec2e10",
+            "comparison.csv": "008d28a1b188ea809e6f8f93958c5edaf7f6c95ef53ae80cb353f8d48247d4ab",
+            "global.csv": "54d94ff6f5334a9c0cf0971f38d1eb9f94cc8b5f655434f1d5e4e0bcd3183f98",
             "prediction.csv": "883ffc9363abfc88cca3384878759f0c23daeb6b17cd11f46492dc445c20affc",
         }),
 }

@@ -395,11 +395,13 @@ def test_run_failure_on_divergent_configuration(tmp_path, monkeypatch):
     config = _pair_config(tmp_path, runs=1)   # c is far above the mean-stability bound
     for budget in (signals.DRAW_CHUNK_BYTES, 4096, 1):
         monkeypatch.setattr(signals, "DRAW_CHUNK_BYTES", budget)
-        with pytest.raises(RunFailure, match="run 0 .* MSD at step 58, first at sensor 0"):
+        with pytest.raises(RunFailure, match="run 0 .* MSD at step 58, first at sensor 0") as info:
             run_ensemble(config)
+        assert (info.value.run, info.value.step, info.value.sensor) == (0, 58, 0)
         # batched, the lowest run that fails at the first failing step is named
-        with pytest.raises(RunFailure, match="run 3 .* MSD at step 57, first at sensor 0"):
+        with pytest.raises(RunFailure, match="run 3 .* MSD at step 57, first at sensor 0") as info:
             run_ensemble(replace(config, runs=5))
+        assert (info.value.run, info.value.step, info.value.sensor) == (3, 57, 0)
 
 
 def test_run_failure_on_an_overflowing_metric():
@@ -407,8 +409,11 @@ def test_run_failure_on_an_overflowing_metric():
     the first non-finite metric fails the run, naming it."""
     config = ExperimentConfig(c=1e6, t_samples=50, runs=2)
     with pytest.raises(RunFailure, match="run 1 produced a non-finite MSD at step 25, "
-                                         "first at sensor 3"):
+                                         "first at sensor 3") as info:
         run_ensemble(config)
+    failure = info.value
+    assert (failure.run, failure.step, failure.sensor, failure.quantity) == (1, 25, 3, "MSD")
+    assert all(type(v) is int for v in (failure.run, failure.step, failure.sensor))
 
 
 @pytest.mark.parametrize("budget", [signals.DRAW_CHUNK_BYTES, 4096, 1])
@@ -424,8 +429,11 @@ def test_run_failure_names_the_first_failure_in_a_chunk(tmp_path, monkeypatch, a
     # the pooled estimate is every sensor's, so it fails first at sensor 0
     sensor = 0 if algorithm == "centralized" else 1
     with pytest.raises(RunFailure, match=f"run 3 .* estimate at step 100, "
-                                         f"first at sensor {sensor}"):
+                                         f"first at sensor {sensor}") as info:
         run_ensemble(replace(_pair_config(tmp_path, algorithm=algorithm, runs=5), c=0.1))
+    failure = info.value
+    assert (failure.run, failure.step, failure.sensor, failure.quantity) == (3, 100, sensor,
+                                                                            "estimate")
 
 
 def test_steady_state_empirical():

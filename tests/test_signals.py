@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drls import signals
+from drls.analysis import build_averaged_system, noise_covariances
 from drls.errors import ModelError
 from drls.signals import (
     SensorEnsembleModel,
@@ -224,6 +225,22 @@ def test_ideal_links_return_none():
     assert eta_bar is None
 
 
+def test_chunks_are_sized_by_the_widest_array_drawn():
+    """A chunk holds DRAW_CHUNK_BYTES of the widest array the stream draws:
+    the J columns of the regressors on ideal links, however many links
+    there are, and the D per-link columns of eta on noisy ones."""
+    top = random_geometric(15, 0.3, seed=1)
+    links = top.degrees.sum()
+    assert links > 15
+    t, runs = 1000, 3
+    model = ar_scenario(15, seed=1)
+    for sigma2_eta, width in ((0.0, 15), (0.1, links)):
+        stream = SnapshotStream(replace(model, sigma2_eta=np.full(15, sigma2_eta)), top,
+                                [[1, r] for r in range(runs)])
+        size = signals.DRAW_CHUNK_BYTES // (8 * runs * model.p * width)
+        assert sum(1 for _ in stream.chunks(t)) == -(-t // size)
+
+
 def test_iid_moments():
     """Sample moments of the regressors and observation noise."""
     model = replace(iid_scenario(2, 2, seed=0), rh=np.array([np.eye(2), [[2.0, 0.6], [0.6, 1.0]]]),
@@ -270,32 +287,42 @@ def test_link_noise_layout_and_per_receiver_scale():
         assert_allclose(drawn.var(axis=(0, 2)), var, rtol=0.05)
 
 
-def _unit_link_draws(seed, kind, n, top, p):
-    """A run's per-link unit draws of one noise kind, rebuilt from its seed:
-    the kind's child generator draws (n, D, p) in time order."""
+def _unit_draws(seed, kind, shape):
+    """A run's unit draws of one noise kind, rebuilt from its seed: the
+    kind's child generator draws `shape` in time order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[kind])
-    return rng.standard_normal((n, top.degrees.sum(), p))
+    return rng.standard_normal(shape)
 
 
 def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise, directed_links):
-    """The sums are each run's per-link unit draws, scaled by the receiver's
-    sigma_eta and folded link by link; a link's draws follow from its run's
-    seed alone, and the regressors and observations do not see sigma_eta."""
+    """The estimate-noise sums are each run's per-link unit draws, scaled by
+    the receiver's sigma_eta and folded link by link. The multiplier-noise
+    sums are each run's (n, J, p) unit draws scaled by sqrt(deg_j
+    sigma2_eta_j), bit for bit, which is the law the averaged model states.
+    Both follow from the run's seed alone, and the regressors and
+    observations do not see sigma_eta."""
     top = random_geometric(5, 0.8, seed=2)
     var = np.array([0.3, 0.0, 1e-300, 2.5, 0.07])
     seeds = [[7, r] for r in range(2)]
     for unit in (iid_scenario(5, 3, seed=3, sigma2_eta=1.0),
                  ar_scenario(5, seed=3, sigma2_eta=1.0)):
         h1, x1, _, _ = SnapshotStream(unit, top, seeds).draws(6)
-        h, x, eta, eta_bar = SnapshotStream(replace(unit, sigma2_eta=var), top, seeds).draws(6)
+        model = replace(unit, sigma2_eta=var)
+        h, x, eta, eta_bar = SnapshotStream(model, top, seeds).draws(6)
         assert_array_equal(h, h1)
         assert_array_equal(x, x1)
         scale = np.sqrt(var)[directed_links(top)[0]][:, None]
         for r, seed in enumerate(seeds):
-            want = fold_link_noise(top, *(scale * _unit_link_draws(seed, kind, 6, top, unit.p)
-                                          for kind in (2, 3)))
-            for got, folded in zip((eta[:, r], eta_bar[:, r]), want):
-                assert_allclose(got, folded, rtol=1e-14, atol=1e-14)
+            per_link = scale * _unit_draws(seed, 2, (6, top.degrees.sum(), unit.p))
+            folded, _ = fold_link_noise(top, per_link, per_link)
+            assert_allclose(eta[:, r], folded, rtol=1e-14, atol=1e-14)
+            unit_bar = _unit_draws(seed, 3, (6, top.J, unit.p))
+            assert_array_equal(eta_bar[:, r], np.sqrt(top.degrees * var)[:, None] * unit_bar)
+        # the last run's variance of sum_k eta_bar_k is the model's, 4 r_eta_bar
+        system = build_averaged_system(top, model, 0.95, 0.1)
+        r_eta_bar = noise_covariances(system, model).r_eta_bar[::unit.p]
+        assert_allclose((eta_bar[0, -1, :, 0] / unit_bar[0, :, 0]) ** 2, 4.0 * r_eta_bar,
+                        rtol=1e-14, atol=0)
 
 
 @pytest.mark.bitwise
