@@ -268,8 +268,11 @@ class EnsembleResult:
 
 
 def _run_sum(values, axis=0):
-    """Sum over the runs `axis` in run order, as a serial loop from a zero total would."""
-    return np.add.accumulate(values, axis=axis).take(-1, axis=axis) + 0.0
+    """Sum over the runs `axis` in run order, serially from a zero total."""
+    total = np.zeros(values.shape[:axis] + values.shape[axis + 1:])
+    for run in np.moveaxis(values, axis, 0):
+        total += run
+    return total
 
 
 def _refuse_non_finite(traj, per_run, start):

@@ -11,11 +11,13 @@ driving noise of variance sigma2_omega_j, and R_hj must be its exact
 stationary (Toeplitz) covariance, so the analysis reads the drawn process.
 
 Inter-sensor links add receiver-side noise with per-receiver covariance
-sigma2_eta_j I_p on the estimate exchange, drawn per link and summed per sensor,
-and on the multiplier exchange, drawn as each sensor's sum from its law (independent
-draws). Streams are deterministic per seed and keep one child generator per noise
-kind, scaled per sensor after the unit-variance draws, so changing one sensor's
-noise level or disabling a noise source perturbs no other draw. Steps are drawn a
+sigma2_eta_j I_p on the estimate and on the multiplier exchange (independent
+draws). The recursions read it only through per-sensor sums, which are jointly
+Gaussian, so the stream draws those sums from their law: the multiplier sums
+elementwise, the estimate sums through a factor of their covariance that keeps
+a silent receiver's sum exactly zero. Streams are deterministic per seed and keep
+one child generator per noise kind, mixed per sensor after the unit-variance
+draws, so disabling a noise source perturbs no other draw. Steps are drawn a
 chunk at a time; neither the byte budget nor the block of runs changes a byte.
 """
 
@@ -200,8 +202,8 @@ def ar_scenario(j, seed, sigma2_eta=0.1):
     )
 
 
-#: bytes of one draw array per chunk, the widest being the per-link eta on
-#: noisy links: bounds the draw buffers and changes no draw
+#: bytes of one draw array per chunk, the widest being the unit draws of the
+#: estimate-noise sums on noisy links: bounds the draw buffers and changes no draw
 DRAW_CHUNK_BYTES = 128 * 1024
 
 # each run's child generators, in spawn order
@@ -230,11 +232,15 @@ class SnapshotStream:
 
         self._link_noise_active = bool(np.any(model.sigma2_eta))
         # the D directed links, grouped by owner with peers ascending: link k is
-        # heard by its owner, at its sigma_eta, and carries its peer's estimate
+        # heard by its owner, at its sigma_eta, and carries its peer's estimate;
+        # the (2J, D) fold maps them to each sensor's sum_k eta_k and drift
         owner, peer = np.nonzero(topology.adjacency)
         sensors = np.arange(model.J)[:, None]
         heard = (owner == sensors) * np.sqrt(model.sigma2_eta)[:, None]
-        self._mix = np.concatenate([heard, heard - (peer == sensors) * heard.sum(0)])
+        fold = np.concatenate([heard, heard - (peer == sensors) * heard.sum(0)])
+        # with fold^T = QR, F = R^T has F F^T = fold fold^T in min(D, 2J) columns,
+        # and a zero row of the fold stays exactly zero (an eigh factor leaks ~sqrt(eps))
+        self._eta_factor = np.linalg.qr(fold.T, mode="r").T
         self._sigma_eta_bar = np.sqrt(topology.degrees * model.sigma2_eta)[:, None]
 
         self._sigma_eps = np.sqrt(model.sigma2_eps)
@@ -251,7 +257,7 @@ class SnapshotStream:
 
     def _chunks(self, total):
         """Step counts covering `total` steps, DRAW_CHUNK_BYTES per draw array."""
-        widest = max(self.model.J, self._link_noise_active * self._mix.shape[1])
+        widest = max(self.model.J, self._link_noise_active * self._eta_factor.shape[1])
         size = max(1, DRAW_CHUNK_BYTES // (8 * self.runs * self.model.p * widest))
         for start in range(0, total, size):
             yield min(size, total - start)
@@ -294,10 +300,11 @@ class SnapshotStream:
 
         Returns regressors h (n, runs, J, p), observations x (n, runs, J),
         and the receiver noise summed over each sensor's links k, or None on
-        ideal links: eta (n, runs, 2, J, p) holds sum_k eta_k and sum_k (eta_k -
-        eta_flip(k)), what the sensor hears less the noise on its broadcasts,
-        and eta_bar (n, runs, J, p) sum_k eta_bar_k, each sensor's sum, drawn
-        from its law. Link k is the k-th directed link (owner, peer) of
+        ideal links, each drawn from its law: eta (n, runs, 2, J, p) holds
+        sum_k eta_k and sum_k (eta_k - eta_flip(k)), what the sensor hears less
+        the noise on its broadcasts, as F xi for each run-step's (min(D, 2J), p)
+        unit normals xi, F F^T their covariance; eta_bar (n, runs, J, p) holds
+        sum_k eta_bar_k. Link k is the k-th directed link (owner, peer) of
         ``np.nonzero(adjacency)``, what the owner hears of the peer; flip(k) is its reverse.
         """
         m = self.model
@@ -306,7 +313,8 @@ class SnapshotStream:
         if not self._link_noise_active:
             return h, x, None, None
         # one product of one shape per run-step: no sum depends on the block or the chunk
-        eta = np.matmul(self._mix, self._per_run(_ETA, (n, self._mix.shape[1], m.p)))
+        f = self._eta_factor
+        eta = np.matmul(f, self._per_run(_ETA, (n, f.shape[1], m.p)))
         eta_bar = self._per_run(_ETA_BAR, (n, m.J, m.p))
         eta_bar *= self._sigma_eta_bar
         return h, x, eta.reshape(n, self.runs, 2, m.J, m.p), eta_bar

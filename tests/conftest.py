@@ -153,15 +153,15 @@ def _general_mean_stability_bound(topology, model, lam):
 
 
 def _directed_links(top):
-    """The (D,) directed links (owner, peer) in the order the simulation
-    draws their noise: link k is what sensor owner[k] hears from peer[k],
+    """The (D,) directed links (owner, peer) in the order of the stream's
+    per-link fold: link k is what sensor owner[k] hears from peer[k],
     grouped by owner with peers ascending. D is twice the edge count."""
     return np.nonzero(top.adjacency)
 
 
 def _dense_link_mix(top, p, c):
-    """(Jp, Dp) map from the link noise, stacked over the directed links as
-    the simulation draws it (row k = what owner[k] hears from peer[k]), to
+    """(Jp, Dp) map from the link noise, stacked over the directed links of
+    `_directed_links` (row k = what owner[k] hears from peer[k]), to
     each sensor's aggregate: c/4 times every corruption of its own
     broadcast, less everything it hears. Built link by link; the package
     builds the aggregate's covariance as a weighted (J, J) Laplacian."""
@@ -274,11 +274,11 @@ def _frozen_consensus(local, top, c, iters):
 
 def _fold_link_noise(top, eta, eta_bar):
     """The per-sensor link-noise sums the estimators read, folded link by
-    link from per-link noise (..., D, p) laid out as the simulation draws it
-    (row k = what owner[k] hears from peer[k] of ``_directed_links``).
+    link from per-link noise (..., D, p), row k what owner[k] hears from
+    peer[k] of ``_directed_links``.
     Returns the (..., 2, J, p) sums over each sensor's links of eta_k and of
     eta_k - eta_flip(k), and the (..., J, p) sums of eta_bar_k. Built link
-    by link; the package folds with mix matrices."""
+    by link; the stream draws the sums from their law instead."""
     lead, p = eta.shape[:-2], eta.shape[-1]
     heard = np.zeros(lead + (2, top.J, p))
     heard_bar = np.zeros(lead + (top.J, p))

@@ -31,13 +31,13 @@ master_seed = 5
 CASES = {
     "iid-p1-links-on-drls_ama": (
         "simulate", "scenario.p = 1\nalgorithm = drls_ama\n", {
-            "global.csv": "2e9fa41ad899fc8ef1a323e8a49250a1d52e4279f83e6c4b231f46235f25ca5d",
-            "per_sensor.csv": "93475f0edde77f23d7782a3e06badc9f629428a58cb738d6ae76e255330784cb",
+            "global.csv": "c2f6a726fb306f0bd9f3fb14b5d4a76d1f646b8d076bbf700bd5e02051a40a87",
+            "per_sensor.csv": "832987733567e3aae9190d95b323af695c285265170aa031e6db05ae1d68052b",
         }),
     "iid-p5-links-on-drls_ama": (
         "simulate", "scenario.p = 5\nalgorithm = drls_ama\n", {
-            "global.csv": "8950dc2fb0138e2e40f5bddcd8b40d9c3786c4c5480739381a5f342d42624402",
-            "per_sensor.csv": "a7e0efaa00f80eb9b876f87a6946b9d343384d1e4f8c793433e50161fdc7f433",
+            "global.csv": "65f1c32765073d8cdac40a378e4bf3818dddb3b238d5f3bc1528e1d1fe753c8d",
+            "per_sensor.csv": "0e26963c1e5a338a6ef3b4684f24a1f6feeaf00631c302e046b664cea8090916",
         }),
     "iid-p5-links-off-local_rls": (
         "simulate", "scenario.p = 5\nalgorithm = local_rls\nscenario.sigma2_eta = 0\n", {
@@ -46,8 +46,8 @@ CASES = {
         }),
     "ar-links-on-drls_ama": (
         "simulate", "scenario.kind = ar\nalgorithm = drls_ama\n", {
-            "global.csv": "869a95e0ef24b968a614e4012b4e893f8dbb6cc51c981ba5a133e48d4863520c",
-            "per_sensor.csv": "7c60d152beb09c16e731537d0c0759946c8743745a818c063f2862601b3eab70",
+            "global.csv": "1d30e1ff72fbf6fd96427d976e76b66a6cb8b884745dfb00c0f346c5ba278ee2",
+            "per_sensor.csv": "3d42a92e236c1da67532e69aa516f4dc986423767375b247bfb7ebe2142ce0b2",
         }),
     "ar-links-off-drls_ama": (
         "simulate", "scenario.kind = ar\nalgorithm = drls_ama\nscenario.sigma2_eta = 0\n", {
@@ -61,8 +61,8 @@ CASES = {
         }),
     "iid-p2-links-on-drls_admom": (
         "simulate", "scenario.p = 2\nalgorithm = drls_admom\n", {
-            "global.csv": "3c03858cb0c896723810a2cf6aecbe8ea51a67dccb99ef5c104e4dfe247ebaa9",
-            "per_sensor.csv": "7755446cad9077b6954b9ba40bca720efa4ec84162c30fb170ee6bf571ff22b6",
+            "global.csv": "7d9b35a7b17f59116445eccacffe84981e30ff596fa96fe487e6670344af470c",
+            "per_sensor.csv": "b5d23a208fd4e6b9ccb5f0293c90c3bf812e01e7118afd9d2d3a54dfd1555c08",
         }),
     "ar-links-on-centralized": (
         "simulate", "scenario.kind = ar\nalgorithm = centralized\n", {
@@ -87,8 +87,8 @@ CASES = {
         }),
     "iid-p2-compare": (
         "compare", "scenario.p = 2\ndelta = 0.01\n", {
-            "comparison.csv": "008d28a1b188ea809e6f8f93958c5edaf7f6c95ef53ae80cb353f8d48247d4ab",
-            "global.csv": "54d94ff6f5334a9c0cf0971f38d1eb9f94cc8b5f655434f1d5e4e0bcd3183f98",
+            "comparison.csv": "b0160b1c1a9dae61d4d6361ae98b661ec8440cbd16ae9dc642dd7bf6e4a4bb0c",
+            "global.csv": "69e15e5859231c0dce4f977079d4deafd907e7334723dddc5ff8d2ecdac6b1b2",
             "prediction.csv": "883ffc9363abfc88cca3384878759f0c23daeb6b17cd11f46492dc445c20affc",
         }),
 }

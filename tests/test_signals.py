@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from drls import signals
 from drls.analysis import build_averaged_system, noise_covariances
 from drls.errors import ModelError
+from drls.estimators import AdmomState, DrlsState
 from drls.signals import (
     SensorEnsembleModel,
     SnapshotStream,
@@ -228,13 +229,13 @@ def test_ideal_links_return_none():
 def test_chunks_are_sized_by_the_widest_array_drawn():
     """A chunk holds DRAW_CHUNK_BYTES of the widest array the stream draws:
     the J columns of the regressors on ideal links, however many links
-    there are, and the D per-link columns of eta on noisy ones."""
+    there are, and the min(D, 2J) unit-draw columns of eta on noisy ones."""
     top = random_geometric(15, 0.3, seed=1)
     links = top.degrees.sum()
-    assert links > 15
+    assert links > 2 * 15
     t, runs = 1000, 3
     model = ar_scenario(15, seed=1)
-    for sigma2_eta, width in ((0.0, 15), (0.1, links)):
+    for sigma2_eta, width in ((0.0, 15), (0.1, 2 * 15)):
         stream = SnapshotStream(replace(model, sigma2_eta=np.full(15, sigma2_eta)), top,
                                 [[1, r] for r in range(runs)])
         size = signals.DRAW_CHUNK_BYTES // (8 * runs * model.p * width)
@@ -294,16 +295,43 @@ def _unit_draws(seed, kind, shape):
     return rng.standard_normal(shape)
 
 
-def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise, directed_links):
-    """The estimate-noise sums are each run's per-link unit draws, scaled by
-    the receiver's sigma_eta and folded link by link. The multiplier-noise
-    sums are each run's (n, J, p) unit draws scaled by sqrt(deg_j
-    sigma2_eta_j), bit for bit, which is the law the averaged model states.
-    Both follow from the run's seed alone, and the regressors and
-    observations do not see sigma_eta."""
+def _fold_covariance(top, var, fold_link_noise):
+    """(2J, 2J) covariance of each sensor's sum_k eta_k and drift sum_k
+    (eta_k - eta_flip(k)), folded link by link from per-link noise of
+    variance var[owner] per entry: the oracle's fold of one link at a time."""
+    owner = np.nonzero(top.adjacency)[0]
+    links = owner.size
+    # (D, D, 1): link k's noise alone, at its owner's sigma_eta
+    one_link = (np.sqrt(var)[owner] * np.eye(links))[:, :, None]
+    fold = fold_link_noise(top, one_link, one_link)[0].reshape(links, 2 * top.J).T
+    return fold @ fold.T
+
+
+def _linear_map(seed, eta, width):
+    """The (2J, width) map F with eta = F xi at every step of one run's
+    (n, 2, J, p) estimate-noise sums, xi the run's (n, width, p) unit draws,
+    and the largest residual of that fit relative to eta's scale."""
+    n, _, j, p = eta.shape
+    xi = _unit_draws(seed, 2, (n, width, p))
+    sums = eta.reshape(n, 2 * j, p).transpose(1, 0, 2).reshape(2 * j, n * p)
+    units = xi.transpose(1, 0, 2).reshape(width, n * p)
+    f = np.linalg.lstsq(units.T, sums.T, rcond=None)[0].T
+    return f, np.abs(f @ units - sums).max() / np.abs(sums).max()
+
+
+def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise):
+    """Each run's estimate-noise sums are one fixed linear map F of its own
+    min(D, 2J) unit draws per step, and F F^T is their law: the per-link
+    fold's covariance to round-off, whose drift block is the averaged
+    model's W (r_eta_mix / (c/4)^2). The multiplier-noise sums are each
+    run's (n, J, p) unit draws scaled by sqrt(deg_j sigma2_eta_j), bit for
+    bit, which is the law the averaged model states. Both follow from the
+    run's seed alone, and the regressors and observations do not see sigma_eta."""
     top = random_geometric(5, 0.8, seed=2)
     var = np.array([0.3, 0.0, 1e-300, 2.5, 0.07])
     seeds = [[7, r] for r in range(2)]
+    law = _fold_covariance(top, var, fold_link_noise)
+    width = min(top.degrees.sum(), 2 * top.J)
     for unit in (iid_scenario(5, 3, seed=3, sigma2_eta=1.0),
                  ar_scenario(5, seed=3, sigma2_eta=1.0)):
         h1, x1, _, _ = SnapshotStream(unit, top, seeds).draws(6)
@@ -311,18 +339,68 @@ def test_link_noise_is_the_unit_draw_scaled_by_the_receiver(fold_link_noise, dir
         h, x, eta, eta_bar = SnapshotStream(model, top, seeds).draws(6)
         assert_array_equal(h, h1)
         assert_array_equal(x, x1)
-        scale = np.sqrt(var)[directed_links(top)[0]][:, None]
+        maps = []
         for r, seed in enumerate(seeds):
-            per_link = scale * _unit_draws(seed, 2, (6, top.degrees.sum(), unit.p))
-            folded, _ = fold_link_noise(top, per_link, per_link)
-            assert_allclose(eta[:, r], folded, rtol=1e-14, atol=1e-14)
+            f, residual = _linear_map(seed, eta[:, r], width)
+            assert residual < 1e-13
+            maps.append(f)
             unit_bar = _unit_draws(seed, 3, (6, top.J, unit.p))
             assert_array_equal(eta_bar[:, r], np.sqrt(top.degrees * var)[:, None] * unit_bar)
-        # the last run's variance of sum_k eta_bar_k is the model's, 4 r_eta_bar
+        assert_allclose(maps[1], maps[0], rtol=0, atol=1e-13)
+        assert_allclose(maps[0] @ maps[0].T, law, rtol=0, atol=1e-13 * law.max())
+        # the drift block is W, and the last run's variance of sum_k eta_bar_k is 4 r_eta_bar
         system = build_averaged_system(top, model, 0.95, 0.1)
-        r_eta_bar = noise_covariances(system, model).r_eta_bar[::unit.p]
+        noise = noise_covariances(system, model)
+        w = noise.r_eta_mix[::unit.p, ::unit.p] / (system.c / 4.0) ** 2
+        assert_allclose(law[top.J:, top.J:], w, rtol=1e-14, atol=1e-15 * w.max())
+        r_eta_bar = noise.r_eta_bar[::unit.p]
         assert_allclose((eta_bar[0, -1, :, 0] / unit_bar[0, :, 0]) ** 2, 4.0 * r_eta_bar,
                         rtol=1e-14, atol=0)
+    # the sample covariance of the sums, pooled over the p entries, is the law
+    n = 20_000
+    eta = SnapshotStream(replace(iid_scenario(5, 3, seed=3), sigma2_eta=var), top,
+                         [11]).draws(n)[2][:, 0]
+    pooled = eta.reshape(n, 2 * top.J, 3).transpose(1, 0, 2).reshape(2 * top.J, 3 * n)
+    assert_allclose(pooled @ pooled.T / (3 * n), law, rtol=0, atol=0.03 * law.max())
+
+
+@pytest.mark.bitwise
+def test_a_silent_receiver_hears_exactly_zero():
+    """A receiver with sigma2_eta = 0 hears no noise: its sum_k eta_k is
+    exactly 0 in every run and step, while its drift carries the noise its
+    neighbours hear on its broadcasts."""
+    top = random_geometric(5, 0.8, seed=2)
+    var = np.array([0.3, 0.0, 1e-300, 2.5, 0.07])
+    assert top.degrees[1] > 0
+    for unit in (iid_scenario(5, 3, seed=3), ar_scenario(5, seed=3)):
+        stream = SnapshotStream(replace(unit, sigma2_eta=var), top, [[7, r] for r in range(4)])
+        for _, _, eta, _ in stream.chunks(50):
+            assert_array_equal(eta[:, :, 0, 1], 0.0)
+            assert (eta[:, :, 1, 1] != 0).all()
+
+
+def test_a_path_draws_as_many_unit_normals_as_links(fold_link_noise):
+    """On a path, D = 2(J - 1) < 2J: the sums are a map of D unit draws per
+    step whose Gram is the per-link fold's covariance, and both consensus
+    recursions step on them."""
+    j, p = 6, 2
+    top = from_edges(j, [(k, k + 1) for k in range(j - 1)])
+    links = top.degrees.sum()
+    assert links == 2 * (j - 1)
+    var = np.linspace(0.05, 0.3, j)
+    model = replace(iid_scenario(j, p, seed=1), sigma2_eta=var)
+    seeds = [[3, r] for r in range(2)]
+    eta = SnapshotStream(model, top, seeds).draws(8)[2]
+    f, residual = _linear_map(seeds[0], eta[:, 0], links)
+    assert residual < 1e-13
+    law = _fold_covariance(top, var, fold_link_noise)
+    assert_allclose(f @ f.T, law, rtol=0, atol=1e-13 * law.max())
+    for estimator in (DrlsState, AdmomState):
+        state = estimator(top, p, 0.95, 0.1, 0.01)
+        for h, x, eta, eta_bar in SnapshotStream(model, top, seeds).chunks(200):
+            traj = state.advance(h, x, eta, eta_bar)
+        assert np.isfinite(traj).all()
+        assert np.abs(state.s - model.s0).max() < 0.5
 
 
 @pytest.mark.bitwise
