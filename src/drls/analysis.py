@@ -473,11 +473,15 @@ def noise_covariances(system, model):
     r_eta_mix = (system.c / 4.0) ** 2 * kron_eye(np.diag(weights.sum(axis=1)) - weights, model.p)
     r_eta_bar = np.repeat((top.degrees / 4.0) * sigma2_eta, model.p)
     lift = system.lap_pinv - r
+    # an overflowing forcing is reported by steady_state_solve, which refuses the
+    # system or loses finiteness, so numpy's warnings here are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        link_forcing = (r * r_eta_bar) @ r + lift @ r_eta_mix @ lift.T
+        feedthrough = r @ (np.diag(r_eta_bar) + r_eta_mix) @ r
     return NoiseCovariances(
         lam=lam, sigma2_eps=np.array(model.sigma2_eps, dtype=np.float64),
         r_eps_inf=r_eps_inf, r_eta_mix=r_eta_mix, r_eta_bar=r_eta_bar,
-        link_forcing=(r * r_eta_bar) @ r + lift @ r_eta_mix @ lift.T,
-        feedthrough=r @ (np.diag(r_eta_bar) + r_eta_mix) @ r, system=system,
+        link_forcing=link_forcing, feedthrough=feedthrough, system=system,
     )
 
 

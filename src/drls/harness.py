@@ -13,6 +13,9 @@ Each run keeps its own seeded streams and metrics are reduced in run order,
 so the results are those of running every run on its own, and the draw
 budget changes no byte.
 A config is checked once, when it is built, so functions use it as given.
+Each key's own rule (a lower bound, positivity, or the topology kind it
+belongs to) is declared on its field and checked by one loop; the rules
+that tie keys together are written out around it.
 
 Recognized keys (defaults in parentheses):
 
@@ -72,36 +75,40 @@ _BASELINES = ("local_rls", "centralized")
 # configuration
 # ---------------------------------------------------------------------------
 
-def _key(key, default):
-    """A config field and the key that sets it in a config file."""
-    return field(default=default, metadata={"key": key})
+def _key(key, default, at_least=None, positive=False, topology=None):
+    """A config field, the key that sets it in a config file, and the rule
+    its value keeps when set: a lower bound `at_least`, `positive`, or the
+    `topology` kind it belongs to."""
+    return field(default=default, metadata={
+        "key": key, "at_least": at_least, "positive": positive, "topology": topology})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, checked when it is built: an invalid one raises
     ConfigError. ``dataclasses.replace`` builds a new config, so it checks too.
-    Each field's metadata names the config-file key that sets it."""
+    Each field's metadata names the config-file key that sets it and the
+    rule its value keeps."""
 
     topology_kind: str = _key("topology.kind", "geometric")
-    topology_j: int | None = _key("topology.j", None)
-    topology_radius: float | None = _key("topology.radius", None)
-    topology_seed: int | None = _key("topology.seed", None)
-    topology_path: str | None = _key("topology.path", None)
+    topology_j: int | None = _key("topology.j", None, topology="geometric")
+    topology_radius: float | None = _key("topology.radius", None, topology="geometric")
+    topology_seed: int | None = _key("topology.seed", None, at_least=0, topology="geometric")
+    topology_path: str | None = _key("topology.path", None, topology="edgelist")
     scenario_kind: str = _key("scenario.kind", "iid")
-    scenario_p: int | None = _key("scenario.p", None)
-    scenario_seed: int | None = _key("scenario.seed", None)
-    scenario_sigma2_eta: float = _key("scenario.sigma2_eta", 0.1)
-    scenario_rh_scale: float = _key("scenario.rh_scale", 1.0)
-    scenario_eps_scale: float = _key("scenario.eps_scale", 1.0)
+    scenario_p: int | None = _key("scenario.p", None, at_least=1)
+    scenario_seed: int | None = _key("scenario.seed", None, at_least=0)
+    scenario_sigma2_eta: float = _key("scenario.sigma2_eta", 0.1, at_least=0)
+    scenario_rh_scale: float = _key("scenario.rh_scale", 1.0, positive=True)
+    scenario_eps_scale: float = _key("scenario.eps_scale", 1.0, at_least=0)
     algorithm: str = _key("algorithm", "drls_ama")
     lam: float = _key("lambda", 0.95)
-    c: float = _key("c", 0.1)
-    delta: float = _key("delta", 100.0)
-    t_samples: int = _key("T", 2000)
-    runs: int = _key("runs", 100)
+    c: float = _key("c", 0.1, at_least=0)
+    delta: float = _key("delta", 100.0, positive=True)
+    t_samples: int = _key("T", 2000, at_least=1)
+    runs: int = _key("runs", 100, at_least=1)
     burn_in: int | None = _key("burn_in", None)
-    master_seed: int = _key("master_seed", 0)
+    master_seed: int = _key("master_seed", 0, at_least=0)
     threads: int = _key("threads", 1)
 
     @property
@@ -112,35 +119,25 @@ class ExperimentConfig:
         return self.t_samples - max(1, self.t_samples // 10)
 
     def __post_init__(self):
-        for f in fields(self):
-            key, value = f.metadata["key"], getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-            if key.endswith("seed") and value is not None and value < 0:
-                raise ConfigError(f"{key} must be >= 0, got {value}")
         if self.topology_kind not in ("geometric", "edgelist"):
             raise ConfigError(f"topology.kind must be geometric or edgelist, got {self.topology_kind!r}")
         if self.topology_kind == "edgelist" and not self.topology_path:
             raise ConfigError("topology.kind = edgelist requires topology.path")
-        if self.topology_kind != "edgelist" and self.topology_path is not None:
-            raise ConfigError(f"topology.path applies to topology.kind = edgelist only, "
-                              f"got topology.kind = {self.topology_kind}")
-        for key in ("topology.j", "topology.radius", "topology.seed"):
-            if self.topology_kind == "edgelist" and getattr(self, _FIELDS[key].name) is not None:
-                raise ConfigError(f"{key} applies to topology.kind = geometric only, "
-                                  f"got topology.kind = edgelist")
+        for f in fields(self):
+            key, value, rule = f.metadata["key"], getattr(self, f.name), f.metadata
+            if value is None:
+                continue
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if rule["at_least"] is not None and value < rule["at_least"]:
+                raise ConfigError(f"{key} must be >= {rule['at_least']}, got {value}")
+            if rule["positive"] and value <= 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
+            if rule["topology"] not in (None, self.topology_kind):
+                raise ConfigError(f"{key} applies to topology.kind = {rule['topology']} only, "
+                                  f"got topology.kind = {self.topology_kind}")
         if self.scenario_kind not in ("iid", "ar"):
             raise ConfigError(f"scenario.kind must be iid or ar, got {self.scenario_kind!r}")
-        if self.scenario_p is not None and self.scenario_p < 1:
-            raise ConfigError(f"scenario.p must be >= 1, got {self.scenario_p}")
-        if self.scenario_sigma2_eta < 0:
-            raise ConfigError(
-                f"scenario.sigma2_eta must be >= 0, got {self.scenario_sigma2_eta}"
-            )
-        if self.scenario_rh_scale <= 0:
-            raise ConfigError(f"scenario.rh_scale must be positive, got {self.scenario_rh_scale}")
-        if self.scenario_eps_scale < 0:
-            raise ConfigError(f"scenario.eps_scale must be >= 0, got {self.scenario_eps_scale}")
         if self.scenario_kind == "ar":
             if self.scenario_p is not None and self.scenario_p != 4:
                 raise ConfigError("the ar scenario has a fixed regressor length of 4")
@@ -150,14 +147,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if not 0.0 < self.lam <= 1.0:
             raise ConfigError(f"lambda must lie in (0, 1], got {self.lam}")
-        if self.c < 0:
-            raise ConfigError(f"c must be >= 0, got {self.c}")
-        if self.delta <= 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
-        if self.t_samples < 1:
-            raise ConfigError(f"T must be >= 1, got {self.t_samples}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.threads != 1:
             raise ConfigError(
                 f"threads must be 1, got {self.threads}: every run of an ensemble "

@@ -218,7 +218,8 @@ class SnapshotStream:
     one child generator per draw kind (regressors, observation noise,
     estimate-exchange noise, multiplier-exchange noise), and each kind is
     drawn in time order, so a run's draws depend neither on the other runs
-    of the block nor on how many steps one call draws.
+    of the block nor on how many steps one call draws. An empty ``seeds``
+    raises ValueError.
     """
 
     def __init__(self, model, topology, seeds):
@@ -229,6 +230,8 @@ class SnapshotStream:
             for seed in seeds
         ]
         self.runs = len(self._rngs)
+        if not self.runs:
+            raise ValueError("a snapshot stream needs at least one run seed, got none")
 
         self._link_noise_active = bool(np.any(model.sigma2_eta))
         # the D directed links, grouped by owner with peers ascending: link k is

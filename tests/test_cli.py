@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -380,6 +381,20 @@ def test_compare_warns_before_a_refused_prediction(tmp_path, capsys):
     assert warning == ("warning: consensus step c = 0.1 is at or above the mean-stability "
                        "bound 4.86885e-05; the mean recursion may diverge")
     assert error.startswith("error: error dynamics are not mean-square stable")
+
+
+@pytest.mark.parametrize("command", ["predict", "compare"])
+def test_an_overflowing_noise_assembly_leaks_no_numpy_warning(tmp_path, capsys, command):
+    """A regressor covariance so small that the noise forcing overflows: the
+    step-size warning and the stability refusal are all stderr holds."""
+    path = tmp_path / "tiny.cfg"
+    path.write_text("scenario.rh_scale = 1e-300\nT = 20\nruns = 2\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    warning, error = capsys.readouterr().err.splitlines()
+    assert warning == ("warning: consensus step c = 0.1 is at or above the mean-stability "
+                       "bound 9.7377e-300; the mean recursion may diverge")
+    assert re.fullmatch(r"error: error dynamics are not mean-square stable: spectral radius "
+                        r"\d+\.\d{6} of the fluctuation transition is >= 1", error)
 
 
 def test_predict_and_stability_warn_before_any_refusal(tmp_path, capsys):

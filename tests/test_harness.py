@@ -179,6 +179,41 @@ def test_validate_errors(kw, fragment):
         _small_config(**kw)
 
 
+#: the keys that make `_small_config` a valid edge-list config
+_EDGELIST = dict(topology_kind="edgelist", topology_path="net.txt", **_NO_GEOMETRY)
+
+
+#: each declared rule: the config it is checked on, a field, the edge value it
+#: accepts and the value just past the edge, with the message that refuses it
+_RULE_EDGES = [
+    ({}, "t_samples", 1, 0, "T must be >= 1, got 0"),
+    ({}, "runs", 1, 0, "runs must be >= 1, got 0"),
+    ({}, "scenario_p", 1, 0, "scenario.p must be >= 1, got 0"),
+    ({}, "c", 0.0, -5e-324, "c must be >= 0, got -5e-324"),
+    ({}, "scenario_sigma2_eta", 0.0, -5e-324, "scenario.sigma2_eta must be >= 0, got -5e-324"),
+    ({}, "scenario_eps_scale", 0.0, -5e-324, "scenario.eps_scale must be >= 0, got -5e-324"),
+    ({}, "topology_seed", 0, -1, "topology.seed must be >= 0, got -1"),
+    ({}, "scenario_seed", 0, -1, "scenario.seed must be >= 0, got -1"),
+    ({}, "master_seed", 0, -1, "master_seed must be >= 0, got -1"),
+    ({}, "delta", 5e-324, 0.0, "delta must be positive, got 0.0"),
+    ({}, "scenario_rh_scale", 5e-324, 0.0, "scenario.rh_scale must be positive, got 0.0"),
+    ({}, "topology_path", None, "net.txt",
+     "topology.path applies to topology.kind = edgelist only, got topology.kind = geometric"),
+    (_EDGELIST, "topology_j", None, 5,
+     "topology.j applies to topology.kind = geometric only, got topology.kind = edgelist"),
+]
+
+
+@pytest.mark.parametrize("base, name, edge, past, message", _RULE_EDGES,
+                         ids=[name for _, name, *_ in _RULE_EDGES])
+def test_each_rule_accepts_its_edge_and_refuses_the_value_past_it(base, name, edge, past,
+                                                                  message):
+    assert getattr(_small_config(**{**base, name: edge}), name) == edge
+    with pytest.raises(ConfigError) as refused:
+        _small_config(**{**base, name: past})
+    assert str(refused.value) == message
+
+
 def test_load_config_missing_file(tmp_path):
     missing = tmp_path / "nope.cfg"
     with pytest.raises(ConfigError, match="nope.cfg"):

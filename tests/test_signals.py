@@ -218,6 +218,13 @@ def test_stream_rejects_mismatched_sizes():
         SnapshotStream(iid_scenario(3, 2, seed=0), random_geometric(4, 0.9, seed=0), [0])
 
 
+@pytest.mark.parametrize("kind", ["iid", "ar"])
+def test_stream_refuses_an_empty_seed_list(kind):
+    model = iid_scenario(4, 2, seed=1) if kind == "iid" else ar_scenario(4, 1)
+    with pytest.raises(ValueError, match="at least one run seed"):
+        SnapshotStream(model, random_geometric(4, 0.9, seed=1), [])
+
+
 def test_ideal_links_return_none():
     top = from_edges(2, [(0, 1)])
     model = iid_scenario(2, 2, seed=0, sigma2_eta=0.0)
