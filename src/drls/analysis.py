@@ -563,7 +563,7 @@ def steady_state_solve(system, noise):
     rho = _fluctuation_radius(system)
     if rho >= 1.0:
         raise StabilityError(f"error dynamics are not mean-square stable: spectral radius "
-                             f"{rho:.6f} of the fluctuation transition is >= 1")
+                             f"{rho:.6g} of the fluctuation transition is >= 1")
     a, u1, r, q = system.core, system.error_map, system.rh_lam_inv, noise.link_forcing
     r_eps = r @ noise.r_eps_inf
     data = r_eps @ r

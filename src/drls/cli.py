@@ -200,8 +200,8 @@ def _cmd_stability(args):
     print(f"mean-stability bound on c: {system.step_bound:.6g} (config uses c = {config.c})")
     print(f"unit eigenvalues of the mean transition: {mean_report.unit_eigen_count} "
           f"(expected {mean_report.expected_unit_count})")
-    print(f"largest remaining eigenvalue modulus: {mean_report.max_other_modulus:.6f}")
-    print(f"fluctuation spectral radius: {mse_report.rho:.6f}")
+    print(f"largest remaining eigenvalue modulus: {mean_report.max_other_modulus:.6g}")
+    print(f"fluctuation spectral radius: {mse_report.rho:.6g}")
     print(f"mean-stable: {str(mean_report.stable).lower()}")
     print(f"mean-square stable: {str(mse_report.stable).lower()}")
     return 0 if mean_report.stable and mse_report.stable else 2

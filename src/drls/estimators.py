@@ -32,10 +32,11 @@ Every estimator steps by one call, ``advance(h, x, eta=None, eta_bar=None)``,
 on a chunk of n steps, with the link-noise sums as ``SnapshotStream.draws``
 gives them (None on ideal links). It returns the (n + 1, ..., J, p)
 trajectory of the estimates: row 0 before the chunk, row k after step k.
-A state is sized once, to the leading shape of its first chunk (such as
-(runs,)), refuses a chunk of another with ValueError, and steps in place;
-each run of a batch follows its own recursion to the bit, and a chunk of n
-steps gives the bits of n one-step chunks.
+A state is built for the leading shape ``lead`` of the chunks it steps
+(such as (runs,); a bare (J, p) state by default), refuses a chunk of
+another with ValueError, and steps in place; each run of a batch follows
+its own recursion to the bit, and a chunk of n steps gives the bits of n
+one-step chunks.
 """
 
 import numpy as np
@@ -119,9 +120,7 @@ def centralized_step_flops(p, j):
 # ---------------------------------------------------------------------------
 
 class _Estimator:
-    """An estimator's state, sized once, to the leading shape of its first chunk."""
-
-    _lead = None     # leading shape the state and temporaries are sized to
+    """An estimator's state, built for the leading shape of the chunks it steps."""
 
     def __init__(self, lam, c, delta):
         """Refuse the parameters no estimator can run with (NaN included)."""
@@ -135,25 +134,15 @@ class _Estimator:
 
     def _start(self, h):
         """The trajectory of a chunk of regressors `h` (n, ..., J, p), row 0
-        holding the estimates before it. The first chunk sizes the state
-        arrays `_state` to its leading shape and makes the temporaries; a
-        chunk of another leading shape is refused."""
-        lead = h.shape[1:-2]
-        if self._lead is None:
-            for name in self._state:
-                value = getattr(self, name)
-                setattr(self, name, np.broadcast_to(value, lead + value.shape).copy())
-            self._lead = lead
-            self._make_buffers()
-        elif lead != self._lead:
+        holding the estimates before it; a chunk of a leading shape other
+        than the state's is refused."""
+        lead, sized = h.shape[1:-2], self.s.shape[:-2]
+        if lead != sized:
             raise ValueError(f"{type(self).__name__} is sized to leading shape "
-                             f"{self._lead}, got a chunk of leading shape {lead}")
+                             f"{sized}, got a chunk of leading shape {lead}")
         traj = np.empty((len(h) + 1,) + self.s.shape)
         traj[0] = self.s
         return traj
-
-    def _make_buffers(self):
-        """Make the temporaries, once the state is sized."""
 
     def _finish(self, traj):
         """`traj`, after keeping its last estimates as the state's own copy."""
@@ -162,17 +151,17 @@ class _Estimator:
 
 
 class _NetworkBase(_Estimator):
-    """Shared plumbing of the consensus recursions: (c/2) L and the link terms."""
+    """Shared plumbing of the consensus recursions: (c/2) L, the link terms,
+    and the L s and right-hand-side temporaries."""
 
-    #: the state arrays `_start` sizes, each with no leading axes until then
-    _state = ("s", "b", "psi")
-
-    def __init__(self, topology, p, lam, c, delta):
+    def __init__(self, topology, p, lam, c, delta, lead):
         super().__init__(lam, c, delta)
         self.c = c
-        self.s = np.zeros((topology.J, p))
-        self.b = np.zeros((topology.J, p))
-        self.psi = np.zeros((topology.J, p))
+        self.s = np.zeros(lead + (topology.J, p))
+        self.b = np.zeros(self.s.shape)
+        self.psi = np.zeros(self.s.shape)
+        self._ls = np.empty(self.s.shape)
+        self._rhs = np.empty(self.s.shape)
         self._half_cl = 0.5 * c * laplacian(topology)
 
     def _link_terms(self, h, eta, eta_bar):
@@ -187,17 +176,11 @@ class _NetworkBase(_Estimator):
 class DrlsState(_NetworkBase):
     """Single-time-scale distributed RLS (one consensus round per datum)."""
 
-    _state = _NetworkBase._state + ("pinv",)
-
-    def __init__(self, topology, p, lam, c, delta):
-        super().__init__(topology, p, lam, c, delta)
-        self.pinv = np.broadcast_to(delta * np.eye(p), (topology.J, p, p)).copy()
-        self.step_flops = sum(ama_step_flops(p, int(d)) for d in topology.degrees)
-
-    def _make_buffers(self):
+    def __init__(self, topology, p, lam, c, delta, lead=()):
+        super().__init__(topology, p, lam, c, delta, lead)
+        self.pinv = np.broadcast_to(delta * np.eye(p), lead + (topology.J, p, p)).copy()
         self._work = kernel_buffers(self.pinv.shape)
-        self._ls = np.empty(self.s.shape)
-        self._rhs = np.empty(self.s.shape)
+        self.step_flops = sum(ama_step_flops(p, int(d)) for d in topology.degrees)
 
     def advance(self, h, x, eta=None, eta_bar=None):
         """Step through a chunk of data and link-noise sums; each step absorbs
@@ -226,19 +209,13 @@ class AdmomState(_NetworkBase):
     (A s)_j + sum_k eta_k = deg_j s_j - (L s)_j + sum_k eta_k.
     """
 
-    _state = _NetworkBase._state + ("phi",)
-
-    def __init__(self, topology, p, lam, c, delta):
-        super().__init__(topology, p, lam, c, delta)
-        self.phi = np.broadcast_to(np.eye(p) / delta, (topology.J, p, p)).copy()
+    def __init__(self, topology, p, lam, c, delta, lead=()):
+        super().__init__(topology, p, lam, c, delta, lead)
+        self.phi = np.broadcast_to(np.eye(p) / delta, lead + (topology.J, p, p)).copy()
+        self._outer = np.empty(self.phi.shape)
         self._ridge = c * topology.degrees[:, None, None] * np.eye(p)
         self._c_deg = c * topology.degrees[:, None]
         self.step_flops = sum(admom_step_flops(p, int(d)) for d in topology.degrees)
-
-    def _make_buffers(self):
-        self._outer = np.empty(self.phi.shape)
-        self._ls = np.empty(self.s.shape)
-        self._rhs = np.empty(self.s.shape)
 
     def advance(self, h, x, eta=None, eta_bar=None):
         traj = self._start(h)
@@ -270,13 +247,11 @@ class CentralizedRls(_Estimator):
     """All data pooled each step; the consensus benchmark trajectory. Every
     sensor holds the common estimate, so `s` repeats it along the sensor axis."""
 
-    _state = ("phi", "psi_c", "s")
-
-    def __init__(self, topology, p, lam, c, delta):
+    def __init__(self, topology, p, lam, c, delta, lead=()):
         super().__init__(lam, c, delta)
-        self.phi = (topology.J / delta) * np.eye(p)
-        self.psi_c = np.zeros(p)
-        self.s = np.zeros((topology.J, p))
+        self.phi = np.broadcast_to((topology.J / delta) * np.eye(p), lead + (p, p)).copy()
+        self.psi_c = np.zeros(lead + (p,))
+        self.s = np.zeros(lead + (topology.J, p))
         self.step_flops = centralized_step_flops(p, topology.J)
 
     def advance(self, h, x, eta=None, eta_bar=None):

@@ -59,12 +59,13 @@ from .estimators import AdmomState, CentralizedRls, DrlsState
 from .signals import SnapshotStream, ar_scenario, iid_scenario
 from .topology import content_lines, random_geometric, read_edge_list, read_text
 
-#: each algorithm's estimator, built from (topology, p, lam, c, delta)
+#: each algorithm's estimator, built from (topology, p, lam, c, delta, lead=())
 ALGORITHMS = {
     "drls_ama": DrlsState,
     "drls_admom": AdmomState,
     # no cooperation: D-RLS with the consensus step switched off
-    "local_rls": lambda topology, p, lam, c, delta: DrlsState(topology, p, lam, 0.0, delta),
+    "local_rls": lambda topology, p, lam, c, delta, lead=(): DrlsState(topology, p, lam, 0.0,
+                                                                       delta, lead),
     "centralized": CentralizedRls,
 }
 #: the baselines exchange nothing over the links, so they run on ideal ones
@@ -299,7 +300,8 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
         model = replace(model, sigma2_eta=np.zeros(model.J))
     runs, t_total = config.runs, config.t_samples
     stream = SnapshotStream(model, topology, [[config.master_seed, r] for r in range(runs)])
-    state = ALGORITHMS[config.algorithm](topology, model.p, config.lam, config.c, config.delta)
+    state = ALGORITHMS[config.algorithm](topology, model.p, config.lam, config.c, config.delta,
+                                         (runs,))
     totals = np.empty((3, t_total, topology.J))  # msd, emse, mse summed over runs
     deviation = np.empty((runs, t_total)) if collect_deviation else None
     start = 0

@@ -115,7 +115,7 @@ def algebraic_connectivity(top):
     """Second-smallest Laplacian eigenvalue (positive iff connected)."""
     if top.J < 2:
         raise TopologyError("algebraic connectivity needs J >= 2")
-    return float(np.sort(np.linalg.eigvalsh(laplacian(top)))[1])
+    return float(np.linalg.eigvalsh(laplacian(top))[1])  # eigvalsh is ascending
 
 
 def write_edge_list(top, path):

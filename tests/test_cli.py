@@ -383,18 +383,32 @@ def test_compare_warns_before_a_refused_prediction(tmp_path, capsys):
     assert error.startswith("error: error dynamics are not mean-square stable")
 
 
-@pytest.mark.parametrize("command", ["predict", "compare"])
+#: a huge radius or modulus as ``:.6g`` prints it, six significant digits
+_HUGE = r"\d\.\d{5}e\+\d{3}"
+
+
+@pytest.mark.parametrize("command", ["predict", "compare", "stability"])
 def test_an_overflowing_noise_assembly_leaks_no_numpy_warning(tmp_path, capsys, command):
     """A regressor covariance so small that the noise forcing overflows: the
-    step-size warning and the stability refusal are all stderr holds."""
+    step-size warning and the stability refusal are all stderr holds, and
+    the huge spectral radius reads in six significant digits."""
     path = tmp_path / "tiny.cfg"
     path.write_text("scenario.rh_scale = 1e-300\nT = 20\nruns = 2\n")
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    warning, error = capsys.readouterr().err.splitlines()
+    out = [] if command == "stability" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(path)] + out) == 2
+    captured = capsys.readouterr()
+    warning, *error = captured.err.splitlines()
     assert warning == ("warning: consensus step c = 0.1 is at or above the mean-stability "
                        "bound 9.7377e-300; the mean recursion may diverge")
-    assert re.fullmatch(r"error: error dynamics are not mean-square stable: spectral radius "
-                        r"\d+\.\d{6} of the fluctuation transition is >= 1", error)
+    if command == "stability":
+        assert error == []
+        lines = captured.out.splitlines()
+        assert re.fullmatch(rf"largest remaining eigenvalue modulus: {_HUGE}", lines[2])
+        assert re.fullmatch(rf"fluctuation spectral radius: {_HUGE}", lines[3])
+    else:
+        (refusal,) = error
+        assert re.fullmatch(r"error: error dynamics are not mean-square stable: spectral radius "
+                            rf"{_HUGE} of the fluctuation transition is >= 1", refusal)
 
 
 def test_predict_and_stability_warn_before_any_refusal(tmp_path, capsys):

@@ -276,7 +276,7 @@ def test_a_batch_of_runs_steps_each_run_alone(state_cls, fold_link_noise, advanc
     """With a leading runs axis every run gets the bits of its own recursion."""
     top = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     runs = [_noisy_steps(top, 2, 6, seed=s) for s in (1, 2, 3)]
-    batch = state_cls(top, 2, 0.9, 0.3, 50.0)
+    batch = state_cls(top, 2, 0.9, 0.3, 50.0, lead=(len(runs),))
     alone = [state_cls(top, 2, 0.9, 0.3, 50.0) for _ in runs]
     for t in range(6):
         _step(advance_one, batch, top, fold_link_noise,
@@ -300,7 +300,8 @@ def test_advance_over_a_chunk_is_its_one_step_chunks_bit_for_bit(algorithm, sigm
     draws = SnapshotStream(model, top, [[5, r] for r in range(runs or 1)]).draws(12)
     if runs is None:
         draws = tuple(None if d is None else d[:, 0] for d in draws)
-    whole, stepped = (ALGORITHMS[algorithm](top, 3, 0.95, 0.2, 10.0) for _ in range(2))
+    lead = () if runs is None else (runs,)
+    whole, stepped = (ALGORITHMS[algorithm](top, 3, 0.95, 0.2, 10.0, lead) for _ in range(2))
     traj = whole.advance(*draws)
     rows = [np.broadcast_to(stepped.s, traj.shape[1:]).copy()]
     for k in range(12):
@@ -318,21 +319,24 @@ def test_advance_over_a_chunk_is_its_one_step_chunks_bit_for_bit(algorithm, sigm
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_a_state_is_sized_once_and_refuses_a_chunk_of_another_leading_shape(algorithm):
-    """The first chunk fixes the state's leading shape. A chunk of another
-    is refused by name before it touches the state: a bare state is not
+    """A state is built for one leading shape. A chunk of another is
+    refused by name before it touches the state: a bare state is not
     re-broadcast into a batch of runs, nor a batch cut to fewer runs."""
     top = random_geometric(6, 0.7, seed=2)
     model = iid_scenario(top.J, 3, seed=3, sigma2_eta=0.1)
     draws = SnapshotStream(model, top, [[5, r] for r in range(3)]).draws(2)
-    for first, then, sized, got in [(0, slice(None), r"\(\)", r"\(3,\)"),
-                                     (slice(None), slice(0, 2), r"\(3,\)", r"\(2,\)")]:
-        state = ALGORITHMS[algorithm](top, 3, 0.95, 0.2, 10.0)
+    for lead, first, then, sized, got in [((), 0, slice(None), r"\(\)", r"\(3,\)"),
+                                           ((3,), slice(None), slice(0, 2), r"\(3,\)",
+                                            r"\(2,\)")]:
+        state = ALGORITHMS[algorithm](top, 3, 0.95, 0.2, 10.0, lead)
         state.advance(*(d[:, first] for d in draws))
-        kept, name = state.s.copy(), type(state).__name__
+        kept = {k: v.copy() for k, v in vars(state).items() if isinstance(v, np.ndarray)}
+        name = type(state).__name__
         with pytest.raises(ValueError, match=rf"{name} is sized to leading shape {sized}, "
                                              rf"got a chunk of leading shape {got}"):
             state.advance(*(d[:, then] for d in draws))
-        assert_array_equal(state.s, kept)
+        for k, v in kept.items():
+            assert_array_equal(getattr(state, k), v)
 
 
 # local_rls is D-RLS at c = 0, whatever c is given, so it has no c to refuse

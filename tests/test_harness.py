@@ -116,6 +116,18 @@ def test_every_config_key_is_documented():
     assert sorted(re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)) == keys
 
 
+def test_the_readme_library_example_runs_as_written(capsys):
+    """README's "Library use" block runs unedited: it prints the predicted
+    network EMSE and per-sensor MSD, then a passing comparison."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n")[1].split("\n## ")[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.split()
+    assert float(out[0]) > 0   # the network EMSE, then the per-sensor MSD array
+    assert out[-1] == "True"
+
+
 def test_parse_errors_name_source_and_line():
     with pytest.raises(ConfigError, match=r"exp\.cfg:3"):
         parse_config_text("T = 10\n\nbogus = 1\n", source="exp.cfg")

@@ -403,7 +403,7 @@ def test_a_path_draws_as_many_unit_normals_as_links(fold_link_noise):
     law = _fold_covariance(top, var, fold_link_noise)
     assert_allclose(f @ f.T, law, rtol=0, atol=1e-13 * law.max())
     for estimator in (DrlsState, AdmomState):
-        state = estimator(top, p, 0.95, 0.1, 0.01)
+        state = estimator(top, p, 0.95, 0.1, 0.01, lead=(len(seeds),))
         for h, x, eta, eta_bar in SnapshotStream(model, top, seeds).chunks(200):
             traj = state.advance(h, x, eta, eta_bar)
         assert np.isfinite(traj).all()
