@@ -30,7 +30,9 @@ exchange (eta_bar), flip(k) being link k the other way:
 
 Every estimator steps by one call, ``advance(h, x, eta=None, eta_bar=None)``,
 on a chunk of n steps, with the link-noise sums as ``SnapshotStream.draws``
-gives them (None on ideal links). It returns the (n + 1, ..., J, p)
+gives them (None on ideal links): eta (n, ..., 1 or 2, J, p) holds the drift
+sum_k (eta_k - eta_flip(k)), then, for AD-MoM alone, sum_k eta_k, and eta_bar
+(n, ..., J, p) sum_k eta_bar_k. It returns the (n + 1, ..., J, p)
 trajectory of the estimates: row 0 before the chunk, row k after step k.
 A state is built for the leading shape ``lead`` of the chunks it steps
 (such as (runs,); a bare (J, p) state by default), refuses a chunk of
@@ -170,7 +172,7 @@ class _NetworkBase(_Estimator):
         if eta is None:
             zero = np.broadcast_to(0.0, h.shape)
             return zero, zero
-        return (0.25 * self.c) * eta[..., 1, :, :], 0.5 * eta_bar
+        return (0.25 * self.c) * eta[..., 0, :, :], 0.5 * eta_bar
 
 
 class DrlsState(_NetworkBase):
@@ -221,7 +223,10 @@ class AdmomState(_NetworkBase):
         traj = self._start(h)
         drift, heard = self._link_terms(h, eta, eta_bar)
         if eta is not None:
-            heard = heard + (0.5 * self.c) * eta[..., 0, :, :]
+            if eta.shape[-3] < 2:
+                raise ValueError("AdmomState reads sum_k eta_k behind the drift: draw "
+                                 "eta with SnapshotStream(..., heard_sums=True)")
+            heard = heard + (0.5 * self.c) * eta[..., 1, :, :]
         phi, psi, b, ls, rhs, outer = self.phi, self.psi, self.b, self._ls, self._rhs, self._outer
         for h_k, hx_k, drift_k, heard_k, s, s_next in zip(h, h * x[..., None], drift, heard,
                                                           traj[:-1], traj[1:]):

@@ -70,6 +70,9 @@ ALGORITHMS = {
 }
 #: the baselines exchange nothing over the links, so they run on ideal ones
 _BASELINES = ("local_rls", "centralized")
+#: the algorithms that read the sum of the estimates each sensor hears, not only
+#: its drift, so the stream draws those sums (`heard_sums`) for them alone
+_READS_HEARD = ("drls_admom",)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +289,8 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     the chunk's metrics are taken from the trajectory it returns. Run
     r draws from streams seeded with (master_seed, r) and metrics are summed
     over runs in run order, so each run's results are those it gives on its
-    own. The baselines read no link noise, so their streams draw none. Any
+    own. The baselines read no link noise, so their streams draw none, and
+    only AD-MoM's draws the sums of what each sensor hears. Any
     run whose estimate or metrics lose finiteness aborts the ensemble with
     RunFailure naming the step, the lowest such run, its first non-finite
     sensor and what went non-finite there.
@@ -299,7 +303,8 @@ def run_ensemble(config, topology=None, model=None, collect_deviation=False):
     if config.algorithm in _BASELINES:
         model = replace(model, sigma2_eta=np.zeros(model.J))
     runs, t_total = config.runs, config.t_samples
-    stream = SnapshotStream(model, topology, [[config.master_seed, r] for r in range(runs)])
+    stream = SnapshotStream(model, topology, [[config.master_seed, r] for r in range(runs)],
+                            heard_sums=config.algorithm in _READS_HEARD)
     state = ALGORITHMS[config.algorithm](topology, model.p, config.lam, config.c, config.delta,
                                          (runs,))
     totals = np.empty((3, t_total, topology.J))  # msd, emse, mse summed over runs

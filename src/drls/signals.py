@@ -14,11 +14,14 @@ Inter-sensor links add receiver-side noise with per-receiver covariance
 sigma2_eta_j I_p on the estimate and on the multiplier exchange (independent
 draws). The recursions read it only through per-sensor sums, which are jointly
 Gaussian, so the stream draws those sums from their law: the multiplier sums
-elementwise, the estimate sums through a factor of their covariance that keeps
-a silent receiver's sum exactly zero. Streams are deterministic per seed and keep
-one child generator per noise kind, mixed per sensor after the unit-variance
-draws, so disabling a noise source perturbs no other draw. Steps are drawn a
-chunk at a time; neither the byte budget nor the block of runs changes a byte.
+elementwise, the estimate sums through a triangular factor of their covariance,
+drift rows first, that keeps a silent receiver's sum exactly zero. D-RLS reads
+only the drift, from J - 1 unit draws per step and entry; what each sensor
+hears, which AD-MoM reads too, is drawn only when asked. Streams are
+deterministic per seed and keep one child generator per noise kind, mixed per
+sensor after the unit-variance draws, so disabling a noise source perturbs no
+other draw. Steps are drawn a chunk at a time; neither the byte budget nor the
+block of runs changes a byte.
 """
 
 from dataclasses import dataclass
@@ -202,12 +205,46 @@ def ar_scenario(j, seed, sigma2_eta=0.1):
     )
 
 
-#: bytes of one draw array per chunk, the widest being the unit draws of the
-#: estimate-noise sums on noisy links: bounds the draw buffers and changes no draw
+#: bytes of one draw array per chunk, the widest being the sensors' J columns or
+#: the estimate noise's unit draws: bounds the draw buffers and changes no draw
 DRAW_CHUNK_BYTES = 128 * 1024
 
-# each run's child generators, in spawn order
-_REG, _EPS, _ETA, _ETA_BAR = range(4)
+# each run's child generators, in spawn order; spawn(5) begins with spawn(4)'s
+_REG, _EPS, _ETA, _ETA_BAR, _ETA_HEARD = range(5)
+
+
+def _uniform_drive(g, out):
+    """Fill `out` with the bits of g.uniform(-sqrt(3), sqrt(3)), low + (high - low) u."""
+    g.random(out=out)
+    out *= 2.0 * np.sqrt(3.0)
+    out -= np.sqrt(3.0)
+
+
+def _estimate_noise_factor(model, topology):
+    """The (2J, w) factor F, F F^T the covariance per entry of each sensor's
+    drift sum_k (eta_k - eta_flip(k)), rows first, and sum_k eta_k, over the
+    directed links (owner, peer) of ``np.nonzero(adjacency)``, link k heard by
+    its owner at its sigma_eta; and the count of columns the drift rows read.
+    The drifts of sensors that noisy links join sum to exactly zero, so the
+    last of each such group is minus the sum of the others, and F = R^T from
+    the QR of the other rows' per-link fold, transposed: with them, the QR
+    would pivot on round-off and reflect the rows after it arbitrarily. A zero
+    row, a silent receiver's, stays exactly zero (eigh would leak ~sqrt(eps)).
+    """
+    j = model.J
+    owner, peer = np.nonzero(topology.adjacency)
+    heard = (owner == np.arange(j)[:, None]) * np.sqrt(model.sigma2_eta)[:, None]
+    drift = heard - (peer == np.arange(j)[:, None]) * heard.sum(0)
+    joined = np.eye(j, dtype=bool) | ((drift != 0) @ (drift != 0).T)
+    for _ in range(j.bit_length()):
+        joined = joined @ joined
+    last = ~np.triu(joined, 1).any(axis=1)
+    kept = j - np.count_nonzero(last)
+    r = np.linalg.qr(np.concatenate([drift[~last], heard]).T, mode="r").T
+    factor = np.concatenate([np.empty((j, r.shape[1])), r[kept:]])
+    factor[:j][~last] = r[:kept]
+    factor[:j][last] = -(joined[np.ix_(last, ~last)] @ r[:kept])
+    return factor, kept
 
 
 class SnapshotStream:
@@ -216,34 +253,27 @@ class SnapshotStream:
 
     Run r of the block is seeded with ``seeds[r]``. Its seed sequence spawns
     one child generator per draw kind (regressors, observation noise,
-    estimate-exchange noise, multiplier-exchange noise), and each kind is
+    estimate-exchange drift, multiplier-exchange noise, and, with
+    `heard_sums`, what each sensor hears of the estimates), and each kind is
     drawn in time order, so a run's draws depend neither on the other runs
-    of the block nor on how many steps one call draws. An empty ``seeds``
-    raises ValueError.
+    of the block nor on how many steps one call draws, and `heard_sums`
+    moves no other kind's. An empty ``seeds`` raises ValueError.
     """
 
-    def __init__(self, model, topology, seeds):
+    def __init__(self, model, topology, seeds, heard_sums=False):
         model.check_topology(topology)
         self.model = model
-        self._rngs = [
-            [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
-            for seed in seeds
-        ]
+        self._heard_sums = bool(heard_sums)
+        self._rngs = [[np.random.default_rng(s)
+                       for s in np.random.SeedSequence(seed).spawn(4 + self._heard_sums)]
+                      for seed in seeds]
         self.runs = len(self._rngs)
         if not self.runs:
             raise ValueError("a snapshot stream needs at least one run seed, got none")
 
         self._link_noise_active = bool(np.any(model.sigma2_eta))
-        # the D directed links, grouped by owner with peers ascending: link k is
-        # heard by its owner, at its sigma_eta, and carries its peer's estimate;
-        # the (2J, D) fold maps them to each sensor's sum_k eta_k and drift
-        owner, peer = np.nonzero(topology.adjacency)
-        sensors = np.arange(model.J)[:, None]
-        heard = (owner == sensors) * np.sqrt(model.sigma2_eta)[:, None]
-        fold = np.concatenate([heard, heard - (peer == sensors) * heard.sum(0)])
-        # with fold^T = QR, F = R^T has F F^T = fold fold^T in min(D, 2J) columns,
-        # and a zero row of the fold stays exactly zero (an eigh factor leaks ~sqrt(eps))
-        self._eta_factor = np.linalg.qr(fold.T, mode="r").T
+        factor, cols = _estimate_noise_factor(model, topology)
+        self._drift_factor, self._heard_factor = factor[:model.J, :cols].copy(), factor[model.J:]
         self._sigma_eta_bar = np.sqrt(topology.degrees * model.sigma2_eta)[:, None]
 
         self._sigma_eps = np.sqrt(model.sigma2_eps)
@@ -260,7 +290,8 @@ class SnapshotStream:
 
     def _chunks(self, total):
         """Step counts covering `total` steps, DRAW_CHUNK_BYTES per draw array."""
-        widest = max(self.model.J, self._link_noise_active * self._eta_factor.shape[1])
+        heard = self._link_noise_active * self._heard_sums * self._heard_factor.shape[1]
+        widest = max(self.model.J, heard)
         size = max(1, DRAW_CHUNK_BYTES // (8 * self.runs * self.model.p * widest))
         for start in range(0, total, size):
             yield min(size, total - start)
@@ -283,8 +314,7 @@ class SnapshotStream:
             # copied out: einsum over broadcast factors takes several times longer, same bits
             full = np.broadcast_to(self._chol_rh, z.shape + (p,)).copy()
             return np.einsum("...ab,...b->...a", full, z)
-        drive = self._per_run(_REG, (n, m.J), lambda g, out: np.copyto(
-            out, g.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=out.shape)))
+        drive = self._per_run(_REG, (n, m.J), _uniform_drive)
         drive *= self._ar_sigma    # omega,
         drive *= self._ar_gain     # then sqrt(rho) omega
         s = np.concatenate([self._tail, np.empty((n, self.runs, m.J))])
@@ -303,12 +333,17 @@ class SnapshotStream:
 
         Returns regressors h (n, runs, J, p), observations x (n, runs, J),
         and the receiver noise summed over each sensor's links k, or None on
-        ideal links, each drawn from its law: eta (n, runs, 2, J, p) holds
-        sum_k eta_k and sum_k (eta_k - eta_flip(k)), what the sensor hears less
-        the noise on its broadcasts, as F xi for each run-step's (min(D, 2J), p)
-        unit normals xi, F F^T their covariance; eta_bar (n, runs, J, p) holds
-        sum_k eta_bar_k. Link k is the k-th directed link (owner, peer) of
-        ``np.nonzero(adjacency)``, what the owner hears of the peer; flip(k) is its reverse.
+        ideal links, each drawn from its law. eta (n, runs, 1, J, p) holds the
+        drift sum_k (eta_k - eta_flip(k)), what the sensor hears less the noise
+        on its broadcasts, as F_d xi for each run-step's (J - 1, p) unit normals
+        xi from the `_ETA` child (fewer where noisy links join no path);
+        F = [F_d 0; F_h], w <= min(D, 2J - 1) columns, factors the sums'
+        covariance. With `heard_sums`, eta (n, runs, 2, J, p) holds sum_k eta_k
+        behind the drift, as F_h [xi; xi'], xi' the other columns from the
+        `_ETA_HEARD` child, and the drift keeps its bits. eta_bar (n, runs, J,
+        p) holds sum_k eta_bar_k from the `_ETA_BAR` child. Link k is the k-th
+        directed link (owner, peer) of ``np.nonzero(adjacency)``, what the
+        owner hears of the peer; flip(k) is its reverse.
         """
         m = self.model
         h = self._regressors(n)
@@ -316,11 +351,16 @@ class SnapshotStream:
         if not self._link_noise_active:
             return h, x, None, None
         # one product of one shape per run-step: no sum depends on the block or the chunk
-        f = self._eta_factor
-        eta = np.matmul(f, self._per_run(_ETA, (n, f.shape[1], m.p)))
+        f, g = self._drift_factor, self._heard_factor
+        xi = self._per_run(_ETA, (n, f.shape[1], m.p))
+        eta = np.empty((n, self.runs, 1 + self._heard_sums, m.J, m.p))
+        np.matmul(f, xi, out=eta[:, :, 0])
+        if self._heard_sums:
+            rest = self._per_run(_ETA_HEARD, (n, g.shape[1] - f.shape[1], m.p))
+            np.matmul(g, np.concatenate([xi, rest], axis=2), out=eta[:, :, 1])
         eta_bar = self._per_run(_ETA_BAR, (n, m.J, m.p))
         eta_bar *= self._sigma_eta_bar
-        return h, x, eta.reshape(n, self.runs, 2, m.J, m.p), eta_bar
+        return h, x, eta, eta_bar
 
     def chunks(self, total):
         """Yield the `draws` of the next `total` steps, one chunk at a time."""

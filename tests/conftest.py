@@ -276,16 +276,17 @@ def _fold_link_noise(top, eta, eta_bar):
     """The per-sensor link-noise sums the estimators read, folded link by
     link from per-link noise (..., D, p), row k what owner[k] hears from
     peer[k] of ``_directed_links``.
-    Returns the (..., 2, J, p) sums over each sensor's links of eta_k and of
-    eta_k - eta_flip(k), and the (..., J, p) sums of eta_bar_k. Built link
-    by link; the stream draws the sums from their law instead."""
+    Returns the (..., 2, J, p) sums over each sensor's links of
+    eta_k - eta_flip(k), the drift, and of eta_k, drift first as the stream
+    lays them out, and the (..., J, p) sums of eta_bar_k. Built link by
+    link; the stream draws the sums from their law instead."""
     lead, p = eta.shape[:-2], eta.shape[-1]
     heard = np.zeros(lead + (2, top.J, p))
     heard_bar = np.zeros(lead + (top.J, p))
     for k, (owner, peer) in enumerate(zip(*_directed_links(top))):
         heard[..., :, owner, :] += eta[..., None, k, :]
         # link k is the reverse of a link of `peer`: it corrupts peer's broadcast
-        heard[..., 1, peer, :] -= eta[..., k, :]
+        heard[..., 0, peer, :] -= eta[..., k, :]
         heard_bar[..., owner, :] += eta_bar[..., k, :]
     return heard, heard_bar
 

@@ -501,7 +501,7 @@ def test_overflowing_metric_exits_three_before_any_csv(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "warning: consensus step c = 1000000.0 is at or above the mean-stability bound "
         "9.7377; the mean recursion may diverge\n"
-        "error: run 1 produced a non-finite MSD at step 25, first at sensor 3: "
+        "error: run 0 produced a non-finite MSD at step 26, first at sensor 0: "
         "the recursion diverged\n")
     assert list(out.iterdir()) == []
 

@@ -297,7 +297,8 @@ def test_advance_over_a_chunk_is_its_one_step_chunks_bit_for_bit(algorithm, sigm
     runs, on ideal and noisy links. The state keeps its own estimates."""
     top = random_geometric(6, 0.7, seed=2)
     model = iid_scenario(top.J, 3, seed=3, sigma2_eta=sigma2_eta)
-    draws = SnapshotStream(model, top, [[5, r] for r in range(runs or 1)]).draws(12)
+    draws = SnapshotStream(model, top, [[5, r] for r in range(runs or 1)],
+                           heard_sums=True).draws(12)
     if runs is None:
         draws = tuple(None if d is None else d[:, 0] for d in draws)
     lead = () if runs is None else (runs,)
@@ -324,7 +325,7 @@ def test_a_state_is_sized_once_and_refuses_a_chunk_of_another_leading_shape(algo
     re-broadcast into a batch of runs, nor a batch cut to fewer runs."""
     top = random_geometric(6, 0.7, seed=2)
     model = iid_scenario(top.J, 3, seed=3, sigma2_eta=0.1)
-    draws = SnapshotStream(model, top, [[5, r] for r in range(3)]).draws(2)
+    draws = SnapshotStream(model, top, [[5, r] for r in range(3)], heard_sums=True).draws(2)
     for lead, first, then, sized, got in [((), 0, slice(None), r"\(\)", r"\(3,\)"),
                                            ((3,), slice(None), slice(0, 2), r"\(3,\)",
                                             r"\(2,\)")]:
@@ -337,6 +338,16 @@ def test_a_state_is_sized_once_and_refuses_a_chunk_of_another_leading_shape(algo
             state.advance(*(d[:, then] for d in draws))
         for k, v in kept.items():
             assert_array_equal(getattr(state, k), v)
+
+
+def test_admom_refuses_link_noise_without_the_heard_sums():
+    """AD-MoM reads the sums of what each sensor hears, which a stream draws
+    only when asked: a drift-only eta is refused by name, not misread."""
+    top = random_geometric(6, 0.7, seed=2)
+    model = iid_scenario(top.J, 3, seed=3, sigma2_eta=0.1)
+    draws = SnapshotStream(model, top, [[5, 0]]).draws(2)
+    with pytest.raises(ValueError, match="heard_sums=True"):
+        AdmomState(top, 3, 0.95, 0.2, 10.0, (1,)).advance(*draws)
 
 
 # local_rls is D-RLS at c = 0, whatever c is given, so it has no c to refuse

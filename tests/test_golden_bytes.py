@@ -10,9 +10,10 @@ digest is updated.
 
 The bytes hold for one OpenBLAS kernel family: numpy's bundled OpenBLAS picks
 its kernels for the CPU at run time, and OPENBLAS_CORETYPE forces another.
-Seven digests hold under every family; the others are pinned for the
+Six digests hold under every family; the others are pinned for the
 SkylakeX, Haswell, Sandybridge and Nehalem families, read from the library
 itself. A family with no pinned digest fails the case that needs one.
+``print_digests.py`` prints every case's digests under the current family.
 """
 
 import ctypes
@@ -43,27 +44,32 @@ master_seed = 5
 CASES = {
     "iid-p1-links-on-drls_ama": (
         "simulate", "scenario.p = 1\nalgorithm = drls_ama\n", {
-            "global.csv": "c2f6a726fb306f0bd9f3fb14b5d4a76d1f646b8d076bbf700bd5e02051a40a87",
+            "global.csv": {
+                "SkylakeX": "ad85576d0308cbe5ca5b32df46752dcfd600884720ce861e84ff80512a69085e",
+                "Haswell": "ad85576d0308cbe5ca5b32df46752dcfd600884720ce861e84ff80512a69085e",
+                "Sandybridge": "2c547e431eb171eaa16a6c6a1a3819e06fec3cc18ffb60c31243d3bdd42bdc15",
+                "Nehalem": "2c547e431eb171eaa16a6c6a1a3819e06fec3cc18ffb60c31243d3bdd42bdc15",
+            },
             "per_sensor.csv": {
-                "SkylakeX": "832987733567e3aae9190d95b323af695c285265170aa031e6db05ae1d68052b",
-                "Haswell": "3c5553b27f264e2d5527a7186533765ca25e80efada1d69d8aa0910bffc5134c",
-                "Sandybridge": "8571beae3e274247bac13114f019f2fad89d1062944d21cc1e136f83d09b65a2",
-                "Nehalem": "64271dcd44aef1b057a059c0ba140e1363fc1a3754262481b467cc039146b22d",
+                "SkylakeX": "65cc4dc24b0ea46ac927aa6d5fc7a4a19bb46358b99fea9540818479676278b5",
+                "Haswell": "65cc4dc24b0ea46ac927aa6d5fc7a4a19bb46358b99fea9540818479676278b5",
+                "Sandybridge": "568596b6f4baf7d69a6149fe0150f4b59f134b031e33385dc04a518a6b4c1e23",
+                "Nehalem": "568596b6f4baf7d69a6149fe0150f4b59f134b031e33385dc04a518a6b4c1e23",
             },
         }),
     "iid-p5-links-on-drls_ama": (
         "simulate", "scenario.p = 5\nalgorithm = drls_ama\n", {
             "global.csv": {
-                "SkylakeX": "65f1c32765073d8cdac40a378e4bf3818dddb3b238d5f3bc1528e1d1fe753c8d",
-                "Haswell": "839922ccbdd33edfa628fcc50abcf37e53b76552aaddd9a24781bccb29e6da12",
-                "Sandybridge": "50c56d564de9a6572a024f1c2aaf44285df6acf93773167d04e67e0f67cc11b5",
-                "Nehalem": "48459e4c7aee7a009273f621e4370ef936d8ac842f9cec2c4874ad44b838f7d2",
+                "SkylakeX": "fb7a1bb85decc4f0f15fa083f901c014122367ba05a6523815bfdcfa53ad1cda",
+                "Haswell": "fb7a1bb85decc4f0f15fa083f901c014122367ba05a6523815bfdcfa53ad1cda",
+                "Sandybridge": "25a3c581d3eddf847cf55a3c120e0c3a58a64e3fb331c69315066f13d3de2210",
+                "Nehalem": "574ba3686d5ca2823b345730b85e4f0a45bd65251eb90772fc26b3626699527a",
             },
             "per_sensor.csv": {
-                "SkylakeX": "0e26963c1e5a338a6ef3b4684f24a1f6feeaf00631c302e046b664cea8090916",
-                "Haswell": "07a9730e1d8f53ea97ae667a729543e2af9c06eb505bf42aecc3eb62d940fb29",
-                "Sandybridge": "c003f82373a831fe62a6d5cc3efe5956fc79e07f099fc2ee976d68045cd42eba",
-                "Nehalem": "82f60d7583db80922f254db80ae50af6bc87de2fa06c59b871ea90b94a476362",
+                "SkylakeX": "93c022781ed0d88dfe0e5c170ae93aa28448ab9c42007e54ea497e04e63942d3",
+                "Haswell": "93c022781ed0d88dfe0e5c170ae93aa28448ab9c42007e54ea497e04e63942d3",
+                "Sandybridge": "6f2a8000669a2e0d70b1659ffb44b6f89e0fa42827264e26308a9656f7ac9163",
+                "Nehalem": "50e529eaabbc426ae9c0ea2a0924e112b73f937f81a969e2c6b26865436d26e8",
             },
         }),
     "iid-p5-links-off-local_rls": (
@@ -84,16 +90,16 @@ CASES = {
     "ar-links-on-drls_ama": (
         "simulate", "scenario.kind = ar\nalgorithm = drls_ama\n", {
             "global.csv": {
-                "SkylakeX": "1d30e1ff72fbf6fd96427d976e76b66a6cb8b884745dfb00c0f346c5ba278ee2",
-                "Haswell": "1d30e1ff72fbf6fd96427d976e76b66a6cb8b884745dfb00c0f346c5ba278ee2",
-                "Sandybridge": "ab1d091531f7e3150e1959e814e5d4dfcbe24bfdde87f97dd3d4d8f5283a657c",
-                "Nehalem": "ab1d091531f7e3150e1959e814e5d4dfcbe24bfdde87f97dd3d4d8f5283a657c",
+                "SkylakeX": "7e4d7d44ac5ebd59d09571b0fac1279d7cdf6844bae98ba5a7a3ba3005a830f1",
+                "Haswell": "7e4d7d44ac5ebd59d09571b0fac1279d7cdf6844bae98ba5a7a3ba3005a830f1",
+                "Sandybridge": "93853403c7185ec9afb3926d4b810e8a25914f324c4ab9d16a1d84e0c6f2b5b8",
+                "Nehalem": "2735bf0e07d0f7560195a697265df016d2560da2d7d12bbf5f710043ad1453c9",
             },
             "per_sensor.csv": {
-                "SkylakeX": "3d42a92e236c1da67532e69aa516f4dc986423767375b247bfb7ebe2142ce0b2",
-                "Haswell": "09a8ced0ecb8c1160b4a6ca8f25d7fe46c1a8aec91776bf5c8a4fe39905528b9",
-                "Sandybridge": "33b46374085b0e602266030ba907e3080a9e250687dab5fdf3a16501ba2088dd",
-                "Nehalem": "894f4971642c66bd3e4c7e0044a6ea1dd4a0f3ef3647154dadf6534481289b92",
+                "SkylakeX": "ca9e78b598aebc836462d1628367fa00ec4c057dcae16464f37d1276e7e7b48c",
+                "Haswell": "ca9e78b598aebc836462d1628367fa00ec4c057dcae16464f37d1276e7e7b48c",
+                "Sandybridge": "620916cdbfa0a528c92466646124b63bd2eb52d912282074747906a0e2f7c9a8",
+                "Nehalem": "bd7015d4d54f7b0925c1f171a862d9f685ab26fb92202490b21c6edb8a38ce8c",
             },
         }),
     "ar-links-off-drls_ama": (
@@ -129,16 +135,16 @@ CASES = {
     "iid-p2-links-on-drls_admom": (
         "simulate", "scenario.p = 2\nalgorithm = drls_admom\n", {
             "global.csv": {
-                "SkylakeX": "7d9b35a7b17f59116445eccacffe84981e30ff596fa96fe487e6670344af470c",
-                "Haswell": "f72862039d240081c17398ddfce3f63fe1492d8845ea216c1935a722894f7764",
-                "Sandybridge": "bed75de686c01d90ba654b232a9d8dadda0dfa25c2a9515ff1b23efab57c1101",
-                "Nehalem": "a7b4a47fc6ea6a03ba1ca9f6e250fd0b52086922fd8949f5728c0ed6d0ac295d",
+                "SkylakeX": "af8ef7ef1a2d7347f579f4daf1a0293eb33511a011a0d77a88ada4c21c24a63e",
+                "Haswell": "e3e7eb99e33d0f71a0939b87c0922d723da4a6ceda6d838d8f78d53ac57976aa",
+                "Sandybridge": "401526e5cfac80be06b1a9dae1892e7c6aad423b03f0ee209f792a00236c733d",
+                "Nehalem": "401526e5cfac80be06b1a9dae1892e7c6aad423b03f0ee209f792a00236c733d",
             },
             "per_sensor.csv": {
-                "SkylakeX": "b5d23a208fd4e6b9ccb5f0293c90c3bf812e01e7118afd9d2d3a54dfd1555c08",
-                "Haswell": "bd44c6e51d8fc8de2ad3bf2980204be040c4d40e80e62447be99c2161c9796d9",
-                "Sandybridge": "4af289c8b36db2975ebe324d48072e1281374d7206e839a1f4d43a70c3d4ddfb",
-                "Nehalem": "d666220292f26ec1d287b3505b6c539e9192292cdab1c0b370f1b7804ca6f9c8",
+                "SkylakeX": "c4c2bcb1fa415fed47873d99f48c30827eb2568a63460a6f7c5169cf0bb3ed19",
+                "Haswell": "0efb9cd3ac85f113eb0f0690963d2edc672cabcd08d13d47c6f83ccbc81d9db6",
+                "Sandybridge": "68915d83e49af3e012f60a53a73aecaf6bb0ec9c1f31cfc1d1231dce395c1fff",
+                "Nehalem": "5c705f0f17793e5d37ed40cdfa4ccbca33eaca258cdde4443f90f6ac74288300",
             },
         }),
     "ar-links-on-centralized": (
@@ -174,12 +180,12 @@ CASES = {
         }),
     "iid-p2-compare": (
         "compare", "scenario.p = 2\ndelta = 0.01\n", {
-            "comparison.csv": "b0160b1c1a9dae61d4d6361ae98b661ec8440cbd16ae9dc642dd7bf6e4a4bb0c",
+            "comparison.csv": "98799043930a00e5b56321e2d5f9dedd41bc29989a0432583e4f7b0fa260756d",
             "global.csv": {
-                "SkylakeX": "69e15e5859231c0dce4f977079d4deafd907e7334723dddc5ff8d2ecdac6b1b2",
-                "Haswell": "a98bf2864b2505618c3022fb740b01341f7bf1f4e78ec54738e5705410133435",
-                "Sandybridge": "69e15e5859231c0dce4f977079d4deafd907e7334723dddc5ff8d2ecdac6b1b2",
-                "Nehalem": "69e15e5859231c0dce4f977079d4deafd907e7334723dddc5ff8d2ecdac6b1b2",
+                "SkylakeX": "5cce8bb5eea727ecb917c0196e25929cfd3cd3d64bb7c6db40cf7bfe878bf6ab",
+                "Haswell": "5cce8bb5eea727ecb917c0196e25929cfd3cd3d64bb7c6db40cf7bfe878bf6ab",
+                "Sandybridge": "937388c4c8d623a93298b07c787a741b60e982c0db537c571ddc2d375ed72838",
+                "Nehalem": "aa1b62fe2354f1c0d45020b9dc8751b92644e6ebce0b23043e3bcd2de6f1832d",
             },
             "prediction.csv": "883ffc9363abfc88cca3384878759f0c23daeb6b17cd11f46492dc445c20affc",
         }),

@@ -436,6 +436,21 @@ def _pair_config(tmp_path, **kw):
                          scenario_p=1, c=5000.0, t_samples=400, **kw)
 
 
+def test_a_one_sensor_network_with_noisy_links_simulates():
+    """One sensor hears no link, so its link-noise sums have no unit draw
+    behind them (w = 0 < J) and are exact zeros: with sigma2_eta > 0, D-RLS
+    gives the isolated RLS bits of the no-cooperation baseline, and AD-MoM
+    its curves to round-off."""
+    results = {algorithm: run_ensemble(_small_config(topology_j=1, algorithm=algorithm,
+                                                     scenario_sigma2_eta=0.1)).series
+               for algorithm in ("local_rls", "drls_ama", "drls_admom")}
+    local = results["local_rls"]
+    for metric in ("msd", "emse", "mse"):
+        assert_array_equal(getattr(results["drls_ama"], metric), getattr(local, metric))
+        assert_allclose(getattr(results["drls_admom"], metric), getattr(local, metric),
+                        rtol=1e-6)
+
+
 def test_run_failure_on_divergent_configuration(tmp_path, monkeypatch):
     """The squared error overflows long before the estimate does, so the
     MSD is what is named."""
@@ -445,21 +460,23 @@ def test_run_failure_on_divergent_configuration(tmp_path, monkeypatch):
         with pytest.raises(RunFailure, match="run 0 .* MSD at step 58, first at sensor 0") as info:
             run_ensemble(config)
         assert (info.value.run, info.value.step, info.value.sensor) == (0, 58, 0)
-        # batched, the lowest run that fails at the first failing step is named
-        with pytest.raises(RunFailure, match="run 3 .* MSD at step 57, first at sensor 0") as info:
+        # batched, the lowest run that fails at the first failing step is named:
+        # runs 0, 3 and 4 fail at step 58, runs 2 and 1 later
+        with pytest.raises(RunFailure, match="run 0 .* MSD at step 58, first at sensor 0") as info:
             run_ensemble(replace(config, runs=5))
-        assert (info.value.run, info.value.step, info.value.sensor) == (3, 57, 0)
+        assert (info.value.run, info.value.step, info.value.sensor) == (0, 58, 0)
 
 
 def test_run_failure_on_an_overflowing_metric():
     """Estimates that stay finite can still square past the largest double:
     the first non-finite metric fails the run, naming it."""
     config = ExperimentConfig(c=1e6, t_samples=50, runs=2)
-    with pytest.raises(RunFailure, match="run 1 produced a non-finite MSD at step 25, "
-                                         "first at sensor 3") as info:
+    # both runs fail at step 26, so the lower is named
+    with pytest.raises(RunFailure, match="run 0 produced a non-finite MSD at step 26, "
+                                         "first at sensor 0") as info:
         run_ensemble(config)
     failure = info.value
-    assert (failure.run, failure.step, failure.sensor, failure.quantity) == (1, 25, 3, "MSD")
+    assert (failure.run, failure.step, failure.sensor, failure.quantity) == (0, 26, 0, "MSD")
     assert all(type(v) is int for v in (failure.run, failure.step, failure.sensor))
 
 
